@@ -29,6 +29,10 @@ from .scalars import all_exact, fmt_scalar, to_fractions
 EXACT = "exact"
 
 
+class SearchError(RuntimeError):
+    """A search produced a family that its own verification rejects."""
+
+
 # ---------------------------------------------------------------------------
 # families and certificates
 # ---------------------------------------------------------------------------
@@ -399,8 +403,8 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
         if len(snap) > len(best):
             best = snap
             trace.append((used, len(best)))
-    cert = verify_family(best)
-    assert cert.valid or len(best) == 0
+    if not verify_family(best).valid:
+        raise SearchError(f"the {len(best)}-ball family found fails verification")
     return SearchResult(family=best, cardinality=len(best), proposals_used=used,
                         trace=trace, strategy=strategy, seed=seed)
 

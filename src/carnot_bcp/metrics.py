@@ -5,9 +5,13 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
 
 * ``HSDistance``     -- the quasi-distance whose unit ball at the identity is a
   Euclidean ball of radius R in exponential coordinates (Hebisch-Sikora).  The
-  value is the unique lambda with sum_i x_i^2 lambda^(-2 w_i) = R^2, found by
-  bracketed bisection plus a Newton polish; ball membership is decided exactly
-  in rational arithmetic whenever the data permit.
+  value is the unique lambda with sum_i x_i^2 lambda^(-2 w_i) = R^2.  The
+  substitution u = lambda^(-2/q), with q > 0 the smallest rational making every
+  a_w = q w an integer, turns it into the polynomial equation
+  sum_w s_w u^(a_w) = R^2 (s_w the squared norm of the weight-w coordinates),
+  solved in closed form for one weight or two weights w, 2w and otherwise by
+  Newton from an upper bracket; ball membership is decided exactly in
+  rational arithmetic whenever the data permit.
 * ``UnitBallDistance`` -- gauge of an arbitrary star-interval unit-ball oracle.
 * ``PowerDistance``  -- d^(1/t) on the t-power of the group (snowflakes).
 * ``ProductMaxDistance`` / ``LpComboDistance`` -- product combinations.
@@ -117,61 +121,126 @@ class QuasiDistance:
 # Hebisch-Sikora Euclidean-ball distances
 # ---------------------------------------------------------------------------
 
-def _weight_groups(weights):
-    """Distinct weights (floats, ascending) with their coordinate index lists."""
-    groups = {}
-    for i, w in enumerate(weights):
-        groups.setdefault(float(w), []).append(i)
-    ws = sorted(groups)
-    return np.array(ws), [np.array(groups[w]) for w in ws]
+# Newton stops once a step moves u by at most this fraction of u.  The step
+# then approximates the remaining error e, and the error after the step is at
+# most (a_max - 1) / 2 * e^2 relative, far below one ulp.
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_STEPS = 100
 
 
-def _hs_lambda_batch(X, weights, R, _groups=None, method="auto"):
+class _HSPlan:
+    """The HS equation of one weight vector, reduced to a polynomial.
+
+    Coordinates sharing a weight w collapse into one squared sum s_w.  With
+    q = lcm(weight denominators) / gcd(weight numerators), the smallest q > 0
+    making every exponent a_w = q w an integer, the substitution
+    u = lam^(-2/q) turns sum_w s_w lam^(-2w) = R^2 into
+
+        f(u) = sum_w s_w u^(a_w) - R^2 = 0,
+
+    a polynomial with nonnegative coefficients and positive integer exponents,
+    so f is increasing and convex on u > 0 and lam = u^(-q/2).  The exponents
+    come from the exact weights, so no float rounding enters them.
+    """
+
+    def __init__(self, weights):
+        groups = {}
+        for i, w in enumerate(weights):
+            groups.setdefault(Fraction(w), []).append(i)
+        self.weights = sorted(groups)
+        self.term_of = tuple(self.weights.index(Fraction(w)) for w in weights)
+        # a lone coordinate is picked as a column, a group is summed
+        self.index = [groups[w][0] if len(groups[w]) == 1 else np.array(groups[w])
+                      for w in self.weights]
+        q = Fraction(math.lcm(*(w.denominator for w in self.weights)),
+                     math.gcd(*(w.numerator for w in self.weights)))
+        self.exps = [int(q * w) for w in self.weights]
+        self.root_powers = [1.0 / a for a in self.exps]
+        self.lam_power = -float(q) / 2
+        # term index of each degree a_max - 1, ..., 1 of f (None: no term)
+        term_of_degree = {a: k for k, a in enumerate(self.exps)}
+        self.horner = [term_of_degree.get(a) for a in range(self.exps[-1] - 1, 0, -1)]
+        self.closed = len(self.exps) == 1 or self.exps == [1, 2]
+
+    def closed_form(self, S, R2, sqrt):
+        """lam for one weight, or for two weights w and 2w (a quadratic in
+        lam^(-2w)); S holds floats or arrays, sqrt is math.sqrt or np.sqrt."""
+        w0 = float(self.weights[0])
+        if len(S) == 1:
+            return (S[0] / R2) ** (0.5 / w0)
+        s1, s2 = S
+        return ((s1 + sqrt(s1 * s1 + 4.0 * R2 * s2)) / (2.0 * R2)) ** (0.5 / w0)
+
+    def newton_step(self, u, S, R2):
+        """One Newton step on f, evaluating f and f' together by Horner's rule
+        (no pow); u and S hold floats or arrays.  Returns (new u, step)."""
+        p, dp = S[-1], None
+        for k in self.horner:
+            dp = p if dp is None else dp * u + p
+            p = p * u
+            if k is not None:
+                p = p + S[k]
+        dp = p if dp is None else dp * u + p
+        step = (p * u - R2) / dp
+        return u - step, step
+
+    def solve_rows(self, S, R2, method):
+        """lam for rows with squared sums S (one (m,) array per weight), none
+        of them a zero row."""
+        if method == "auto" and self.closed:
+            return self.closed_form(S, R2, np.sqrt)
+        # u0 = min_w (R^2 / s_w)^(1/a_w), as a reciprocal so that s_w = 0
+        # needs no division by zero
+        u = 1.0 / np.maximum.reduce([(s / R2) ** e for s, e in zip(S, self.root_powers)])
+        for _ in range(_NEWTON_MAX_STEPS):
+            u, step = self.newton_step(u, S, R2)
+            if (step <= _NEWTON_TOL * u).all():
+                return u ** self.lam_power
+        raise SolverError("HS root solve did not converge")
+
+    def solve_point(self, S, R2):
+        """``solve_rows`` for one point, in plain floats (S a list of floats)."""
+        if self.closed:
+            return self.closed_form(S, R2, math.sqrt)
+        u = 1.0 / max((s / R2) ** e for s, e in zip(S, self.root_powers))
+        for _ in range(_NEWTON_MAX_STEPS):
+            u, step = self.newton_step(u, S, R2)
+            if step <= _NEWTON_TOL * u:
+                return u ** self.lam_power
+        raise SolverError("HS root solve did not converge")
+
+
+def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     """Solve sum x_i^2 lam^(-2 w_i) = R^2 rowwise; X is (m, n) float.
 
-    Coordinates sharing a weight collapse into one squared-sum term, so the
-    equation has one term per distinct weight.  One or two weights give closed
-    forms; otherwise (or when method="iterative" forces the general route,
-    which the closed forms are tested against) the objective is decreasing
-    and convex in lam, so Newton from the certified lower bracket
-    max_w (s_w / R^2)^(1/2w) increases monotonically to the root with
-    quadratic convergence.
+    Rows are reduced to the polynomial f(u) = sum_w s_w u^(a_w) - R^2 of
+    ``_HSPlan``, with u = lam^(-2/q).  One weight, or two weights w and 2w,
+    have closed forms; otherwise (or when method="iterative" forces the
+    general route, which the closed forms are tested against) Newton starts
+    from the upper bracket u0 = min over s_w > 0 of (R^2 / s_w)^(1/a_w), where
+    f(u0) >= 0.  Since f is increasing and convex, every iterate from above
+    stays above the root: the tangent at u > u* lies below f, so it crosses
+    zero in [u*, u).  The iterates therefore decrease monotonically to u*,
+    quadratically once close.  A row of zeros has lam = 0; a row whose
+    squared sum is not finite raises SolverError.
     """
+    if plan is None:
+        plan = _HSPlan(weights)
     X = np.asarray(X, dtype=float)
-    if _groups is None:
-        _groups = _weight_groups(weights)
-    ws, idx = _groups
-    S = np.stack([(X[:, ix] ** 2).sum(axis=1) for ix in idx], axis=1)
-    m = len(X)
-    R2 = R * R
-    lam = np.zeros(m)
-    active = S.sum(axis=1) > 0
-    if not np.any(active):
-        return lam
-    Sa = S[active]
-    K = len(ws)
-    if method == "auto":
-        if K == 1:
-            lam[active] = (Sa[:, 0] / R2) ** (0.5 / ws[0])
-            return lam
-        if K == 2 and ws[1] == 2.0 * ws[0]:
-            s1, s2 = Sa[:, 0], Sa[:, 1]
-            t = (s1 + np.sqrt(s1 * s1 + 4.0 * R2 * s2)) / (2.0 * R2)
-            lam[active] = t ** (0.5 / ws[0])
-            return lam
-    with np.errstate(divide="ignore"):
-        l = np.max((Sa / R2) ** (0.5 / ws[None, :]), axis=1)
-    for _ in range(60):
-        pw = Sa * l[:, None] ** (-2.0 * ws[None, :])
-        gl = pw.sum(axis=1) - R2
-        dg = (-2.0 * ws[None, :] * pw).sum(axis=1) / l
-        step = gl / dg
-        nl = l - step
-        ok = (nl > 0) & np.isfinite(nl)
-        l = np.where(ok, nl, l)
-        if np.all(np.abs(step) <= 1e-15 * l):
-            break
-    lam[active] = l
+    # the output comes first, below the solve's temporaries in the heap, so
+    # that the allocator can return their memory once they are freed; on the
+    # 1.6M-row batches of value_batch_refined this lowers the peak memory
+    lam = np.zeros(len(X))
+    S = [X[:, ix] ** 2 if isinstance(ix, int) else (X[:, ix] ** 2).sum(axis=1)
+         for ix in plan.index]
+    total = sum(S[1:], S[0])
+    if not np.isfinite(total).all():
+        raise SolverError("nonfinite coordinates")
+    active = total > 0
+    if active.all():
+        lam[:] = plan.solve_rows(S, R * R, method)
+    elif active.any():
+        lam[active] = plan.solve_rows([s[active] for s in S], R * R, method)
     return lam
 
 
@@ -193,19 +262,25 @@ class HSDistance(QuasiDistance):
         # comparisons against radius rho need rho^(2 w_i) rational, which
         # holds for every rational rho exactly when all 2 w_i are integers
         self.exact_capable = all((2 * w).denominator == 1 for w in group.weights)
-        self._groups = _weight_groups(group.weights)
+        self._plan = _HSPlan(group.weights)
 
     def value_from_identity(self, x):
-        xf = tuple(float(v) for v in x)
-        if not any(xf):
-            return 0.0
-        if any(not math.isfinite(v) for v in xf):
+        """The batch solve for one point, in plain floats with no numpy."""
+        plan = self._plan
+        S = [0.0] * len(plan.exps)
+        for v, k in zip(x, plan.term_of):
+            v = float(v)
+            S[k] += v * v
+        total = sum(S)
+        if not math.isfinite(total):
             raise SolverError("nonfinite coordinates")
-        return float(_hs_lambda_batch(np.array([xf]), self.weights, float(self.R),
-                                      self._groups)[0])
+        if total == 0:
+            return 0.0
+        R = float(self.R)
+        return plan.solve_point(S, R * R)
 
     def value_from_identity_batch(self, X):
-        return _hs_lambda_batch(X, self.weights, float(self.R), self._groups)
+        return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)
 
     def compare_from_identity(self, x, rho):
         rho = Fraction(rho)

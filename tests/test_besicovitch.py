@@ -8,6 +8,8 @@ import pytest
 import carnot_bcp as cb
 from carnot_bcp.besicovitch import (
     BesicovitchFamily,
+    Certificate,
+    SearchError,
     countable_space,
     countable_space_ball_audit,
     countable_space_triangle_audit,
@@ -23,6 +25,7 @@ from carnot_bcp.besicovitch import (
 from carnot_bcp.metrics import (
     CCHeisenbergDistance,
     HSDistance,
+    SolverError,
     euclidean_line,
     lp_combination_distance,
     snowflake_line,
@@ -135,6 +138,21 @@ def test_search_soundness_reverification():
     assert res.cardinality >= 4
     cert = verify_family(res.family)
     assert cert.valid and cert.mode == "exact"
+
+
+def test_search_raises_when_its_family_fails_verification(monkeypatch):
+    # the final check must survive python -O, and a rejected family is a
+    # solver failure (exit 70), not a configuration error (ValueError, exit 64)
+    from carnot_bcp import besicovitch
+
+    def reject(family):
+        return Certificate(valid=False, cardinality=len(family), mode=family.mode,
+                           violations=[{"kind": "forced"}])
+
+    monkeypatch.setattr(besicovitch, "verify_family", reject)
+    with pytest.raises(SearchError) as excinfo:
+        search_family(nonstd_h1_distance(), 512, strategy="annealed", seed=0)
+    assert not isinstance(excinfo.value, ValueError)
 
 
 def test_search_margin_mode_on_cc():
@@ -269,6 +287,14 @@ def test_cover_random_plane():
     for pos, i in enumerate(rep.selected):
         for j in rep.selected[:pos]:
             assert d.value(pts[i], pts[j]) > radii[j]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on nan input
+def test_cover_rejects_nonfinite_point():
+    # a NaN point must not count as covered by every ball
+    pts = [(0.0, 0.0), (float("nan"), 1.0), (3.0, 0.0)]
+    with pytest.raises(SolverError):
+        greedy_cover(pts, [1.0, 1.0, 1.0], HSDistance(cb.abelian_group([1, 1])))
 
 
 def test_cover_tie_break_smallest_index():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carnot_bcp as cb
 from carnot_bcp.algebra import dilate_batch, multiply_batch
@@ -13,6 +15,7 @@ from carnot_bcp.metrics import (
     ExactnessError,
     HSDistance,
     OracleError,
+    SolverError,
     UnitBallDistance,
     boundary_sample,
     cc_distance_h1,
@@ -89,9 +92,67 @@ def test_hs_zero_and_nonfinite():
     g = cb.heisenberg_group(1)
     d = HSDistance(g, F(1))
     assert d.value((1, 2, 3), (1, 2, 3)) == 0.0
-    from carnot_bcp.metrics import SolverError
     with pytest.raises(SolverError):
         d.value_from_identity((float("nan"), 0.0, 0.0))
+
+
+@pytest.mark.parametrize("entry", ["value_from_identity", "value_from_identity_batch",
+                                   "value_batch"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
+def test_hs_nonfinite_rows_rejected_on_every_path(entry, bad):
+    # a zero row is the identity (distance 0); a row whose squared sum is
+    # not finite is an error on the scalar and the batch paths alike, not a
+    # distance of 0 that would count the point as covered
+    d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+    X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.5, -1.0, 0.25]])
+    evaluate = {
+        "value_from_identity": lambda Y: np.array([d.value_from_identity(tuple(r))
+                                                   for r in Y]),
+        "value_from_identity_batch": d.value_from_identity_batch,
+        "value_batch": lambda Y: d.value_batch(np.zeros_like(Y), Y),
+    }[entry]
+    vals = evaluate(X)
+    assert vals[1] == 0.0 and np.all(vals[[0, 2]] > 0)
+    X[2, 1] = bad
+    with pytest.raises(SolverError):
+        evaluate(X)
+
+
+# the q > 1 branch: weights (1, 3/2, 5/2) give q = 2, u = 1/lam, f of degree 5
+HS_ORACLE_GROUPS = {
+    "q1_weights_1_2_3": (cb.heisenberg_nonstandard_group(2), [1, 2, 3], -0.5),
+    "q2_weights_1_1.5_2.5": (cb.heisenberg_nonstandard_group(F(3, 2)), [2, 3, 5], -1.0),
+}
+
+rational_points = st.lists(
+    st.tuples(st.fractions(-64, 64, max_denominator=10**6),
+              st.fractions(-64, 64, max_denominator=10**6),
+              st.fractions(-64, 64, max_denominator=10**6),
+              st.integers(-12, 12)).map(
+        lambda t: tuple(v * F(2) ** t[3] for v in t[:3])).filter(any),
+    min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("name", sorted(HS_ORACLE_GROUPS))
+@settings(max_examples=150, deadline=None)
+@given(points=rational_points)
+def test_hs_polynomial_newton_against_exact_oracle(name, points):
+    # every float distance, batch or scalar, is bracketed by the exact
+    # rational membership test at 2^-40 relative on either side
+    g, exps, lam_power = HS_ORACLE_GROUPS[name]
+    d = HSDistance(g, F(1))
+    assert d._plan.exps == exps and d._plan.lam_power == lam_power
+    X = np.array([[float(v) for v in x] for x in points])
+    batch = d.value_from_identity_batch(X)
+    eps = F(1, 2 ** 40)
+    for x, row, lam_b in zip(points, X, batch):
+        lam_s = d.value_from_identity(x)
+        lam_one = d.value_from_identity_batch(row[None, :])[0]
+        assert abs(lam_s - lam_one) <= 1e-15 * lam_one
+        for lam in (lam_b, lam_s):
+            assert d.compare_from_identity(x, F(lam) * (1 - eps)) == 1
+            assert d.compare_from_identity(x, F(lam) * (1 + eps)) == -1
 
 
 def test_hs_membership_examples():
