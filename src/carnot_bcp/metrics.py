@@ -121,11 +121,16 @@ class QuasiDistance:
 # Hebisch-Sikora Euclidean-ball distances
 # ---------------------------------------------------------------------------
 
-# Newton stops once a step moves u by at most this fraction of u.  The step
-# then approximates the remaining error e, and the error after the step is at
-# most (a_max - 1) / 2 * e^2 relative, far below one ulp.
+# Newton stops once a step moves u by at most step_tol * u, with step_tol =
+# _NEWTON_TOL / q.  The step then approximates the remaining error e, the
+# error after it is at most (a_max - 1) / 2 * e^2 relative, and lam = u^(-q/2)
+# has q/2 times that: at most w_max / 4 * _NEWTON_TOL^2.  The floor of 4 ulps
+# keeps a large q from asking for less than the rounding of u.
 _NEWTON_TOL = 1e-9
+_NEWTON_STEP_FLOOR = 2.0 ** -50
 _NEWTON_MAX_STEPS = 100
+# powers of u that Newton forms stay within 2^(+-_U_EXP_MAX); see _HSPlan.t_lo
+_U_EXP_MAX = 900
 
 
 class _HSPlan:
@@ -155,11 +160,27 @@ class _HSPlan:
         q = Fraction(math.lcm(*(w.denominator for w in self.weights)),
                      math.gcd(*(w.numerator for w in self.weights)))
         self.exps = [int(q * w) for w in self.weights]
+        # Horner's rule from the top term down: multiply by u^g for the gap
+        # g = a_k - a_(k-1), then add s_(k-1), or -R^2 below the last (None)
+        gaps = [b - a for a, b in zip([0] + self.exps, self.exps)]
+        self.horner = list(zip(gaps[::-1], list(range(len(gaps) - 2, -1, -1)) + [None]))
         self.root_powers = [1.0 / a for a in self.exps]
+        self.two_w = [2.0 * float(w) for w in self.weights]
         self.lam_power = -float(q) / 2
-        # term index of each degree a_max - 1, ..., 1 of f (None: no term)
-        term_of_degree = {a: k for k, a in enumerate(self.exps)}
-        self.horner = [term_of_degree.get(a) for a in range(self.exps[-1] - 1, 0, -1)]
+        self.step_tol = max(_NEWTON_TOL / float(q), _NEWTON_STEP_FLOOR)
+        # lam = u^(-q/2) magnifies the rounding of u q/2 times; above q = 2
+        # one Newton step in lam itself removes that
+        self.polish = q > 2
+        # rows with squared sum in [t_lo R^2, t_hi R^2] are solved as they
+        # are.  Newton starts from u0 = 1/r, r = max_w (s_w / R^2)^(1/a_w),
+        # and on [u*, u0] every term has s_w u^(a_w) <= R^2, so no power of u
+        # overflows while r^(a_max) >= 2^-_U_EXP_MAX, and the leading one
+        # stays normal while r^(a_min) <= 2^_U_EXP_MAX.  As the largest s_w
+        # is at least 1/K of the sum, these bounds on the sum imply both; the
+        # lower t_hi also keeps s1^2 of the two-weight closed form finite.
+        self.t_lo = len(self.exps) * 2.0 ** float(
+            -_U_EXP_MAX * self.weights[0] / self.weights[-1])
+        self.t_hi = 2.0 ** (_U_EXP_MAX / 2)
         self.closed = len(self.exps) == 1 or self.exps == [1, 2]
 
     def closed_form(self, S, R2, sqrt):
@@ -172,42 +193,66 @@ class _HSPlan:
         return ((s1 + sqrt(s1 * s1 + 4.0 * R2 * s2)) / (2.0 * R2)) ** (0.5 / w0)
 
     def newton_step(self, u, S, R2):
-        """One Newton step on f, evaluating f and f' together by Horner's rule
-        (no pow); u and S hold floats or arrays.  Returns (new u, step)."""
+        """One Newton step on f; u and S hold floats or arrays.  f and f'
+        come together from Horner's rule over the K terms present,
+
+            f = (...(s_K u^(g_K) + s_(K-1)) u^(g_(K-1)) + ... + s_1) u^(g_1) - R^2
+
+        with g_k = a_k - a_(k-1), so the work grows with K, not with the
+        degree, and a gap of 1 or 2 needs no pow.  Returns (new u, step)."""
         p, dp = S[-1], None
-        for k in self.horner:
-            dp = p if dp is None else dp * u + p
-            p = p * u
-            if k is not None:
-                p = p + S[k]
-        dp = p if dp is None else dp * u + p
-        step = (p * u - R2) / dp
+        for g, k in self.horner:
+            c = -R2 if k is None else S[k]
+            # p u^g + c, with derivative p' u^g + g p u^(g-1)
+            if g == 1:
+                dp = p if dp is None else dp * u + p
+                p = p * u + c
+            else:
+                v = u if g == 2 else u ** (g - 1)
+                dp = (g * p if dp is None else dp * u + g * p) * v
+                p = p * v * u + c
+        step = p / dp
         return u - step, step
 
-    def solve_rows(self, S, R2, method):
-        """lam for rows with squared sums S (one (m,) array per weight), none
-        of them a zero row."""
-        if method == "auto" and self.closed:
-            return self.closed_form(S, R2, np.sqrt)
-        # u0 = min_w (R^2 / s_w)^(1/a_w), as a reciprocal so that s_w = 0
-        # needs no division by zero
-        u = 1.0 / np.maximum.reduce([(s / R2) ** e for s, e in zip(S, self.root_powers)])
+    def polish_step(self, lam, S, R2):
+        """One Newton step in lam on sum_w s_w lam^(-2w) = R^2."""
+        t = [s * lam ** -tw for s, tw in zip(S, self.two_w)]
+        return lam + lam * (sum(t) - R2) / sum(tw * ti for tw, ti in zip(self.two_w, t))
+
+    def newton(self, u, S, R2, done):
+        """Newton on f from an upper bracket u, then lam; done is
+        np.ndarray.all for arrays, bool for floats."""
         for _ in range(_NEWTON_MAX_STEPS):
             u, step = self.newton_step(u, S, R2)
-            if (step <= _NEWTON_TOL * u).all():
-                return u ** self.lam_power
+            if done(step <= self.step_tol * u):
+                lam = u ** self.lam_power
+                return self.polish_step(lam, S, R2) if self.polish else lam
         raise SolverError("HS root solve did not converge")
+
+    def rescaled(self, S, R2, maximum):
+        """The rows dilated by 1/lam_hi, for lam_hi = max_w (s_w / R^2)^(1/(2w))
+        the upper bracket of lam.  Returns lam_hi and the coefficients
+        c_w = s_w lam_hi^(-2w) / R^2 of sum_w c_w u^(a_w) = 1, each in [0, 1]
+        and one of them 1, whose root (lam / lam_hi)^(-2/q) lies in (0, 1];
+        maximum is builtin max or np.maximum.reduce."""
+        rho = [s ** (1.0 / tw) / R2 ** (1.0 / tw) for s, tw in zip(S, self.two_w)]
+        lam_hi = maximum(rho)
+        return lam_hi, [(r / lam_hi) ** tw for r, tw in zip(rho, self.two_w)]
+
+    def solve_rows(self, S, R2, method):
+        """lam for rows with squared sums S (one (m,) array per weight), each
+        sum in [t_lo R^2, t_hi R^2]."""
+        if method == "auto" and self.closed:
+            return self.closed_form(S, R2, np.sqrt)
+        r = np.maximum.reduce([(s / R2) ** e for s, e in zip(S, self.root_powers)])
+        return self.newton(1.0 / r, S, R2, np.ndarray.all)
 
     def solve_point(self, S, R2):
         """``solve_rows`` for one point, in plain floats (S a list of floats)."""
         if self.closed:
             return self.closed_form(S, R2, math.sqrt)
-        u = 1.0 / max((s / R2) ** e for s, e in zip(S, self.root_powers))
-        for _ in range(_NEWTON_MAX_STEPS):
-            u, step = self.newton_step(u, S, R2)
-            if step <= _NEWTON_TOL * u:
-                return u ** self.lam_power
-        raise SolverError("HS root solve did not converge")
+        r = max((s / R2) ** e for s, e in zip(S, self.root_powers))
+        return self.newton(1.0 / r, S, R2, bool)
 
 
 def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
@@ -221,8 +266,12 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     f(u0) >= 0.  Since f is increasing and convex, every iterate from above
     stays above the root: the tangent at u > u* lies below f, so it crosses
     zero in [u*, u).  The iterates therefore decrease monotonically to u*,
-    quadratically once close.  A row of zeros has lam = 0; a row whose
-    squared sum is not finite raises SolverError.
+    quadratically once close, in a number of steps that does not grow with
+    q.  For q > 2 one Newton step in lam follows, since u^(-q/2) magnifies
+    the rounding of u.  Rows near the ends of the float range, where the
+    powers of u would overflow, are dilated to a lam of order one first.  A
+    row of zeros has lam = 0; a row whose squared sum is not finite raises
+    SolverError.
     """
     if plan is None:
         plan = _HSPlan(weights)
@@ -231,16 +280,26 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     # that the allocator can return their memory once they are freed; on the
     # 1.6M-row batches of value_batch_refined this lowers the peak memory
     lam = np.zeros(len(X))
+    if not len(X):
+        return lam
     S = [X[:, ix] ** 2 if isinstance(ix, int) else (X[:, ix] ** 2).sum(axis=1)
          for ix in plan.index]
     total = sum(S[1:], S[0])
+    R2 = R * R
+    lo, hi = plan.t_lo * R2, plan.t_hi * R2
+    # one test for the common case, which a NaN or infinite sum fails too
+    if total.min() >= lo and total.max() <= hi:
+        lam[:] = plan.solve_rows(S, R2, method)
+        return lam
     if not np.isfinite(total).all():
         raise SolverError("nonfinite coordinates")
-    active = total > 0
-    if active.all():
-        lam[:] = plan.solve_rows(S, R * R, method)
-    elif active.any():
-        lam[active] = plan.solve_rows([s[active] for s in S], R * R, method)
+    inner = (total >= lo) & (total <= hi)
+    if inner.any():
+        lam[inner] = plan.solve_rows([s[inner] for s in S], R2, method)
+    outer = ~inner & (total > 0)
+    if outer.any():
+        lam_hi, C = plan.rescaled([s[outer] for s in S], R2, np.maximum.reduce)
+        lam[outer] = lam_hi * plan.solve_rows(C, 1.0, method)
     return lam
 
 
@@ -277,7 +336,11 @@ class HSDistance(QuasiDistance):
         if total == 0:
             return 0.0
         R = float(self.R)
-        return plan.solve_point(S, R * R)
+        R2 = R * R
+        if plan.t_lo * R2 <= total <= plan.t_hi * R2:
+            return plan.solve_point(S, R2)
+        lam_hi, C = plan.rescaled(S, R2, max)
+        return lam_hi * plan.solve_point(C, 1.0)
 
     def value_from_identity_batch(self, X):
         return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)

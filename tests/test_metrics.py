@@ -1,11 +1,12 @@
 """Quasi-distance evaluators: solvers, exact comparisons, invariances."""
 
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import carnot_bcp as cb
@@ -94,6 +95,23 @@ def test_hs_zero_and_nonfinite():
     assert d.value((1, 2, 3), (1, 2, 3)) == 0.0
     with pytest.raises(SolverError):
         d.value_from_identity((float("nan"), 0.0, 0.0))
+    # rows near the ends of the float range, where u = lam^-2 itself would
+    # overflow or underflow on weights (1, 2, 3); (1e-160)^2 is subnormal,
+    # so only about four digits of it survive
+    d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+    rows = [(1e-160, 0.0, 0.0), (1e150, 0.0, 0.0), (0.0, 0.0, 1e-120), (1e-160, 0.0, 1.0)]
+    want = [1e-160, 1e150, 1e-40, 1.0]
+    batch = d.value_from_identity_batch(np.array(rows + [(0.3, -0.2, 0.5)]))
+    for x, lam, lam_b in zip(rows, want, batch):
+        assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-3)
+        assert lam_b == pytest.approx(lam, rel=1e-3)
+    assert batch[-1] == d.value_from_identity((0.3, -0.2, 0.5))
+    assert d.value_from_identity_batch(np.zeros((0, 3))).shape == (0,)
+    # the two-weight closed form, whose s1^2 would overflow here
+    d = HSDistance(cb.heisenberg_group(1), F(1))
+    assert d.value_from_identity((1e100, 0.0, 0.0)) == pytest.approx(1e100, rel=1e-15)
+    assert d.value_from_identity_batch(np.array([[0.0, 1e100, 0.0]]))[0] == \
+        pytest.approx(1e100, rel=1e-15)
 
 
 @pytest.mark.parametrize("entry", ["value_from_identity", "value_from_identity_batch",
@@ -119,10 +137,16 @@ def test_hs_nonfinite_rows_rejected_on_every_path(entry, bad):
         evaluate(X)
 
 
-# the q > 1 branch: weights (1, 3/2, 5/2) give q = 2, u = 1/lam, f of degree 5
+# the q > 1 branch: weights (1, 3/2, 5/2) give q = 2, u = 1/lam, f of degree 5;
+# large q, where one Newton step in lam follows: weights (1, 1001/1000,
+# 2001/1000) give q = 1000, weights (1, 1 + 1e-6) give q = 1e6
 HS_ORACLE_GROUPS = {
     "q1_weights_1_2_3": (cb.heisenberg_nonstandard_group(2), [1, 2, 3], -0.5),
     "q2_weights_1_1.5_2.5": (cb.heisenberg_nonstandard_group(F(3, 2)), [2, 3, 5], -1.0),
+    "q1000_weights_1_1.001_2.001": (cb.heisenberg_nonstandard_group(F(1001, 1000)),
+                                    [1000, 1001, 2001], -500.0),
+    "q1e6_weights_1_1.000001": (cb.abelian_group([1, F(1000001, 1000000)]),
+                                [1000000, 1000001], -500000.0),
 }
 
 rational_points = st.lists(
@@ -134,15 +158,34 @@ rational_points = st.lists(
     min_size=1, max_size=8)
 
 
+def hs_sign(d, x, rho):
+    """Sign of d(0, x) - rho: exact when rho^(2w) is rational, otherwise
+    sum_i x_i^2 rho^(-2 w_i) - R^2 to 60 digits, far below the 2^-40 margin."""
+    if d.exact_capable:
+        return d.compare_from_identity(x, rho)
+
+    def dec(v):
+        return decimal.Decimal(v.numerator) / v.denominator
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        log_rho = dec(rho).ln()
+        s = sum(dec(xi) ** 2 * (-2 * dec(w) * log_rho).exp()
+                for xi, w in zip(x, d.weights) if xi)
+        return (s > dec(d.R) ** 2) - (s < dec(d.R) ** 2)
+
+
 @pytest.mark.parametrize("name", sorted(HS_ORACLE_GROUPS))
 @settings(max_examples=150, deadline=None)
 @given(points=rational_points)
 def test_hs_polynomial_newton_against_exact_oracle(name, points):
-    # every float distance, batch or scalar, is bracketed by the exact
-    # rational membership test at 2^-40 relative on either side
+    # every float distance, batch or scalar, is bracketed by the rational
+    # membership test at 2^-40 relative on either side
     g, exps, lam_power = HS_ORACLE_GROUPS[name]
     d = HSDistance(g, F(1))
     assert d._plan.exps == exps and d._plan.lam_power == lam_power
+    points = [x[:g.dim] for x in points if any(x[:g.dim])]
+    assume(points)
     X = np.array([[float(v) for v in x] for x in points])
     batch = d.value_from_identity_batch(X)
     eps = F(1, 2 ** 40)
@@ -151,8 +194,25 @@ def test_hs_polynomial_newton_against_exact_oracle(name, points):
         lam_one = d.value_from_identity_batch(row[None, :])[0]
         assert abs(lam_s - lam_one) <= 1e-15 * lam_one
         for lam in (lam_b, lam_s):
-            assert d.compare_from_identity(x, F(lam) * (1 - eps)) == 1
-            assert d.compare_from_identity(x, F(lam) * (1 + eps)) == -1
+            assert hs_sign(d, x, F(lam) * (1 - eps)) == 1
+            assert hs_sign(d, x, F(lam) * (1 + eps)) == -1
+
+
+def test_hs_plan_work_does_not_grow_with_degree():
+    # weights (1, 1 + 1e-10) give q = 1e10 and a polynomial of degree 2e10;
+    # the plan and each solve handle its two terms only, and lam = u^(-q/2)
+    # stays within 2^-38 although u is 1 to within about 1e-10
+    d = HSDistance(cb.abelian_group([1, F(10**10 + 1, 10**10)]), F(1))
+    assert d._plan.exps == [10**10, 10**10 + 1]
+    rows = [(0.3, 0.4), (1e-3, 2e3), (5.0, 1e-7), (1e-5, 1e-5)]
+    batch = d.value_from_identity_batch(np.array(rows))
+    eps = F(1, 2 ** 38)
+    for x, lam_b in zip(rows, batch):
+        lam = d.value_from_identity(x)
+        assert abs(lam - lam_b) <= 1e-15 * lam
+        x = [F(v) for v in x]
+        assert hs_sign(d, x, F(lam) * (1 - eps)) == 1
+        assert hs_sign(d, x, F(lam) * (1 + eps)) == -1
 
 
 def test_hs_membership_examples():
