@@ -61,7 +61,6 @@ from .metrics import (
     euclidean_line,
     hs_distance,
     hs_membership,
-    lee_naor_gauge,
     lp_combination_distance,
     packing_count,
     power_distance,

@@ -118,14 +118,6 @@ class StructureConstants:
             out.setdefault(w, []).append(i)
         return {w: tuple(ix) for w, ix in sorted(out.items())}
 
-    def bracket_pair(self, i, j):
-        """Coefficient list of [X_i, X_j] as a tuple of (k, c)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self.bracket.get((i, j), ())
-        return tuple((k, -c) for k, c in self.bracket.get((j, i), ()))
-
     def step(self) -> int:
         """Nilpotency step: length of the lower central series."""
         full = [_unit(self.dim, i) for i in range(self.dim)]
@@ -295,11 +287,6 @@ def inverse(p, group: GradedGroup):
     return tuple(-x for x in p)
 
 
-def conjugate_difference(p, q, group: GradedGroup):
-    """p^-1 * q, the displacement entering every left-invariant distance."""
-    return multiply(inverse(p, group), q, group)
-
-
 def dilate(p, lam, group: GradedGroup, exact=None):
     """Coordinate i scaled by lam**w_i.
 
@@ -428,42 +415,31 @@ def free_step2_group(r: int) -> GradedGroup:
     return make_group(alg, name=f"free_step2({r})", params=(("rank", r),))
 
 
-def product_group(g: GradedGroup, h: GradedGroup) -> GradedGroup:
-    """Direct product, layers merged weight-by-weight.
+def direct_sum(parts):
+    """Direct sum of algebras given as (weights, bracket) pairs.
 
-    The combined basis is stably re-sorted so weights stay non-decreasing;
-    factor_slices records where each factor's coordinates ended up.
+    The basis is sorted by (weight, part, index), so weights stay
+    non-decreasing; StructureConstants re-orients a bracket pair that the
+    sort reverses.  Returns the StructureConstants and the map
+    (part, local index) -> position.
     """
-    parts = []
-    for fi, grp in enumerate((g, h)):
-        base_slices = grp.factor_slices or (tuple(range(grp.dim)),)
-        parts.append((grp, base_slices))
-    combined = []  # (weight, factor_index, local_index)
-    offset = 0
-    for fi, (grp, _) in enumerate(parts):
-        for li, w in enumerate(grp.weights):
-            combined.append((w, fi, li))
-        offset += grp.dim
-    order = sorted(range(len(combined)), key=lambda t: (combined[t][0], combined[t][1], combined[t][2]))
-    new_pos = {combined[t][1:]: pos for pos, t in enumerate(order)}
-    dim = len(combined)
-    weights = tuple(combined[t][0] for t in order)
-    br = {}
-    for fi, (grp, _) in enumerate(parts):
-        for (i, j), terms in grp.algebra.bracket.items():
-            ni, nj = new_pos[(fi, i)], new_pos[(fi, j)]
-            nterms = tuple((new_pos[(fi, k)], c) for k, c in terms)
-            if ni < nj:
-                br[(ni, nj)] = nterms
-            else:
-                br[(nj, ni)] = tuple((k, -c) for k, c in nterms)
-    slices = []
-    for fi, (grp, base_slices) in enumerate(parts):
-        for sl in base_slices:
-            slices.append(tuple(new_pos[(fi, li)] for li in sl))
-    alg = StructureConstants(dim=dim, weights=weights, bracket=br)
-    return make_group(alg, name=f"product({g.name},{h.name})",
-                      factor_slices=tuple(slices))
+    basis = sorted((w, fi, li) for fi, (weights, _br) in enumerate(parts)
+                   for li, w in enumerate(weights))
+    pos = {(fi, li): p for p, (_w, fi, li) in enumerate(basis)}
+    br = {(pos[fi, i], pos[fi, j]): tuple((pos[fi, k], c) for k, c in terms)
+          for fi, (_w, part_br) in enumerate(parts) for (i, j), terms in part_br.items()}
+    alg = StructureConstants(dim=len(basis), weights=tuple(w for w, _fi, _li in basis),
+                             bracket=br)
+    return alg, pos
+
+
+def product_group(g: GradedGroup, h: GradedGroup) -> GradedGroup:
+    """Direct product, layers merged weight-by-weight (see ``direct_sum``);
+    factor_slices records where each factor's coordinates ended up."""
+    alg, pos = direct_sum([(g.weights, g.algebra.bracket), (h.weights, h.algebra.bracket)])
+    slices = tuple(tuple(pos[fi, li] for li in sl) for fi, grp in enumerate((g, h))
+                   for sl in grp.factor_slices or (tuple(range(grp.dim)),))
+    return make_group(alg, name=f"product({g.name},{h.name})", factor_slices=slices)
 
 
 def power_group(g: GradedGroup, t) -> GradedGroup:
@@ -502,12 +478,13 @@ def step3_rank3_group() -> GradedGroup:
     return make_group(alg, name="step3_rank3")
 
 
+# tag -> (constructor, the names of its parameters in order)
 _BUILTINS = {
-    "abelian": lambda **kw: abelian_group(kw["weights"]),
-    "heisenberg": lambda **kw: heisenberg_group(int(kw["n"])),
-    "heisenberg_nonstandard": lambda **kw: heisenberg_nonstandard_group(kw["alpha"]),
-    "free_step2": lambda **kw: free_step2_group(int(kw["rank"])),
-    "step3_rank3": lambda **kw: step3_rank3_group(),
+    "abelian": (abelian_group, ("weights",)),
+    "heisenberg": (lambda n: heisenberg_group(int(n)), ("n",)),
+    "heisenberg_nonstandard": (heisenberg_nonstandard_group, ("alpha",)),
+    "free_step2": (lambda rank: free_step2_group(int(rank)), ("rank",)),
+    "step3_rank3": (step3_rank3_group, ()),
 }
 
 
@@ -515,12 +492,18 @@ def builtin_group(name: str, **params) -> GradedGroup:
     """Construct a validated built-in group by tag.
 
     Tags: abelian(weights=...), heisenberg(n=...), heisenberg_nonstandard(alpha=...),
-    free_step2(rank=...), step3_rank3().  Products and powers are built with
-    product_group / power_group on existing groups.
+    free_step2(rank=...), step3_rank3().  Parameters a tag does not use are
+    ignored, and a missing (or None) one is an AlgebraError naming it.
+    Products and powers are built with product_group / power_group on
+    existing groups.
     """
     if name not in _BUILTINS:
         raise AlgebraError(f"unknown built-in group tag '{name}'")
-    return _BUILTINS[name](**params)
+    make, names = _BUILTINS[name]
+    for key in names:
+        if params.get(key) is None:
+            raise AlgebraError(f"built-in group '{name}' needs the parameter '{key}'")
+    return make(*(params[key] for key in names))
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ def _greedy_extend(d, centers, radii, cand, cand_r, guard):
             radii.append(float(subr[a]))
 
 
-def _exact_repair(d, centers, epsilon, max_denominator=None):
+def _exact_repair(d, centers, max_denominator=None):
     """Convert centers to exact rationals in insertion order, keeping each
     member only if the exact certificate conditions still hold against the
     kept prefix.  Floats convert exactly (binary rationals) unless a
@@ -328,7 +328,7 @@ def _exact_repair(d, centers, epsilon, max_denominator=None):
 
 def _finalize(d, centers, radii, exact, epsilon, max_denominator):
     if exact:
-        kc, kr = _exact_repair(d, centers, epsilon, max_denominator)
+        kc, kr = _exact_repair(d, centers, max_denominator)
         e = tuple(Fraction(0) for _ in range(d.group.dim))
         fam = BesicovitchFamily(tuple(kc), tuple(kr), e, d, mode=EXACT)
     else:

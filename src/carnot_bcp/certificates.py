@@ -387,7 +387,7 @@ class SamplingError(RuntimeError):
     """Hypothesis rejection rate too high to assemble the sweep sample."""
 
 
-def _assemble_points(rng, m, r, nv, nw, vdir, wdir):
+def _assemble_points(m, r, nv, nw, vdir, wdir):
     P = np.zeros((m, r + r * (r - 1) // 2))
     P[:, :r] = vdir * nv[:, None]
     P[:, r:] = wdir * nw[:, None]
@@ -474,8 +474,8 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
         wp_dir, wq_dir = _cone_directions(rng, wdim, batch, delta)
         nvp, nwp = _sphere_norm_split(rng, batch, params.R, region, params)
         nvq, nwq = _ball_norm_split(rng, batch, params.R, region, params)
-        P = _assemble_points(rng, batch, r, nvp, nwp, vp_dir, wp_dir)
-        Q = _assemble_points(rng, batch, r, nvq, nwq, vq_dir, wq_dir)
+        P = _assemble_points(batch, r, nvp, nwp, vp_dir, wp_dir)
+        Q = _assemble_points(batch, r, nvq, nwq, vq_dir, wq_dir)
         # rejection: re-check every hypothesis on the assembled points
         good = region_classify_batch(P, params) == region
         good &= region_classify_batch(Q, params) == region

@@ -35,28 +35,13 @@ class ConfigError(ValueError):
 
 def _build_group(args):
     from . import algebra
-    name = args.group
-    if name is None:
+    if args.group is None:
         raise ConfigError("--group is required")
-    if os.path.exists(name):
-        return algebra.load_group(name)
-    if name == "abelian":
-        if not args.weights:
-            raise ConfigError("abelian group needs --weights")
-        return algebra.abelian_group([Fraction(w) for w in args.weights.split(",")])
-    if name == "heisenberg":
-        return algebra.heisenberg_group(int(args.n))
-    if name == "heisenberg_nonstandard":
-        if args.alpha is None:
-            raise ConfigError("heisenberg_nonstandard needs --alpha")
-        return algebra.heisenberg_nonstandard_group(Fraction(args.alpha))
-    if name == "free_step2":
-        if args.rank is None:
-            raise ConfigError("free_step2 needs --rank")
-        return algebra.free_step2_group(int(args.rank))
-    if name == "step3_rank3":
-        return algebra.step3_rank3_group()
-    raise ConfigError(f"unknown group '{name}' (not a tag, not a file)")
+    if os.path.exists(args.group):
+        return algebra.load_group(args.group)
+    weights = args.weights.split(",") if args.weights else None
+    return algebra.builtin_group(args.group, weights=weights, n=args.n, alpha=args.alpha,
+                                 rank=args.rank)
 
 
 def _build_distance(args, group):
@@ -171,7 +156,8 @@ def cmd_besicovitch(args):
         results = []
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            budgets = [args.budget // jobs] * jobs
+            # the remainder goes one proposal each to the first workers
+            budgets = [args.budget // jobs + (w < args.budget % jobs) for w in range(jobs)]
             with ProcessPoolExecutor(max_workers=jobs) as ex:
                 futs = [ex.submit(_search_worker, args, s, b)
                         for s, b in zip(seeds, budgets)]

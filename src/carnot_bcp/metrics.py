@@ -23,7 +23,11 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
 
 Exactness contract: ``compare(p, q, rho)`` returns the sign of d(p,q) - rho
 decided in exact rational arithmetic, raising ``ExactnessError`` when the kind
-or the inputs cannot support it; ``value`` always returns a float.
+or the inputs cannot support it; ``value`` always returns a float.  Exact
+comparison goes through one path, in the base class: ``QuasiDistance.compare``
+forms the displacement p^-1 q in rationals and hands it to the kind's
+``compare_from_identity``, the only exact method a kind defines (the finite
+table of ``FiniteSpaceDistance``, which has no group, is the one exception).
 """
 
 from __future__ import annotations
@@ -102,8 +106,11 @@ class QuasiDistance:
         return self.value_from_identity_batch(multiply_batch(-P, Q, self.group))
 
     def compare(self, p, q, rho) -> int:
-        """Exact sign of d(p, q) - rho, or raise ExactnessError."""
-        raise ExactnessError(f"{self.kind} distance has no exact comparison")
+        """Exact sign of d(p, q) - rho, or raise ExactnessError: the sign of
+        d(e, p^-1 q) - rho for the displacement formed in rationals."""
+        df = multiply(inverse(tuple(Fraction(v) for v in p), self.group),
+                      tuple(Fraction(v) for v in q), self.group)
+        return self.compare_from_identity(df, rho)
 
     def compare_from_identity(self, x, rho) -> int:
         raise ExactnessError(f"{self.kind} distance has no exact comparison")
@@ -363,10 +370,9 @@ class HSDistance(QuasiDistance):
         target = self.R ** 2
         return (s > target) - (s < target)
 
-    def compare(self, p, q, rho):
-        df = multiply(inverse(tuple(Fraction(v) for v in p), self.group),
-                      tuple(Fraction(v) for v in q), self.group)
-        return self.compare_from_identity(df, rho)
+    # the base method, bound here as well because perfbench/tracer.py wraps
+    # HSDistance.__dict__["compare"]
+    compare = QuasiDistance.compare
 
     def exact_value(self, p, q):
         # representable only on a line with unit weight: d = |x| / R
@@ -534,20 +540,11 @@ class PowerDistance(QuasiDistance):
         self.exact_capable = base.exact_capable
         self.continuous = base.continuous
 
-    def value(self, p, q):
-        return self.base.value(p, q) ** (1.0 / float(self.t))
-
     def value_from_identity(self, x):
         return self.base.value_from_identity(x) ** (1.0 / float(self.t))
 
     def value_from_identity_batch(self, X):
         return self.base.value_from_identity_batch(X) ** (1.0 / float(self.t))
-
-    def compare(self, p, q, rho):
-        rt = rat_pow(Fraction(rho), self.t)
-        if rt is None:
-            raise ExactnessError(f"radius {rho} has no exact power {self.t}")
-        return self.base.compare(p, q, rt)
 
     def compare_from_identity(self, x, rho):
         rt = rat_pow(Fraction(rho), self.t)
@@ -618,11 +615,6 @@ class ProductMaxDistance(_CombinedDistance):
             return 0
         return -1
 
-    def compare(self, p, q, rho):
-        df = multiply(inverse(tuple(Fraction(v) for v in p), self.group),
-                      tuple(Fraction(v) for v in q), self.group)
-        return self.compare_from_identity(df, rho)
-
 
 class LpComboDistance(_CombinedDistance):
     """(d1^r + d2^r)^(1/r) on the direct product, r >= 1.
@@ -680,11 +672,6 @@ class LpComboDistance(_CombinedDistance):
                 return other.compare_from_identity(xo, rem)
         raise ExactnessError("no exact comparison for this lp combination")
 
-    def compare(self, p, q, rho):
-        df = multiply(inverse(tuple(Fraction(v) for v in p), self.group),
-                      tuple(Fraction(v) for v in q), self.group)
-        return self.compare_from_identity(df, rho)
-
 
 def product_max_distance(d1, d2) -> ProductMaxDistance:
     return ProductMaxDistance(d1, d2)
@@ -720,32 +707,36 @@ class QuotientDistance(QuasiDistance):
         self.continuous = dhat.continuous
         target_group = make_group(morphism.target, name="quotient_target")
         super().__init__(target_group)
-        self.section = _right_inverse_columns(morphism)   # source_dim x target_dim
-        self.kernel = morphism.kernel_basis()              # rows in source coords
+        # the exact section (source_dim x target_dim) and kernel basis (rows in
+        # source coordinates), converted to float once: every lift is float
+        self.section = np.array(_right_inverse_columns(morphism), dtype=float)
+        self.kernel = np.array(morphism.kernel_basis(), dtype=float).reshape(
+            -1, morphism.source.dim)
         self.batch = batch
         self.polish = polish
 
     # -- lifting -----------------------------------------------------------
     def lift(self, p):
-        pf = [float(v) for v in p]
-        return tuple(sum(self.section[r][c] * pf[c] for c in range(len(pf)))
-                     for r in range(len(self.section)))
+        return self.section @ np.asarray(p, dtype=float)
+
+    def lift_batch(self, P):
+        return np.asarray(P, dtype=float) @ self.section.T
 
     def _fiber_displacements(self, p, q, T):
         """Displacements lift(p)^-1 * (k(t) * lift(q)) for rows t of T."""
         ghat = self.dhat.group
-        phat = np.array(self.lift(p), dtype=float)
-        qhat = np.array(self.lift(q), dtype=float)
-        K = np.array([[float(v) for v in row] for row in self.kernel])
-        kpts = T @ K
         m = len(T)
-        Q = multiply_batch(kpts, np.repeat(qhat[None, :], m, axis=0), ghat)
-        return multiply_batch(np.repeat(-phat[None, :], m, axis=0), Q, ghat)
+        Q = multiply_batch(T @ self.kernel, np.repeat(self.lift(q)[None, :], m, axis=0), ghat)
+        return multiply_batch(np.repeat(-self.lift(p)[None, :], m, axis=0), Q, ghat)
 
     def _objective(self, p, q):
+        """t -> dhat(e, lift(p)^-1 * (k(t) * lift(q))) on the scalar path."""
+        ghat = self.dhat.group
+        neg_p, qhat = (-self.lift(p)).tolist(), self.lift(q).tolist()
+
         def f(t):
-            D = self._fiber_displacements(p, q, np.atleast_2d(np.asarray(t, float)))
-            return float(self.dhat.value_from_identity_batch(D)[0])
+            k = (np.asarray(t, dtype=float) @ self.kernel).tolist()
+            return self.dhat.value_from_identity(multiply(neg_p, multiply(k, qhat, ghat), ghat))
         return f
 
     def value(self, p, q):
@@ -770,11 +761,6 @@ class QuotientDistance(QuasiDistance):
                 best_v = float(res.fun)
         return best_v
 
-    def lift_batch(self, P):
-        P = np.asarray(P, dtype=float)
-        S = np.array([[float(v) for v in row] for row in self.section])
-        return P @ S.T
-
     def value_batch_refined(self, P, Q, samples=160, levels=4, shrink=3.0,
                             seed=2718):
         """Vectorized fiber minimization for many pairs at once.
@@ -795,7 +781,6 @@ class QuotientDistance(QuasiDistance):
             multiply_batch(-Phat, Qhat, ghat))
         if kdim == 0:
             return base
-        K = np.array([[float(v) for v in row] for row in self.kernel])
         rng = np.random.default_rng(seed)
         centers = np.zeros((m, kdim))
         widths = 4.0 * np.maximum(base, 1e-300)
@@ -804,7 +789,7 @@ class QuotientDistance(QuasiDistance):
             offs = rng.uniform(-1.0, 1.0, size=(m, samples, kdim))
             offs[:, 0, :] = 0.0
             T = centers[:, None, :] + offs * widths[:, None, None]
-            kpts = T.reshape(m * samples, kdim) @ K
+            kpts = T.reshape(m * samples, kdim) @ self.kernel
             Qrep = np.repeat(Qhat, samples, axis=0)
             Prep = np.repeat(Phat, samples, axis=0)
             disp = multiply_batch(-Prep, multiply_batch(kpts, Qrep, ghat), ghat)
@@ -947,12 +932,12 @@ class CCHeisenbergDistance(QuasiDistance):
             raise ValueError("scale must be positive")
 
     def value_from_identity(self, x):
-        return cc_distance_h1_from_identity(float(x[0]), float(x[1]), float(x[2]), self.a)
-
-    def value_from_identity_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([cc_distance_h1_from_identity(r[0], r[1], r[2], self.a)
-                         for r in X])
+        x, y, z = (float(v) for v in x)
+        # as for HS: a point whose squared planar norm or height is not finite
+        # is an error, not a distance that NaN comparisons would call covered
+        if not math.isfinite(x * x + y * y + abs(z)):
+            raise SolverError("nonfinite coordinates")
+        return cc_distance_h1_from_identity(x, y, z, self.a)
 
 
 def cc_distance_h1(p, q, a=1.0) -> float:
@@ -1095,25 +1080,13 @@ def packing_count(d: QuasiDistance, center, radius, lam, candidates=None,
 # negative-type gauge on Heisenberg groups (derived-oracle comparison)
 # ---------------------------------------------------------------------------
 
-def lee_naor_gauge(p) -> float:
-    """Quartic-root gauge on Heisenberg coordinates (x_1..x_n, y_1..y_n, z):
-
-        ((sum x^2+y^2)^2 + sqrt((sum x^2+y^2)^2 + 16 z^2))^(1/4)
-
-    Shipped verbatim for comparison purposes.  Note the expression is NOT
-    one-homogeneous under the standard dilations (the two addends scale with
-    different powers), so it cannot globally be a constant multiple of any
-    homogeneous distance; see lee_naor_comparison.
-    """
-    p = tuple(float(v) for v in p)
-    A = sum(v * v for v in p[:-1])
-    z = p[-1]
-    return (A * A + math.sqrt(A * A + 16.0 * z * z)) ** 0.25
-
-
 def lee_naor_comparison(n=1, samples=2000, seed=0) -> dict:
     """Compare the HS distance at R=2 on the n-th Heisenberg group against the
     quartic gauge and against the homogeneous closed form.
+
+    The quartic gauge (A^2 + sqrt(A^2 + 16 z^2))^(1/4), A = sum x^2 + y^2, is
+    shipped as printed; its addends scale with different powers under the
+    dilations, so it is no constant multiple of any homogeneous distance.
 
     Reports (a) the maximum relative deviation of d_2 from 8^(-1/4) times the
     quartic gauge (expected to be large: the printed gauge is inhomogeneous),

@@ -4,19 +4,13 @@ Certificates are decided in exact rational arithmetic (``fractions.Fraction``);
 searches and solvers run in float for speed.  Helpers here convert between the
 two, serialize rationals as ``"p/q"`` strings, and provide the handful of exact
 number-theoretic operations the rest of the package needs (rational interval
-enclosures of square roots, exact n-th roots, controlled upward rationalization
-of float values).
+enclosures of square roots, exact n-th roots).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rat = Fraction
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 def parse_scalar(text, exact=True):
@@ -42,10 +36,6 @@ def is_exact(x) -> bool:
 
 def all_exact(xs) -> bool:
     return all(is_exact(x) for x in xs)
-
-
-def to_floats(xs):
-    return tuple(float(x) for x in xs)
 
 
 def to_fractions(xs, max_denominator=None):
@@ -93,23 +83,20 @@ def nth_root_exact(x: Fraction, k: int):
 
 
 def _iroot_exact(n: int, k: int):
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float guess can be off for very large n; fall back to integer search
-    lo, hi = 1, 1
-    while hi ** k < n:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** k == n else None
+    """The integer r with r^k = n >= 0, or None; integers only, so neither a
+    huge n nor a huge k overflows or stalls."""
+    if n < 2:
+        return n
+    bits = n.bit_length()
+    if bits <= k:
+        return None  # 1 < n < 2^k: strictly between 1^k and 2^k
+    # integer Newton from 2^ceil(bits/k) > n^(1/k) decreases to floor(n^(1/k))
+    r = 1 << -(-bits // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
 
 
 def rat_pow(x: Fraction, w: Fraction):
@@ -123,24 +110,3 @@ def rat_pow(x: Fraction, w: Fraction):
         return None
     p = w.numerator
     return root ** p
-
-
-def rationalize_up(value: float, predicate=None, start_denominator: int = 1 << 20,
-                   max_bumps: int = 200) -> Fraction:
-    """Smallest convenient rational >= value, optionally satisfying predicate.
-
-    Starts from the denominator-limited rational just above ``value`` and bumps
-    geometrically until ``predicate`` (an exact test, e.g. a ball-membership
-    check) accepts; raises if it never does.
-    """
-    base = Fraction(value).limit_denominator(start_denominator)
-    if float(base) < value:
-        base += Fraction(1, start_denominator)
-    bump = Fraction(1, start_denominator)
-    r = base
-    for _ in range(max_bumps):
-        if predicate is None or predicate(r):
-            return r
-        r = base + bump
-        bump *= 2
-    raise ValueError("could not rationalize value upward within bump budget")

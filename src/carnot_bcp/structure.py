@@ -20,7 +20,9 @@ from .algebra import (
     AlgebraError,
     GradedGroup,
     StructureConstants,
+    _unit,
     bracket,
+    direct_sum,
 )
 from .exact_linalg import (
     in_span,
@@ -34,12 +36,6 @@ from .exact_linalg import (
 
 class ClassificationError(AlgebraError):
     """Operation applied to an algebra outside its classification precondition."""
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +351,13 @@ def decompose_commuting(alg: StructureConstants):
 
 def reassembly_isomorphism(alg: StructureConstants, factors) -> MorphismMatrix:
     """Isomorphism from the direct sum of t-powers of the factors onto alg."""
-    blocks = []  # (weight, factor_index, local_index)
-    for fi, (t, f, _rows) in enumerate(factors):
-        for li, w in enumerate(f.weights):
-            blocks.append((w * t, fi, li))
-    order = sorted(range(len(blocks)), key=lambda b: (blocks[b][0], blocks[b][1], blocks[b][2]))
-    pos = {blocks[b][1:]: p for p, b in enumerate(order)}
-    dim = len(blocks)
-    weights = tuple(blocks[b][0] for b in order)
-    br = {}
-    for fi, (t, f, _rows) in enumerate(factors):
-        for (i, j), terms in f.bracket.items():
-            ni, nj = pos[(fi, i)], pos[(fi, j)]
-            nterms = tuple((pos[(fi, k)], c) for k, c in terms)
-            if ni < nj:
-                br[(ni, nj)] = nterms
-            else:
-                br[(nj, ni)] = tuple((k, -c) for k, c in nterms)
-    assembled = StructureConstants(dim=dim, weights=weights, bracket=br)
-    cols = [None] * dim
-    for fi, (t, f, rows) in enumerate(factors):
+    assembled, pos = direct_sum([(tuple(w * t for w in f.weights), f.bracket)
+                                 for t, f, _rows in factors])
+    cols = [None] * assembled.dim
+    for fi, (_t, f, rows) in enumerate(factors):
         for li in range(f.dim):
-            cols[pos[(fi, li)]] = rows[li]
-    entries = tuple(tuple(cols[c][r] for c in range(dim)) for r in range(alg.dim))
+            cols[pos[fi, li]] = rows[li]
+    entries = tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
     return MorphismMatrix(entries=entries, source=assembled, target=alg)
 
 

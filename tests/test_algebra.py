@@ -17,6 +17,7 @@ from carnot_bcp.algebra import (
     group_to_json,
     multiply_batch,
 )
+from carnot_bcp.scalars import nth_root_exact
 
 F = Fraction
 
@@ -205,6 +206,19 @@ def test_dilate_exact_mode_rejects_irrational():
     assert cb.dilate((F(1), F(1), F(1)), F(4), g, exact=True) == (F(2), F(2), F(4))
 
 
+def test_exact_roots_beyond_the_float_range():
+    # integers of 1024 bits and more have no float value; the roots are
+    # taken in integers only
+    assert nth_root_exact(F(2 ** 2000), 2) == 2 ** 1000
+    assert nth_root_exact(F(3 ** 1001, 2 ** 2002), 7) == F(3 ** 143, 2 ** 286)
+    assert nth_root_exact(F(2 ** 2000 + 1), 2) is None
+    # (1/4)^600 = 2^-1200: weight 3/2 needs its square root 2^-600
+    g = cb.heisenberg_nonstandard_group(F(3, 2))  # weights 1, 3/2, 5/2
+    lam = F(1, 4) ** 600
+    assert cb.dilate((F(1), F(1), F(1)), lam, g, exact=True) == \
+        (F(1, 2 ** 1200), F(1, 2 ** 1800), F(1, 2 ** 3000))
+
+
 # ---------------------------------------------------------------------------
 # built-ins
 # ---------------------------------------------------------------------------
@@ -247,6 +261,11 @@ def test_builtin_group_dispatch():
     assert g.dim == 5
     with pytest.raises(AlgebraError):
         cb.builtin_group("nope")
+    # a missing parameter is named, not a bare KeyError
+    with pytest.raises(AlgebraError, match="'n'"):
+        cb.builtin_group("heisenberg")
+    with pytest.raises(AlgebraError, match="'weights'"):
+        cb.builtin_group("abelian", n=2)
 
 
 # ---------------------------------------------------------------------------

@@ -291,10 +291,14 @@ def test_cover_random_plane():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on nan input
 def test_cover_rejects_nonfinite_point():
-    # a NaN point must not count as covered by every ball
+    # a NaN point must not count as covered by every ball, for the HS and
+    # the CC distance alike
     pts = [(0.0, 0.0), (float("nan"), 1.0), (3.0, 0.0)]
     with pytest.raises(SolverError):
         greedy_cover(pts, [1.0, 1.0, 1.0], HSDistance(cb.abelian_group([1, 1])))
+    pts = [(0.0, 0.0, 0.0), (float("nan"), 1.0, 0.0), (3.0, 0.0, 0.0)]
+    with pytest.raises(SolverError):
+        greedy_cover(pts, [1.0, 1.0, 1.0], CCHeisenbergDistance())
 
 
 def test_cover_tie_break_smallest_index():

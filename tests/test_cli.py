@@ -156,3 +156,64 @@ def test_console_entry_point():
     proc = run_cli(["classify", "--group", "abelian", "--weights", "1,2"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bcp_admissible"] is True
+
+
+def test_dist_with_a_huge_root_order_falls_back_to_float():
+    # weights (1, 1 + 1e-10): the exact probe would need a 5e9-th root of
+    # the radius, which is decided at once to be irrational
+    proc = run_cli(["dist", "--group", "abelian", "--weights", "1,1.0000000001",
+                    "--kind", "hs", "--p", "0,0", "--q", "1,1/3"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["backend"] == "float"
+
+
+def test_jobs_share_out_the_whole_budget(monkeypatch, capsys):
+    # the workers run in threads of this process here; the budgets they get
+    # must add up to --budget, the remainder spread one proposal each
+    import concurrent.futures
+
+    import carnot_bcp.cli as cli
+
+    budgets = []
+    worker = cli._search_worker
+
+    def recording_worker(args, seed, budget):
+        budgets.append(budget)
+        return worker(args, seed, budget)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(cli, "_search_worker", recording_worker)
+    code = main(["besicovitch", "search", "--group", "abelian", "--weights", "1",
+                 "--kind", "hs", "--budget", "103", "--jobs", "4",
+                 "--strategy", "random"])
+    assert code == 0
+    assert sorted(budgets) == [25, 26, 26, 26]
+    assert json.loads(capsys.readouterr().out)["proposals_used"] in (25, 26)
+
+
+# flags that build each built-in tag; the registry in algebra is the one list
+BUILTIN_FLAGS = {
+    "abelian": ["--weights", "1,2"],
+    "heisenberg": ["--n", "2"],
+    "heisenberg_nonstandard": ["--alpha", "3/2"],
+    "free_step2": ["--rank", "3"],
+    "step3_rank3": [],
+}
+
+
+def test_every_builtin_tag_classifies(capsys):
+    from carnot_bcp.algebra import _BUILTINS
+    assert set(BUILTIN_FLAGS) == set(_BUILTINS)
+    for tag, flags in BUILTIN_FLAGS.items():
+        assert main(["classify", "--group", tag] + flags) == 0
+        assert json.loads(capsys.readouterr().out)["group"]
+
+
+@pytest.mark.parametrize("tag,param", [("abelian", "weights"),
+                                       ("heisenberg_nonstandard", "alpha"),
+                                       ("free_step2", "rank")])
+def test_missing_group_parameter_is_named(tag, param, capsys):
+    # --n has a default, so only these three parameters can be missing
+    assert main(["classify", "--group", tag]) == 64
+    assert f"'{param}'" in capsys.readouterr().err

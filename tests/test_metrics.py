@@ -114,15 +114,23 @@ def test_hs_zero_and_nonfinite():
         pytest.approx(1e100, rel=1e-15)
 
 
-@pytest.mark.parametrize("entry", ["value_from_identity", "value_from_identity_batch",
-                                   "value_batch"])
+NONFINITE_DISTANCES = {
+    "hs": lambda: HSDistance(cb.heisenberg_nonstandard_group(2), F(1)),
+    "cc_h1": CCHeisenbergDistance,
+}
+
+
+@pytest.mark.parametrize("kind,entry", [
+    pytest.param(kind, entry, id=entry if kind == "hs" else f"{kind}-{entry}")
+    for kind in NONFINITE_DISTANCES
+    for entry in ["value_from_identity", "value_from_identity_batch", "value_batch"]])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
-def test_hs_nonfinite_rows_rejected_on_every_path(entry, bad):
+def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
     # a zero row is the identity (distance 0); a row whose squared sum is
     # not finite is an error on the scalar and the batch paths alike, not a
-    # distance of 0 that would count the point as covered
-    d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+    # distance of 0 (or NaN) that would count the point as covered
+    d = NONFINITE_DISTANCES[kind]()
     X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.5, -1.0, 0.25]])
     evaluate = {
         "value_from_identity": lambda Y: np.array([d.value_from_identity(tuple(r))
@@ -263,6 +271,62 @@ def test_hs_exact_compare_requires_power():
         d4.compare(g4.identity(), p, F(2))
     # perfect square radius: 4^(5/2) = 32 exact
     assert d4.compare(g4.identity(), p, F(4)) in (-1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# exact comparison: one path in the base class
+# ---------------------------------------------------------------------------
+
+# each kind with an exact compare_from_identity; all but lp_combo (a product
+# of lines) live on noncommutative groups, where p^-1 q and q p^-1 differ
+EXACT_KINDS = {
+    "hs": lambda: HSDistance(cb.heisenberg_nonstandard_group(2), F(2)),
+    "hs_half_weights": lambda: HSDistance(cb.heisenberg_nonstandard_group(F(3, 2)), F(1)),
+    "power": lambda: power_distance(HSDistance(cb.heisenberg_group(1), F(1)), F(2)),
+    "product_max": lambda: product_max_distance(HSDistance(cb.heisenberg_group(1), F(1)),
+                                                euclidean_line()),
+    "lp_combo": lambda: lp_combination_distance(euclidean_line(), snowflake_line(F(2)), 1),
+}
+
+small_rationals = st.fractions(-6, 6, max_denominator=12)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compare_is_exact_sign_at_the_displacement(kind, data):
+    d = EXACT_KINDS[kind]()
+    n = d.group.dim
+    p = tuple(data.draw(st.lists(small_rationals, min_size=n, max_size=n)))
+    q = tuple(data.draw(st.lists(small_rationals, min_size=n, max_size=n)))
+    # a radius near d(p, q), where a wrong displacement changes the sign
+    v = d.value(p, q)
+    rho = max(F(v).limit_denominator(16), F(1, 16)) * \
+        data.draw(st.sampled_from([F(7, 8), F(1), F(9, 8)]))
+    x = cb.multiply(tuple(-c for c in p), q, d.group)  # p^-1 q
+    try:
+        want = d.compare_from_identity(x, rho)
+    except ExactnessError:
+        with pytest.raises(ExactnessError):
+            d.compare(p, q, rho)
+        return
+    assert d.compare(p, q, rho) == want
+    # and the sign is that of d(p, q) - rho wherever the float value decides it
+    if abs(v - float(rho)) > 1e-9 * float(rho):
+        assert want == (1 if v > rho else -1)
+
+
+@pytest.mark.parametrize("make", [disk_union_segment_ball, CCHeisenbergDistance,
+                                  lambda: quotient_distance(HSDistance(cb.free_step2_group(3)),
+                                                            f32_to_h1())],
+                         ids=["unit_ball", "cc_h1", "quotient"])
+def test_float_only_kinds_refuse_exact_comparison(make):
+    d = make()
+    p = tuple(F(1, k + 2) for k in range(d.group.dim))
+    with pytest.raises(ExactnessError):
+        d.compare(d.group.identity(), p, F(1))
+    with pytest.raises(ExactnessError):
+        d.compare_from_identity(p, F(1))
 
 
 # ---------------------------------------------------------------------------
