@@ -1,12 +1,13 @@
 """Besicovitch-ball certificates: production, search, and rigorous verification.
 
 A family of balls with a common witness point, none of whose centers lies in
-another ball, bounds the weak-covering constant of the space from below.  The
-verifier decides every comparison either in exact rational arithmetic (a
-rigorous certificate) or in float with an explicit margin.  Searches propose
-centers with the witness pinned at the identity and radii set to the distance
-of the center from the identity, rationalized minimally upward in exact mode
-so witness containment is exact.
+another ball, bounds the weak-covering constant of the space from below.  One
+check, ``_slack``, decides each condition in exact rational arithmetic (a
+rigorous certificate) or in float with an explicit margin; it decides both
+which balls a search keeps and whether ``verify_family`` accepts a family.
+Searches propose centers with the witness pinned at the identity and radii
+set to the distance of the center from the identity, rationalized minimally
+upward in exact mode so witness containment is exact.
 
 Also here: the constructive block-greedy cover with its per-block radius
 bounds and quarter-radius disjointness, and the countable metric space with
@@ -91,6 +92,21 @@ class Certificate:
                 "min_slack": self.min_slack}
 
 
+def _slack(family, center, point, radius, inside):
+    """Slack of one condition in the family's mode, and the least slack that
+    passes it.  inside=True asks for point in the closed ball (slack
+    r - d(center, point)), inside=False for point strictly outside it (slack
+    d(center, point) - r).  Exact mode takes the sign from ``d.compare``, so
+    closed and strict become the least slacks 0 and 1; margin mode takes the
+    float value and needs epsilon either way."""
+    if family.mode == EXACT:
+        sign = family.distance.compare(center, point, radius)
+        return (-sign, 0) if inside else (sign, 1)
+    dist = family.distance.value(center, point)
+    slack = float(radius) - dist if inside else dist - float(radius)
+    return slack, family.epsilon
+
+
 def verify_family(family: BesicovitchFamily) -> Certificate:
     """Check the two defining conditions of a Besicovitch family.
 
@@ -98,72 +114,49 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
     trichotomy; any point where that is unavailable is itself a violation.
     Margin mode requires each comparison to hold with slack >= epsilon.
     """
-    d = family.distance
     n = len(family)
-    violations = []
-    if family.mode == EXACT:
-        for i, (c, r) in enumerate(zip(family.centers, family.radii)):
-            try:
-                if d.compare(c, family.witness, r) > 0:
-                    violations.append({"kind": "witness", "ball": i,
-                                       "detail": "witness outside ball"})
-            except ExactnessError as exc:
-                violations.append({"kind": "exactness", "ball": i, "detail": str(exc)})
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                try:
-                    # center i must lie strictly outside ball j
-                    if d.compare(family.centers[j], family.centers[i],
-                                 family.radii[j]) <= 0:
-                        violations.append({"kind": "center_in_ball",
-                                           "pair": [i, j],
-                                           "detail": f"center {i} inside ball {j}"})
-                except ExactnessError as exc:
-                    violations.append({"kind": "exactness", "pair": [i, j],
-                                       "detail": str(exc)})
-        return Certificate(valid=not violations, cardinality=n, mode=EXACT,
-                           violations=violations)
-    eps = family.epsilon
-    slacks = []
-    for i, (c, r) in enumerate(zip(family.centers, family.radii)):
-        s = float(r) - d.value(c, family.witness)
+    exact = family.mode == EXACT
+    conditions = [(i, None) for i in range(n)]
+    conditions += [(i, j) for i in range(n) for j in range(n) if i != j]
+    violations, slacks = [], []
+    for i, j in conditions:
+        inside = j is None
+        ball = i if inside else j
+        point = family.witness if inside else family.centers[i]
+        where = {"ball": i} if inside else {"pair": [i, j]}
+        try:
+            s, least = _slack(family, family.centers[ball], point,
+                              family.radii[ball], inside)
+        except ExactnessError as exc:
+            violations.append({"kind": "exactness", **where, "detail": str(exc)})
+            continue
         slacks.append(s)
-        if s < eps:
-            violations.append({"kind": "witness", "ball": i,
-                               "detail": f"witness slack {s} < {eps}"})
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            s = d.value(family.centers[j], family.centers[i]) - float(family.radii[j])
-            slacks.append(s)
-            if s < eps:
-                violations.append({"kind": "center_in_ball", "pair": [i, j],
-                                   "detail": f"exclusion slack {s} < {eps}"})
-    return Certificate(valid=not violations, cardinality=n, mode="margin",
+        if s < least:
+            if exact:
+                detail = "witness outside ball" if inside else f"center {i} inside ball {j}"
+            else:
+                detail = f"{'witness' if inside else 'exclusion'} slack {s} < {least}"
+            violations.append({"kind": "witness" if inside else "center_in_ball",
+                               **where, "detail": detail})
+    return Certificate(valid=not violations, cardinality=n,
+                       mode=EXACT if exact else "margin",
                        violations=violations,
-                       min_slack=min(slacks) if slacks else None)
+                       min_slack=min(slacks) if slacks and not exact else None)
 
 
 # ---------------------------------------------------------------------------
 # exact radius convention
 # ---------------------------------------------------------------------------
 
-def radius_for_center(d: QuasiDistance, center, exact=True, epsilon=1e-7):
-    """Radius paired with a proposed center so the identity is inside the ball.
-
-    Exact mode: the float distance from the identity, bumped upward by
+def radius_for_center(d: QuasiDistance, center):
+    """Exact radius paired with a rational center so the identity is inside
+    the ball: the float distance from the identity, bumped upward by
     geometrically growing relative increments (starting at 2^-50) until the
-    exact membership test accepts; the result is an exact dyadic-denominator
-    rational barely above the true distance, at every scale.  Margin mode:
-    the float distance inflated by 2 * epsilon.
+    exact membership test accepts.  The result is an exact dyadic-denominator
+    rational barely above the true distance, at every scale.
     """
     e = d.identity()
     val = d.value(e, center)
-    if not exact:
-        return val + 2.0 * epsilon
     if not all_exact(center):
         raise ExactnessError("exact radius needs rational center coordinates")
     if val <= 0:
@@ -233,8 +226,8 @@ def _proposal_batches(d: QuasiDistance, strategy, rng, batch, shell):
             continue
         # annealed: shells + dilation-orbit chains + orthant-restricted shells
         parts = [base(rng, n_shell)]
-        chain_rows = []
-        while len(chain_rows) < n_chain:
+        starts, factors = [], []
+        while len(factors) < n_chain:
             seed_dir = _orthant_seed(rng, n)
             lam = d.value_from_identity(tuple(seed_dir))
             if lam <= 0 or not math.isfinite(lam):
@@ -245,9 +238,9 @@ def _proposal_batches(d: QuasiDistance, strategy, rng, batch, shell):
             base_exp = rng.uniform(3.0, 9.0)
             ratio = 2.0 ** -base_exp
             count = int(rng.integers(3, 9))
-            chain_rows.extend(dilate(p0, ratio ** l, group, exact=False)
-                              for l in range(count))
-        parts.append(np.array(chain_rows[:n_chain]))
+            starts.extend([p0] * count)
+            factors.extend(ratio ** l for l in range(count))
+        parts.append(dilate_batch(starts[:n_chain], factors[:n_chain], group))
         orth = rng.standard_normal((n_orth, n))
         if n == 3:
             orth[:, 0] = 0.15 * np.abs(orth[:, 0])
@@ -280,12 +273,9 @@ def _greedy_extend(d, centers, radii, cand, cand_r, guard):
         return
     sub = cand[idx]
     subr = cand_r[idx]
-    if len(idx) > 1:
-        P = np.repeat(sub, len(idx), axis=0)
-        Q = np.tile(sub, (len(idx), 1))
-        M = d.value_batch(P, Q).reshape(len(idx), len(idx))
-    else:
-        M = np.zeros((1, 1))
+    P = np.repeat(sub, len(idx), axis=0)
+    Q = np.tile(sub, (len(idx), 1))
+    M = d.value_batch(P, Q).reshape(len(idx), len(idx))
     kept = []
     for a in range(len(idx)):
         ok = True
@@ -299,59 +289,39 @@ def _greedy_extend(d, centers, radii, cand, cand_r, guard):
             radii.append(float(subr[a]))
 
 
-def _exact_repair(d, centers, max_denominator=None):
-    """Convert centers to exact rationals in insertion order, keeping each
-    member only if the exact certificate conditions still hold against the
-    kept prefix.  Floats convert exactly (binary rationals) unless a
-    denominator cap is requested."""
-    kept_c, kept_r = [], []
-    for c in centers:
-        cr = to_fractions(c, max_denominator=max_denominator)
-        try:
-            r = radius_for_center(d, cr, exact=True)
-        except (ExactnessError, ValueError):
-            continue
-        ok = True
-        for c2, r2 in zip(kept_c, kept_r):
+def _repair(d, centers, radii, exact, epsilon, max_denominator):
+    """The family of a float snapshot, valid by construction: each proposed
+    ball, in insertion order, is kept only if its conditions against the kept
+    balls pass ``_slack``.  Exact mode rationalizes the center (exactly, unless
+    a denominator cap is requested) and takes ``radius_for_center``; margin
+    mode inflates the float radius by 2 * epsilon."""
+    witness = (Fraction(0) if exact else 0.0,) * d.group.dim
+    fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin",
+                            epsilon=epsilon)
+
+    def holds(center, point, radius, inside):
+        s, least = _slack(fam, center, point, radius, inside)
+        return s >= least
+
+    kept = []
+    for c, r in zip(centers, radii):
+        if exact:
+            c = to_fractions(c, max_denominator=max_denominator)
             try:
-                if d.compare(c2, cr, r2) <= 0 or d.compare(cr, c2, r) <= 0:
-                    ok = False
-                    break
-            except ExactnessError:
-                ok = False
-                break
+                r = radius_for_center(d, c)
+            except (ExactnessError, ValueError):
+                continue
+        else:
+            c, r = tuple(c), float(r) + 2.0 * epsilon
+        try:
+            ok = holds(c, witness, r, True) and all(
+                holds(c2, c, r2, False) and holds(c, c2, r, False) for c2, r2 in kept)
+        except ExactnessError:
+            ok = False
         if ok:
-            kept_c.append(cr)
-            kept_r.append(r)
-    return kept_c, kept_r
-
-
-def _finalize(d, centers, radii, exact, epsilon, max_denominator):
-    if exact:
-        kc, kr = _exact_repair(d, centers, max_denominator)
-        e = tuple(Fraction(0) for _ in range(d.group.dim))
-        fam = BesicovitchFamily(tuple(kc), tuple(kr), e, d, mode=EXACT)
-    else:
-        e = d.identity()
-        kc = [tuple(c) for c in centers]
-        kr = [float(r) + 2.0 * epsilon for r in radii]
-        fam = BesicovitchFamily(tuple(kc), tuple(kr), tuple(float(x) for x in e),
-                                d, mode="margin", epsilon=epsilon)
-    cert = verify_family(fam)
-    if not cert.valid:
-        # drop members named in violations and retry once (rare borderline cases)
-        bad = set()
-        for v in cert.violations:
-            bad.update(v.get("pair", [v.get("ball")]))
-        keep = [k for k in range(len(fam.centers)) if k not in bad]
-        fam = BesicovitchFamily(tuple(fam.centers[k] for k in keep),
-                                tuple(fam.radii[k] for k in keep),
-                                fam.witness, d, mode=fam.mode, epsilon=epsilon)
-        cert = verify_family(fam)
-        if not cert.valid:
-            fam = BesicovitchFamily((), (), fam.witness, d, mode=fam.mode,
-                                    epsilon=epsilon)
-    return fam
+            kept.append((c, r))
+    return BesicovitchFamily(tuple(c for c, _ in kept), tuple(r for _, r in kept),
+                             witness, d, mode=fam.mode, epsilon=epsilon)
 
 
 def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
@@ -376,7 +346,7 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
     stream = _proposal_batches(d, strategy, rng, batch, shell)
     guard = max(epsilon, 1e-6)
     centers, radii = [], []
-    best = _finalize(d, [], [], exact, epsilon, max_denominator)
+    best = _repair(d, [], [], exact, epsilon, max_denominator)
     trace = []
     used = 0
     since_restart = 0
@@ -388,21 +358,17 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
         since_restart += take
         cand_r = d.value_from_identity_batch(cand)
         _greedy_extend(d, centers, radii, cand, cand_r, guard)
-        if strategy == "annealed" and since_restart >= restart_interval:
-            # verification only shrinks a family, so a float cardinality that
-            # cannot beat the best needs no exact pass
-            if len(centers) > len(best):
-                snap = _finalize(d, centers, radii, exact, epsilon, max_denominator)
-                if len(snap) > len(best):
-                    best = snap
-                    trace.append((used, len(best)))
+        restart = strategy == "annealed" and since_restart >= restart_interval
+        # repair only shrinks a family, so a float cardinality that cannot
+        # beat the best needs no exact pass
+        if (restart or used >= budget) and len(centers) > len(best):
+            snap = _repair(d, centers, radii, exact, epsilon, max_denominator)
+            if len(snap) > len(best):
+                best = snap
+                trace.append((used, len(best)))
+        if restart:
             centers, radii = [], []
             since_restart = 0
-    if len(centers) > len(best):
-        snap = _finalize(d, centers, radii, exact, epsilon, max_denominator)
-        if len(snap) > len(best):
-            best = snap
-            trace.append((used, len(best)))
     if not verify_family(best).valid:
         raise SearchError(f"the {len(best)}-ball family found fails verification")
     return SearchResult(family=best, cardinality=len(best), proposals_used=used,
@@ -454,19 +420,18 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     margins = []
     first_fail = None
     pf = tuple(float(x) for x in p)
+    pr = to_fractions(p) if exact else None
     for j in range(1, count):
         # the strict orbit inequality is decided exactly when possible: its
         # margin shrinks like the dilation factor and quickly drops below
         # float resolution, while the rational comparison stays rigorous
+        sgn = None
         if exact:
-            pr = to_fractions(p)
             qj = dilate(pr, Fraction(rho) ** (j * k), d.group, exact=True)
             try:
                 sgn = d.compare(pr, qj, Fraction(1))
             except ExactnessError:
-                sgn = None
-        else:
-            sgn = None
+                pass
         lam = float(rho) ** (j * k)
         qj_f = dilate(pf, lam, d.group, exact=False)
         m = d.value(pf, qj_f) - 1.0
@@ -477,23 +442,14 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     if first_fail is not None:
         return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
                            margins=margins)
-    if exact:
-        pr = to_fractions(p)
-        centers = []
-        radii = []
-        for l in range(count):
-            rl = Fraction(rho) ** (l * k)
-            centers.append(dilate(pr, rl, d.group, exact=True))
-            radii.append(rl)
-        witness = tuple(Fraction(0) for _ in range(d.group.dim))
-        fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d, mode=EXACT)
-    else:
-        centers = [dilate(pf, float(rho) ** (l * k), d.group, exact=False)
-                   for l in range(count)]
-        radii = [float(rho) ** (l * k) * (1.0 + 2 * epsilon) for l in range(count)]
-        witness = tuple(0.0 for _ in range(d.group.dim))
-        fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
-                                mode="margin", epsilon=epsilon)
+    ratio, p0 = (Fraction(rho), pr) if exact else (float(rho), pf)
+    radii = [ratio ** (l * k) for l in range(count)]
+    centers = [dilate(p0, r, d.group, exact=exact) for r in radii]
+    if not exact:
+        radii = [r * (1.0 + 2 * epsilon) for r in radii]
+    witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
+    fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
+                            mode=EXACT if exact else "margin", epsilon=epsilon)
     cert = verify_family(fam)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
                        margins=margins, certificate=cert)
@@ -599,6 +555,8 @@ def greedy_cover(points, radii, d: QuasiDistance) -> CoverReport:
     if n == 0:
         return CoverReport([], [], 0, True, True, True)
     uncovered = np.ones(n, dtype=bool)
+    # multiplicity: how many selected balls contain each input point
+    counts = np.zeros(n, dtype=int)
     selected = []
     blocks = []
     while uncovered.any():
@@ -615,23 +573,18 @@ def greedy_cover(points, radii, d: QuasiDistance) -> CoverReport:
             center = np.repeat(pts[i][None, :], n, axis=0)
             dist = d.value_batch(center, pts)
             uncovered &= dist > rr[i]
+            counts += dist <= rr[i]
         blocks.append({"bound": M, "indices": block})
-    sel = selected
-    # multiplicity: how many selected balls contain each input point
-    counts = np.zeros(n, dtype=int)
-    for i in sel:
-        center = np.repeat(pts[i][None, :], n, axis=0)
-        counts += (d.value_batch(center, pts) <= rr[i]).astype(int)
     covered = bool((counts >= 1).all())
     quarter = True
-    for a in range(len(sel)):
-        for b in range(a + 1, len(sel)):
-            i, j = sel[a], sel[b]
+    for a in range(len(selected)):
+        for b in range(a + 1, len(selected)):
+            i, j = selected[a], selected[b]
             if d.value(tuple(pts[i]), tuple(pts[j])) <= rr[i] / 4.0 + rr[j] / 4.0:
                 quarter = False
     halve = all(blocks[k + 1]["bound"] <= blocks[k]["bound"] / 2.0
                 for k in range(len(blocks) - 1))
-    return CoverReport(selected=sel, blocks=blocks,
+    return CoverReport(selected=selected, blocks=blocks,
                        multiplicity=int(counts.max()) if n else 0,
                        covered=covered, quarter_disjoint=quarter,
                        block_bounds_halve=halve)
@@ -745,7 +698,6 @@ def countable_space_two_ball_audit(n: int = 200, grid: int = 64) -> dict:
         ri = 1 - Fraction(1, i)
         for g in range(1, grid + 1):
             rho = ri * Fraction(g, grid + 1)
-            assert rho < ri
             # nearest other point: distance min(r_i (j<i), r_{i+1} (j>i)) = r_i
             if not (ri > rho):
                 return {"ok": False, "i": i, "rho": str(rho)}

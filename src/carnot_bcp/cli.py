@@ -232,7 +232,13 @@ def cmd_report(args):
         else:
             argv.extend([flag, str(val)])
     parser = build_parser()
-    sub_args = parser.parse_args(argv)
+    # argparse exits on a bad flag; a bad config key is a configuration error
+    try:
+        sub_args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code in (0, None):
+            return EXIT_OK
+        raise ConfigError(f"config keys do not parse as '{sub}' flags") from None
     started = time.time()
     code = sub_args.func(sub_args)
     sys.stderr.write(json.dumps({"elapsed_s": time.time() - started}) + "\n")

@@ -236,15 +236,21 @@ class _HSPlan:
                 return self.polish_step(lam, S, R2) if self.polish else lam
         raise SolverError("HS root solve did not converge")
 
-    def rescaled(self, S, R2, maximum):
-        """The rows dilated by 1/lam_hi, for lam_hi = max_w (s_w / R^2)^(1/(2w))
-        the upper bracket of lam.  Returns lam_hi and the coefficients
-        c_w = s_w lam_hi^(-2w) / R^2 of sum_w c_w u^(a_w) = 1, each in [0, 1]
-        and one of them 1, whose root (lam / lam_hi)^(-2/q) lies in (0, 1];
-        maximum is builtin max or np.maximum.reduce."""
-        rho = [s ** (1.0 / tw) / R2 ** (1.0 / tw) for s, tw in zip(S, self.two_w)]
-        lam_hi = maximum(rho)
-        return lam_hi, [(r / lam_hi) ** tw for r, tw in zip(rho, self.two_w)]
+    def rescaled(self, X, R, maximum):
+        """The rows dilated by 1/lam_lo before anything is squared, for
+        lam_lo = max_i (|x_i| / R)^(1/w_i), formed without a square that
+        could under- or overflow.  Returns lam_lo and the coefficients c_w = s_w lam_lo^(-2w)
+        / R^2 of sum_w c_w u^(a_w) = 1, each at most the number of coordinates
+        of weight w and one of them at least 1, so the root (lam / lam_lo)^(-2/q)
+        lies in (0, 1].  X holds one coordinate (float or (m,) array) per
+        dimension; maximum is builtin max or np.maximum.reduce."""
+        rho = [abs(x) ** (2.0 / self.two_w[k]) / R ** (2.0 / self.two_w[k])
+               for x, k in zip(X, self.term_of)]
+        lam_lo = maximum(rho)
+        C = [0.0] * len(self.exps)
+        for r, k in zip(rho, self.term_of):
+            C[k] = C[k] + (r / lam_lo) ** self.two_w[k]
+        return lam_lo, C
 
     def solve_rows(self, S, R2, method):
         """lam for rows with squared sums S (one (m,) array per weight), each
@@ -276,8 +282,9 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     quadratically once close, in a number of steps that does not grow with
     q.  For q > 2 one Newton step in lam follows, since u^(-q/2) magnifies
     the rounding of u.  Rows near the ends of the float range, where the
-    powers of u would overflow, are dilated to a lam of order one first.  A
-    row of zeros has lam = 0; a row whose squared sum is not finite raises
+    powers of u would overflow or the squares underflow, are dilated from
+    their coordinates to a lam of order one first.  A row whose coordinates
+    are all zero has lam = 0; a row whose squared sum is not finite raises
     SolverError.
     """
     if plan is None:
@@ -303,10 +310,12 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     inner = (total >= lo) & (total <= hi)
     if inner.any():
         lam[inner] = plan.solve_rows([s[inner] for s in S], R2, method)
-    outer = ~inner & (total > 0)
+    # zero is decided from the coordinates: the square of one below about
+    # 1e-162 is 0, and such a row is rescaled, not taken for the identity
+    outer = ~inner & X.any(axis=1)
     if outer.any():
-        lam_hi, C = plan.rescaled([s[outer] for s in S], R2, np.maximum.reduce)
-        lam[outer] = lam_hi * plan.solve_rows(C, 1.0, method)
+        lam_lo, C = plan.rescaled(X[outer].T, R, np.maximum.reduce)
+        lam[outer] = lam_lo * plan.solve_rows(C, 1.0, method)
     return lam
 
 
@@ -340,14 +349,14 @@ class HSDistance(QuasiDistance):
         total = sum(S)
         if not math.isfinite(total):
             raise SolverError("nonfinite coordinates")
-        if total == 0:
-            return 0.0
         R = float(self.R)
         R2 = R * R
         if plan.t_lo * R2 <= total <= plan.t_hi * R2:
             return plan.solve_point(S, R2)
-        lam_hi, C = plan.rescaled(S, R2, max)
-        return lam_hi * plan.solve_point(C, 1.0)
+        if not any(x):
+            return 0.0
+        lam_lo, C = plan.rescaled([float(v) for v in x], R, max)
+        return lam_lo * plan.solve_point(C, 1.0)
 
     def value_from_identity_batch(self, X):
         return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)

@@ -1,5 +1,6 @@
 """Certificates, searches, covers, and the countable counterexample space."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from carnot_bcp.besicovitch import (
     BesicovitchFamily,
     Certificate,
     SearchError,
+    _repair,
     countable_space,
     countable_space_ball_audit,
     countable_space_triangle_audit,
@@ -36,6 +38,13 @@ F = Fraction
 
 def nonstd_h1_distance():
     return HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+
+
+def sphere_point():
+    """Rational point exactly on the unit sphere, in the productive orthant."""
+    u1, u2 = F(3, 100), F(-41, 100)
+    s = u1 * u1 + u2 * u2
+    return (2 * u1 / (1 + s), 2 * u2 / (1 + s), (1 - s) / (1 + s))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +104,49 @@ def test_exactness_violation_reported():
     assert any(v["kind"] == "exactness" for v in cert.violations)
 
 
+VALID_FAMILIES = {
+    "exact": lambda: dilation_orbit_family(nonstd_h1_distance(), sphere_point(),
+                                           F(1, 2), k=6, count=5).family,
+    "margin": lambda: search_family(CCHeisenbergDistance(1.0), 4000, strategy="random",
+                                    seed=2, exact=False).family,
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "margin"])
+def test_verify_rejects_a_shrunk_radius(mode):
+    fam = VALID_FAMILIES[mode]()
+    assert len(fam) >= 3 and verify_family(fam).valid
+    # ball 1 shrunk to half its radius: its witness distance is about the
+    # radius, and a smaller ball only eases the exclusions
+    radii = list(fam.radii)
+    radii[1] /= 2
+    cert = verify_family(replace(fam, radii=tuple(radii)))
+    assert [(v["kind"], v.get("ball")) for v in cert.violations] == [("witness", 1)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "margin"])
+def test_verify_rejects_a_center_moved_into_another_ball(mode):
+    fam = VALID_FAMILIES[mode]()
+    centers = list(fam.centers)
+    centers[2] = centers[0]
+    cert = verify_family(replace(fam, centers=tuple(centers)))
+    assert not cert.valid
+    assert {"kind": "center_in_ball", "pair": [2, 0]} in [
+        {"kind": v["kind"], "pair": v.get("pair")} for v in cert.violations]
+
+
+def test_repair_keeps_the_earlier_ball_of_a_violating_pair():
+    # the second center lies inside the first ball, while the first center
+    # lies outside the second; dropping both balls of every violating pair
+    # would leave no family at all
+    d = CCHeisenbergDistance(1.0)
+    centers = [(1.0, 0.0, 0.0), (0.25, 0.0, 0.0)]
+    radii = [d.value_from_identity(c) for c in centers]
+    fam = _repair(d, centers, radii, False, 1e-7, None)
+    assert fam.mode == "margin" and fam.centers == ((1.0, 0.0, 0.0),)
+    assert verify_family(fam).valid
+
+
 def test_radius_for_center_exact_membership():
     d = nonstd_h1_distance()
     rng = np.random.default_rng(0)
@@ -104,7 +156,7 @@ def test_radius_for_center_exact_membership():
                   for _ in range(3))
         if not any(c):
             continue
-        r = radius_for_center(d, c, exact=True)
+        r = radius_for_center(d, c)
         assert d.compare(c, e, r) <= 0
         # minimality: within a relative factor 2^-49 of the float distance
         assert float(r) <= d.value(e, c) * (1 + 2.0 ** -48)
@@ -187,10 +239,7 @@ def test_orbit_fails_on_euclidean():
 
 def test_orbit_succeeds_on_nonstandard_h1():
     d = nonstd_h1_distance()
-    # rational point exactly on the unit sphere, in the productive orthant
-    u1, u2 = F(3, 100), F(-41, 100)
-    s = u1 * u1 + u2 * u2
-    p = (2 * u1 / (1 + s), 2 * u2 / (1 + s), (1 - s) / (1 + s))
+    p = sphere_point()
     assert sum(x * x for x in p) == 1
     for count in (5, 10):
         res = dilation_orbit_family(d, p, F(1, 2), k=6, count=count)
@@ -200,11 +249,8 @@ def test_orbit_succeeds_on_nonstandard_h1():
 
 
 def test_orbit_family_radii_are_exact_powers():
-    d = nonstd_h1_distance()
-    u1, u2 = F(3, 100), F(-41, 100)
-    s = u1 * u1 + u2 * u2
-    p = (2 * u1 / (1 + s), 2 * u2 / (1 + s), (1 - s) / (1 + s))
-    res = dilation_orbit_family(d, p, F(1, 2), k=6, count=4)
+    res = dilation_orbit_family(nonstd_h1_distance(), sphere_point(), F(1, 2),
+                                k=6, count=4)
     assert res.family.radii == (F(1), F(1, 64), F(1, 4096), F(1, 262144))
 
 

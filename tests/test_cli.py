@@ -120,10 +120,15 @@ def test_report_runs_config(tmp_path, capsys):
     assert code == 0 and out["bcp_admissible"] is False
 
 
-def test_config_error_exit_64():
+def test_config_error_exit_64(tmp_path):
     assert main(["classify", "--group", "no_such_group"]) == 64
     assert main(["dist", "--group", "heisenberg", "--kind", "hs",
                  "--p", "0,0", "--q", "1,1,1"]) == 64  # dimension mismatch
+    # a config key that is no flag of its subcommand
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "classify", "bogus": "1",
+                                "group": "heisenberg"}))
+    assert main(["report", "--config", str(path)]) == 64
 
 
 def test_reports_byte_identical(tmp_path):

@@ -96,15 +96,17 @@ def test_hs_zero_and_nonfinite():
     with pytest.raises(SolverError):
         d.value_from_identity((float("nan"), 0.0, 0.0))
     # rows near the ends of the float range, where u = lam^-2 itself would
-    # overflow or underflow on weights (1, 2, 3); (1e-160)^2 is subnormal,
-    # so only about four digits of it survive
+    # overflow or underflow on weights (1, 2, 3); (1e-160)^2 is subnormal
+    # and (1e-170)^2 is 0, yet neither row is the identity
     d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
-    rows = [(1e-160, 0.0, 0.0), (1e150, 0.0, 0.0), (0.0, 0.0, 1e-120), (1e-160, 0.0, 1.0)]
-    want = [1e-160, 1e150, 1e-40, 1.0]
+    rows = [(1e-160, 0.0, 0.0), (1e150, 0.0, 0.0), (0.0, 0.0, 1e-120), (1e-160, 0.0, 1.0),
+            (0.0, 0.0, 1e-170)]
+    want = [1e-160, 1e150, 1e-40, 1.0, 1e-170 ** (1 / 3)]
     batch = d.value_from_identity_batch(np.array(rows + [(0.3, -0.2, 0.5)]))
     for x, lam, lam_b in zip(rows, want, batch):
-        assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-3)
-        assert lam_b == pytest.approx(lam, rel=1e-3)
+        # abs=0: approx's default absolute slack of 1e-12 would accept 0.0
+        assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-3, abs=0)
+        assert lam_b == pytest.approx(lam, rel=1e-3, abs=0)
     assert batch[-1] == d.value_from_identity((0.3, -0.2, 0.5))
     assert d.value_from_identity_batch(np.zeros((0, 3))).shape == (0,)
     # the two-weight closed form, whose s1^2 would overflow here
