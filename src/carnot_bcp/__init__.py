@@ -84,6 +84,7 @@ from .besicovitch import (
     verify_family,
 )
 from .certificates import (
+    AdmissibilityError,
     RegionParams,
     SweepReport,
     a_form,

@@ -55,7 +55,9 @@ class BesicovitchFamily:
         self.radii = tuple(self.radii)
         if len(self.centers) != len(self.radii):
             raise ValueError("centers and radii length mismatch")
-        if any(float(r) <= 0 for r in self.radii):
+        # compared in their own type: a positive rational radius below the
+        # float range is still positive
+        if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
 
     def __len__(self):
@@ -404,55 +406,112 @@ class OrbitResult:
 
 def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
                           exact: bool = None, epsilon: float = 1e-7) -> OrbitResult:
-    """Family of shrinking dilates q_l = delta_(rho^(l k))(p), radii rho^(l k).
+    """Family of shrinking dilates q_l = delta_(r_l)(p), radii r_l = rho^(l k)
+    for l = 0..count-1, with the identity e as witness.
 
     Works for any distance one-homogeneous under the dilations (so for every
     homogeneous distance and every ratio rho in (0,1)).  The orbit test asks
-    d(p, delta_(rho^(j k))(p)) > 1 for j = 1..count-1; when it passes, the
-    emitted family has the identity as witness and is re-verified in full.
+    d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode; ``margins`` holds
+    d(p, q_j) - 1 in float.  A family is emitted only when the test passes.
+    exact=None picks exact mode for an exact-capable distance with rational
+    p and rho.
+
+    An exact family is certified from 2 count - 1 conditions instead of the
+    count^2 of ``verify_family``.  Proof: d is left-invariant (``compare``
+    decides d(a, b) from a^-1 b) and one-homogeneous, and dilations are
+    automorphisms, so d(delta_r a, delta_r b) = r d(a, b).  With
+    q_i = delta_(r_j)(q_(i-j)) and r_i = r_j r_(i-j):
+
+    * witness in ball l: d(q_l, e) = r_l d(p, e), so d(q_l, e) <= r_l
+      exactly when d(p, e) <= 1;
+    * center i outside ball j, i > j: d(q_j, q_i) = r_j d(p, q_(i-j)), so
+      d(q_j, q_i) > r_j exactly when d(p, q_(i-j)) > 1, the orbit test;
+    * center i outside ball j, i < j, m = j - i: d(q_j, q_i) = r_i d(q_m, p)
+      and r_j = r_i r_m, so d(q_j, q_i) > r_j exactly when d(q_m, p) > r_m.
+
+    Each family condition holds exactly when its reduced condition does, so
+    a failed reduced condition is reported as the family conditions it
+    stands for, in ``verify_family``'s order and wording, and the
+    certificate equals ``verify_family``'s.  No symmetry of d is assumed:
+    the i < j conditions are checked, not derived from the i > j ones.
+    Where a reduced condition has no exact decision, the certificate is
+    ``verify_family``'s own.  Margin families are verified in full: their
+    slack epsilon is absolute and does not scale with the radii.
     """
     if exact is None:
-        exact = all_exact(p) and isinstance(rho, (Fraction, int))
+        exact = d.exact_capable and all_exact(p) and isinstance(rho, (Fraction, int))
+    elif exact and not d.exact_capable:
+        raise ValueError(
+            f"{d.kind} distance cannot back exact certificates; "
+            "run with exact=False for margin-mode families")
     if not (0 < float(rho) < 1):
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or count < 2:
         raise ValueError("need k >= 1 and count >= 2")
+    if not exact and float(rho) ** ((count - 1) * k) == 0.0:
+        raise ValueError(f"count={count}: the smallest radius rho^((count-1) k) "
+                         "underflows to 0.0 in float; use exact mode")
+    if exact:
+        ratio, p0 = Fraction(rho), to_fractions(p)
+    else:
+        ratio, p0 = float(rho), tuple(map(float, p))
+    pf = tuple(map(float, p0))
+    radii = [ratio ** (l * k) for l in range(count)]
+    centers = [p0]
     margins = []
     first_fail = None
-    pf = tuple(float(x) for x in p)
-    pr = to_fractions(p) if exact else None
+    undecided = False
     for j in range(1, count):
+        qj = dilate(p0, radii[j], d.group, exact=exact)
+        centers.append(qj)
+        # the float margin of an exact dilate is its own rounding, so no
+        # float power of rho can underflow to a zero dilation factor
+        m = d.value(pf, tuple(map(float, qj))) - 1.0
+        margins.append(m)
         # the strict orbit inequality is decided exactly when possible: its
         # margin shrinks like the dilation factor and quickly drops below
         # float resolution, while the rational comparison stays rigorous
-        sgn = None
+        passed = m > 0
         if exact:
-            qj = dilate(pr, Fraction(rho) ** (j * k), d.group, exact=True)
             try:
-                sgn = d.compare(pr, qj, Fraction(1))
+                passed = d.compare(p0, qj, Fraction(1)) > 0
             except ExactnessError:
-                pass
-        lam = float(rho) ** (j * k)
-        qj_f = dilate(pf, lam, d.group, exact=False)
-        m = d.value(pf, qj_f) - 1.0
-        margins.append(m)
-        passed = (sgn > 0) if sgn is not None else (m > 0)
+                undecided = True
         if not passed and first_fail is None:
             first_fail = j
     if first_fail is not None:
         return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
                            margins=margins)
-    ratio, p0 = (Fraction(rho), pr) if exact else (float(rho), pf)
-    radii = [ratio ** (l * k) for l in range(count)]
-    centers = [dilate(p0, r, d.group, exact=exact) for r in radii]
     if not exact:
         radii = [r * (1.0 + 2 * epsilon) for r in radii]
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
                             mode=EXACT if exact else "margin", epsilon=epsilon)
-    cert = verify_family(fam)
+    cert = _orbit_certificate(fam) if exact and not undecided else None
+    if cert is None:
+        cert = verify_family(fam)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
                        margins=margins, certificate=cert)
+
+
+def _orbit_certificate(fam):
+    """``verify_family(fam)`` for an exact orbit family whose orbit test
+    passed, from the witness condition and the i < j reductions of
+    ``dilation_orbit_family``; None when one of them has no exact decision."""
+    d, n, p = fam.distance, len(fam), fam.centers[0]
+    try:
+        outside = d.compare(p, fam.witness, Fraction(1)) > 0
+        backward = [None] + [d.compare(fam.centers[m], p, fam.radii[m]) > 0
+                             for m in range(1, n)]
+    except ExactnessError:
+        return None
+    violations = [{"kind": "witness", "ball": l, "detail": "witness outside ball"}
+                  for l in range(n) if outside]
+    violations += [{"kind": "center_in_ball", "pair": [i, j],
+                    "detail": f"center {i} inside ball {j}"}
+                   for i in range(n) for j in range(i + 1, n) if not backward[j - i]]
+    return Certificate(valid=not violations, cardinality=n, mode=EXACT,
+                       violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +685,32 @@ class FiniteMetricSpace:
         return [j for j in range(len(self.table)) if self.table[i][j] <= rho]
 
 
+def _countable_distance(i, j):
+    """d(x_i, x_j) = 1 - 1/max(i, j), and 0 for i = j, on broadcast arrays of
+    1-based int64 indices: the numerator and denominator arrays.  The one
+    source of the space's distances, for its table and its audits."""
+    m = np.maximum(i, j)
+    same = i == j
+    return np.where(same, 0, m - 1), np.where(same, 1, m)
+
+
+def _row_chunks(n, cols):
+    """1-based index ranges over the rows of an n-row table whose rows hold
+    ``cols`` entries, sized so one chunk holds about 4M entries."""
+    step = max(1, 4_000_000 // max(cols, 1))
+    for start in range(1, n + 1, step):
+        yield np.arange(start, min(start + step, n + 1), dtype=np.int64)
+
+
 def countable_space(n: int) -> FiniteMetricSpace:
     """First n points of the space with d(x_i, x_j) = 1 - 1/max(i, j), 1-based."""
     if n < 2:
         raise ValueError("need at least two points")
-    table = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            row.append(Fraction(0) if i == j else 1 - Fraction(1, max(i, j)))
-        table.append(tuple(row))
-    return FiniteMetricSpace(labels=[f"x{i}" for i in range(1, n + 1)],
-                             table=tuple(table))
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    num, den = _countable_distance(idx[:, None], idx[None, :])
+    table = tuple(tuple(Fraction(int(a), int(b)) for a, b in zip(rn, rd))
+                  for rn, rd in zip(num, den))
+    return FiniteMetricSpace(labels=[f"x{i}" for i in range(1, n + 1)], table=table)
 
 
 def countable_space_triangle_audit(n: int) -> bool:
@@ -650,10 +723,8 @@ def countable_space_triangle_audit(n: int) -> bool:
     or j reduce to d <= d and are skipped.
     """
     idx = np.arange(1, n + 1, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(n * n, 1))
-    for start in range(1, n + 1, chunk):
-        I, J, K = np.meshgrid(np.arange(start, min(start + chunk, n + 1),
-                                        dtype=np.int64), idx, idx, indexing="ij")
+    for rows in _row_chunks(n, n * n):
+        I, J, K = np.meshgrid(rows, idx, idx, indexing="ij")
         a = np.maximum(I, J)
         b = np.maximum(I, K)
         c = np.maximum(K, J)
@@ -664,23 +735,20 @@ def countable_space_triangle_audit(n: int) -> bool:
 
 
 def countable_space_ball_audit(max_i: int) -> bool:
-    """Exact check that B(x_i, r_i) = {x_1, ..., x_i} with r_i = 1 - 1/i.
+    """Exact check that B(x_i, r_i) = {x_1, ..., x_i} with r_i = 1 - 1/i in
+    the space of the first max_i points, for every i.
 
-    Distances from x_i take the value 1 - 1/i for every j < i and 1 - 1/j for
-    every j > i, so the full ball equality reduces to three exact
-    comparisons per i (j < i boundary inclusion, j = i, first exclusion at
-    j = i + 1 plus monotonicity of j -> 1 - 1/j).
+    Reads every distance of the table from ``_countable_distance``: x_j is in
+    the ball exactly when num/den <= (i - 1)/i, i.e. num * i <= (i - 1) * den
+    in int64, and that must hold exactly for j <= i.  Chunked over the rows.
     """
-    prev = None
-    for i in range(2, max_i + 1):
-        ri = 1 - Fraction(1, i)
-        if not (1 - Fraction(1, i) <= ri):          # any j < i: distance = r_i
+    idx = np.arange(1, max_i + 1, dtype=np.int64)
+    J = idx[None, :]
+    for rows in _row_chunks(max_i, max_i):
+        I = rows[:, None]
+        num, den = _countable_distance(I, J)
+        if not np.array_equal(num * I <= (I - 1) * den, J <= I):
             return False
-        if not (1 - Fraction(1, i + 1) > ri):       # j = i + 1 excluded
-            return False
-        if prev is not None and not (ri > prev):    # r increasing => j > i+1 excluded
-            return False
-        prev = ri
     return True
 
 
@@ -690,20 +758,28 @@ def countable_space_two_ball_audit(n: int = 200, grid: int = 64) -> dict:
     For every ball index i <= n and every radius rho_i < r_i on a rational
     grid, the exclusion conditions force B(x_i, rho_i) = {x_i} (every other
     point sits at distance >= r_i > rho_i), so two such balls can never share
-    a witness.  The audit verifies the singleton property exactly for every
-    (i, rho) pair and reports the counts.
+    a witness.  The audit checks that singleton property exactly for every
+    (i, rho) pair against every distance from x_i that ``_countable_distance``
+    gives: with rho = (i - 1) g / (i (grid + 1)), d = num/den > rho is
+    num * i * (grid + 1) > (i - 1) * g * den in int64.  It reports the counts,
+    or the first failing pair.
     """
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    g = np.arange(1, grid + 1, dtype=np.int64)[None, None, :]
     pairs_checked = 0
-    for i in range(2, n + 1):
-        ri = 1 - Fraction(1, i)
-        for g in range(1, grid + 1):
-            rho = ri * Fraction(g, grid + 1)
-            # nearest other point: distance min(r_i (j<i), r_{i+1} (j>i)) = r_i
-            if not (ri > rho):
-                return {"ok": False, "i": i, "rho": str(rho)}
-            if i < n and not (1 - Fraction(1, i + 1) > rho):
-                return {"ok": False, "i": i, "rho": str(rho)}
-            pairs_checked += 1
+    for rows in _row_chunks(n, n * grid):
+        rows = rows[rows >= 2]
+        I = rows[:, None]
+        num, den = _countable_distance(I, idx[None, :])
+        I, num, den = I[:, :, None], num[:, :, None], den[:, :, None]
+        outside = num * I * (grid + 1) > (I - 1) * g * den
+        bad = ~(outside | (idx[None, :, None] == I)).all(axis=1)
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            i = int(rows[a])
+            return {"ok": False, "i": i,
+                    "rho": str((1 - Fraction(1, i)) * Fraction(int(b) + 1, grid + 1))}
+        pairs_checked += len(rows) * grid
     # singleton balls pairwise disjoint for i != j, hence no common witness
     return {"ok": True, "radius_choices_checked": pairs_checked,
             "pairs_covered": n * (n - 1) // 2, "grid": grid}

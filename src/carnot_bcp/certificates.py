@@ -163,6 +163,11 @@ def layer_angle(p, q, r: int):
 # admissible epsilon: rigorous dyadic certification
 # ---------------------------------------------------------------------------
 
+class AdmissibilityError(RuntimeError):
+    """No grid epsilon certifies a lemma's inequalities: an outcome of the
+    certification, not a configuration error."""
+
+
 def _sqrt_iv(x: Fraction):
     lo, hi = sqrt_bounds(x, bits=96)
     return lo, hi
@@ -204,14 +209,15 @@ def admissible_epsilon(lemma: str, params: RegionParams, grid: int = 1024,
     """Largest dyadic epsilon certified to satisfy the lemma inequalities,
     scaled by a safety factor (default 10% below the certified maximum).
 
-    Returns (epsilon_used, epsilon_max_certified).  Raises if no grid point
-    certifies (the lemma inequality has no room at these parameters).
+    Returns (epsilon_used, epsilon_max_certified).  Raises
+    ``AdmissibilityError`` if no grid point certifies (the lemma inequality
+    has no room at these parameters).
     """
     for m in range(grid - 1, 0, -1):
         eps = Fraction(m, grid)
         if all(b < 0 for b in _lemma_upper_bounds(lemma, eps, params)):
             return eps * slack, eps
-    raise ValueError(f"no admissible epsilon for lemma '{lemma}' at {params}")
+    raise AdmissibilityError(f"no admissible epsilon for lemma '{lemma}' at {params}")
 
 
 # ---------------------------------------------------------------------------

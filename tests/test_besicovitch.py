@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carnot_bcp as cb
+from carnot_bcp import besicovitch
 from carnot_bcp.besicovitch import (
     BesicovitchFamily,
     Certificate,
@@ -30,6 +33,7 @@ from carnot_bcp.metrics import (
     SolverError,
     euclidean_line,
     lp_combination_distance,
+    product_max_distance,
     snowflake_line,
 )
 
@@ -40,9 +44,9 @@ def nonstd_h1_distance():
     return HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
 
 
-def sphere_point():
-    """Rational point exactly on the unit sphere, in the productive orthant."""
-    u1, u2 = F(3, 100), F(-41, 100)
+def sphere_point(u1=F(3, 100), u2=F(-41, 100)):
+    """Rational point exactly on the unit sphere, by default in the productive
+    orthant."""
     s = u1 * u1 + u2 * u2
     return (2 * u1 / (1 + s), 2 * u2 / (1 + s), (1 - s) / (1 + s))
 
@@ -260,6 +264,111 @@ def test_orbit_rejects_bad_ratio():
         dilation_orbit_family(d, (F(1), F(0), F(0)), F(3, 2), 1, 3)
 
 
+class LopsidedHS(HSDistance):
+    """HS distance whose unit ball reaches 10^6 times further along every
+    negative coordinate.  Squashing negative coordinates commutes with the
+    dilations, so the distance is left-invariant and one-homogeneous, but
+    d(p, q) and d(q, p) differ: no built-in kind is asymmetric like this."""
+
+    kind = "lopsided_hs"
+
+    @staticmethod
+    def squash(x):
+        return tuple(v / 10 ** 6 if v < 0 else v for v in x)
+
+    def value_from_identity(self, x):
+        return super().value_from_identity(self.squash(x))
+
+    def compare_from_identity(self, x, rho):
+        return super().compare_from_identity(self.squash(x), rho)
+
+
+def orbit_distance(kind):
+    h = cb.heisenberg_nonstandard_group(2)
+    return {"nonstandard": lambda: HSDistance(h, F(1)),
+            "heisenberg": lambda: HSDistance(cb.heisenberg_group(1), F(1)),
+            "product_max": lambda: product_max_distance(HSDistance(h, F(1)),
+                                                        HSDistance(h, F(1))),
+            "lopsided": lambda: LopsidedHS(h, F(1))}[kind]()
+
+
+def test_orbit_certificate_reports_a_failed_witness():
+    # an off-sphere point: the witness lies outside every ball
+    p = tuple(F(11, 10) * x for x in sphere_point())
+    res = dilation_orbit_family(nonstd_h1_distance(), p, F(1, 2), k=6, count=5)
+    assert res.family is not None and not res.ok
+    assert [(v["kind"], v["ball"]) for v in res.certificate.violations] == \
+        [("witness", b) for b in range(5)]
+    assert res.certificate.to_json() == verify_family(res.family).to_json()
+
+
+def test_orbit_certificate_checks_the_backward_conditions():
+    # every center lies outside the larger balls (the orbit test passes), but
+    # on this asymmetric distance each center lies inside the next smaller ball
+    p = tuple(-abs(x) for x in sphere_point())
+    res = dilation_orbit_family(orbit_distance("lopsided"), p, F(1, 2), k=6, count=6)
+    assert res.first_failing_j is None and not res.ok
+    assert [v["pair"] for v in res.certificate.violations] == [[i, i + 1] for i in range(5)]
+    assert res.certificate.to_json() == verify_family(res.family).to_json()
+
+
+# stereographic parameters in hundredths; a small first one reaches the
+# productive orthant, where orbit families pass
+hundredths = st.tuples(st.integers(-10, 10), st.integers(-70, 70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["nonstandard", "heisenberg", "product_max", "lopsided"]),
+       u=st.tuples(hundredths, hundredths),
+       signs=st.tuples(*[st.sampled_from([1, -1])] * 3),
+       scale=st.sampled_from([F(1), F(11, 10)]),
+       rho=st.sampled_from([F(1, 2), F(1, 3), F(2, 5)]),
+       k=st.integers(1, 6), count=st.integers(2, 12))
+def test_orbit_certificate_equals_full_verification(kind, u, signs, scale, rho, k, count):
+    d = orbit_distance(kind)
+    p1, p2 = (sphere_point(F(a, 100), F(b, 100)) for a, b in u)
+    p = tuple(scale * s * x for s, x in zip(signs, p1))
+    if kind == "product_max":
+        p += p2
+    res = dilation_orbit_family(d, p, rho, k, count)
+    if res.family is not None:
+        assert res.family.mode == "exact"
+        assert res.certificate.to_json() == verify_family(res.family).to_json()
+        assert res.ok == res.certificate.valid
+
+
+def test_large_exact_orbit():
+    # 1000 balls: radii down to 2^-5994, far below the float range
+    res = dilation_orbit_family(nonstd_h1_distance(), sphere_point(), F(1, 2),
+                                k=6, count=1000)
+    assert res.ok and len(res.family) == 1000 and res.certificate.valid
+    fam = res.family
+    keep = sorted({round(t * 999 / 29) for t in range(30)})
+    sub = replace(fam, centers=tuple(fam.centers[i] for i in keep),
+                  radii=tuple(fam.radii[i] for i in keep))
+    cert = verify_family(sub)
+    assert len(keep) == 30 and keep[-1] == 999 and cert.valid
+
+
+def test_margin_orbit_rejects_an_underflowing_count():
+    p = tuple(float(x) for x in sphere_point())
+    with pytest.raises(ValueError, match="count=200"):
+        dilation_orbit_family(nonstd_h1_distance(), p, 0.5, k=6, count=200, exact=False)
+
+
+def test_orbit_mode_follows_exact_capability():
+    cc = CCHeisenbergDistance(1.0)
+    p = (F(3, 100), F(-1, 2), F(4, 5))
+    # rational inputs on a float-only distance give a margin family
+    res = dilation_orbit_family(cc, p, F(1, 2), k=2, count=4)
+    assert all(m > 0 for m in res.margins)
+    assert res.family.mode == "margin" and res.certificate.mode == "margin"
+    assert not any(v["kind"] == "exactness" for v in res.certificate.violations)
+    assert res.certificate.to_json() == verify_family(res.family).to_json()
+    with pytest.raises(ValueError, match="cannot back exact certificates"):
+        dilation_orbit_family(cc, p, F(1, 2), k=2, count=4, exact=True)
+
+
 # ---------------------------------------------------------------------------
 # segment witnesses
 # ---------------------------------------------------------------------------
@@ -388,6 +497,22 @@ def test_countable_space_audits():
     assert countable_space_ball_audit(2000)
     rep = countable_space_two_ball_audit(100, grid=16)
     assert rep["ok"] and rep["radius_choices_checked"] == 99 * 16
+
+
+def test_countable_space_audits_read_the_table(monkeypatch):
+    true_distance = besicovitch._countable_distance
+
+    def one_wrong_entry(i, j):
+        # d(x_3, x_5) = 1/100 puts x_5 in B(x_3, r_3) and in small balls of x_3
+        num, den = true_distance(i, j)
+        wrong = (i == 3) & (j == 5)
+        return np.where(wrong, 1, num), np.where(wrong, 100, den)
+
+    monkeypatch.setattr(besicovitch, "_countable_distance", one_wrong_entry)
+    assert countable_space(10).table[2][4] == F(1, 100)
+    assert not countable_space_ball_audit(2000)
+    rep = countable_space_two_ball_audit(100, grid=16)
+    assert not rep["ok"] and rep["i"] == 3
 
 
 def test_finite_space_validation_catches_violations():

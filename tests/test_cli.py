@@ -131,6 +131,12 @@ def test_config_error_exit_64(tmp_path):
     assert main(["report", "--config", str(path)]) == 64
 
 
+def test_no_admissible_epsilon_exit_70(capsys):
+    # a lemma inequality with no room is a solver outcome, not a bad config
+    assert main(["certify-lemmas", "--lemma", "away", "--R", "100"]) == 70
+    assert "no admissible epsilon" in capsys.readouterr().err
+
+
 def test_reports_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
