@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import dilate, dilate_batch
 from .metrics import ExactnessError, FiniteSpaceDistance, QuasiDistance, default_sampler
-from .scalars import all_exact, fmt_scalar, to_fractions
+from .scalars import all_exact, fmt_scalar, rat_pow, to_fractions
 
 EXACT = "exact"
 
@@ -414,7 +414,9 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode; ``margins`` holds
     d(p, q_j) - 1 in float.  A family is emitted only when the test passes.
     exact=None picks exact mode for an exact-capable distance with rational
-    p and rho.
+    p and rho when every dilation factor rho^(l k) has an exact power for
+    every weight, which holds exactly when rho^k has; with exact=True a ratio
+    without them is rejected.
 
     An exact family is certified from 2 count - 1 conditions instead of the
     count^2 of ``verify_family``.  Proof: d is left-invariant (``compare``
@@ -438,7 +440,8 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     ``verify_family``'s own.  Margin families are verified in full: their
     slack epsilon is absolute and does not scale with the radii.
     """
-    if exact is None:
+    auto = exact is None
+    if auto:
         exact = d.exact_capable and all_exact(p) and isinstance(rho, (Fraction, int))
     elif exact and not d.exact_capable:
         raise ValueError(
@@ -448,6 +451,12 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or count < 2:
         raise ValueError("need k >= 1 and count >= 2")
+    if exact and any(rat_pow(Fraction(rho) ** k, w) is None for w in d.group.weights):
+        if not auto:
+            raise ValueError(f"ratio {rho}: rho^{k} has no exact power for every "
+                             "weight, so the dilates are not rational; use a perfect "
+                             "power or exact=False")
+        exact = False
     if not exact and float(rho) ** ((count - 1) * k) == 0.0:
         raise ValueError(f"count={count}: the smallest radius rho^((count-1) k) "
                          "underflows to 0.0 in float; use exact mode")
@@ -472,7 +481,8 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
         # margin shrinks like the dilation factor and quickly drops below
         # float resolution, while the rational comparison stays rigorous
         passed = m > 0
-        if exact:
+        # only the first failure reaches the result
+        if exact and first_fail is None:
             try:
                 passed = d.compare(p0, qj, Fraction(1)) > 0
             except ExactnessError:
@@ -714,22 +724,21 @@ def countable_space(n: int) -> FiniteMetricSpace:
 
 
 def countable_space_triangle_audit(n: int) -> bool:
-    """Exact triangle inequality for all triples i, j, k <= n.
+    """Exact triangle inequality d(x_i, x_j) <= d(x_i, x_k) + d(x_k, x_j) for
+    all triples i, j, k <= n.
 
-    d(x_i, x_j) = 1 - 1/max(i,j), so with a = max(i,j), b = max(i,k),
-    c = max(k,j) the inequality is 1/b + 1/c <= 1 + 1/a, i.e.
-    a*c + a*b <= a*b*c + b*c in integers.  Vectorized exactly in int64,
-    chunked over the first index to bound memory.  Triples where k equals i
-    or j reduce to d <= d and are skipped.
+    Reads every distance from ``_countable_distance``: with d = num/den the
+    inequality is n_ij d_ik d_kj <= (n_ik d_kj + n_kj d_ik) d_ij, decided in
+    int64 (the denominators are at most n), chunked over the first index.
     """
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    J = np.arange(1, n + 1, dtype=np.int64)[None, :, None]
+    K = J.reshape(1, 1, n)
     for rows in _row_chunks(n, n * n):
-        I, J, K = np.meshgrid(rows, idx, idx, indexing="ij")
-        a = np.maximum(I, J)
-        b = np.maximum(I, K)
-        c = np.maximum(K, J)
-        mask = (I != J) & (K != I) & (K != J)
-        if not np.all((a * c + a * b)[mask] <= (a * b * c + b * c)[mask]):
+        I = rows[:, None, None]
+        n_ij, d_ij = _countable_distance(I, J)
+        n_ik, d_ik = _countable_distance(I, K)
+        n_kj, d_kj = _countable_distance(K, J)
+        if not np.all(n_ij * d_ik * d_kj <= (n_ik * d_kj + n_kj * d_ik) * d_ij):
             return False
     return True
 

@@ -118,3 +118,17 @@ def orthogonal_complement_within(ambient_rows, sub_rows):
                     vec[k] += ci * Fraction(a[k])
         out.append(tuple(vec))
     return out
+
+
+def min_norm_right_inverse(rows):
+    """Exact right inverse A^T (A A^T)^-1 of a full-row-rank matrix A, as rows
+    (one per column of A): it maps x to the solution of A y = x of least
+    Euclidean norm.  One elimination of [A A^T | A] gives (A A^T)^-1 A, its
+    transpose."""
+    A = [tuple(map(Fraction, r)) for r in rows]
+    n = len(A)
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in A] for ri in A]
+    red, pivots = rref([g + list(a) for g, a in zip(gram, A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix does not have full row rank")
+    return [tuple(red[r][n + c] for r in range(n)) for c in range(len(A[0]))]

@@ -15,8 +15,9 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
 * ``UnitBallDistance`` -- gauge of an arbitrary star-interval unit-ball oracle.
 * ``PowerDistance``  -- d^(1/t) on the t-power of the group (snowflakes).
 * ``ProductMaxDistance`` / ``LpComboDistance`` -- product combinations.
-* ``QuotientDistance`` -- distance induced on the image of a surjective graded
-  morphism: minimum of the upstairs distance over the kernel fiber.
+* ``QuotientDistance`` -- distance induced by an HS distance on the image of
+  a surjective graded morphism: minimum of the upstairs distance over the
+  kernel fiber, in closed form through one linear map.
 * ``CCHeisenbergDistance`` -- the exact sub-Riemannian distance on the first
   Heisenberg group (circular-arc geodesics).
 * ``FiniteSpaceDistance`` -- rational distance table.
@@ -52,9 +53,9 @@ from .algebra import (
     power_group,
     product_group,
 )
-from .exact_linalg import rref
+from .exact_linalg import min_norm_right_inverse, rref
 from .scalars import all_exact, rat_pow
-from .structure import MorphismMatrix
+from .structure import MorphismMatrix, validate_morphism
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +65,7 @@ class OracleError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Root finder or fiber minimizer failed to converge."""
+    """Root finder failed to converge, or was given non-finite coordinates."""
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +292,8 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
         plan = _HSPlan(weights)
     X = np.asarray(X, dtype=float)
     # the output comes first, below the solve's temporaries in the heap, so
-    # that the allocator can return their memory once they are freed; on the
-    # 1.6M-row batches of value_batch_refined this lowers the peak memory
+    # that the allocator can return their memory once they are freed; on
+    # large batches this lowers the peak memory
     lam = np.zeros(len(X))
     if not len(X):
         return lam
@@ -695,41 +696,71 @@ def lp_combination_distance(d1, d2, r) -> LpComboDistance:
 # ---------------------------------------------------------------------------
 
 class QuotientDistance(QuasiDistance):
-    """Distance induced on the target of a surjective graded morphism.
+    """Distance induced by an HS distance on the target of a surjective graded
+    morphism: d(p, q) = min of dhat(e, y) over the fiber of p^-1 q.
 
-    d(p, q) = min over the kernel fiber of dhat(e, khat * lift(p)^-1 lift(q));
-    left-invariance and homogeneity are inherited from upstairs.  The minimum
-    is approximated by a deterministic sample batch over kernel coordinates
-    followed by a simplex polish; ``grid_value`` is the independent refining
-    grid oracle used in tests.
+    The minimum has a closed form, d(e, x) = dhat(e, M x), with the rational
+    matrix M = A^T (A A^T)^-1 built once from the morphism's matrix A:
+
+    * in exponential coordinates the morphism is the linear map A, so the
+      fiber of x is the affine space {y : A y = x}, which is S x + K for the
+      section S and the kernel K;
+    * A is graded, so the fiber is the product over the weights w of the
+      spaces {y_w : A_w y_w = x_w}, and A A^T is block-diagonal: M x holds in
+      every block the point of least norm, P_w (S x)_w with P_w the orthogonal
+      projection onto K_w^perp;
+    * the HS gauge increases in each block norm |y_w|, so M x minimizes it.
+
+    Float values, batches and exact comparisons all go through M, so quotient
+    distances are exact-capable whenever ``dhat`` is.  ``grid_value`` is the
+    independent brute-force oracle used in tests.
     """
 
     kind = "quotient"
-    exact_capable = False
 
-    def __init__(self, dhat: QuasiDistance, morphism: MorphismMatrix,
-                 batch=192, polish=True):
+    def __init__(self, dhat: QuasiDistance, morphism: MorphismMatrix):
+        if not isinstance(dhat, HSDistance):
+            raise ValueError("quotient distances are built over an HS distance")
+        if dhat.group.algebra != morphism.source:
+            raise ValueError("the morphism's source is not the group of dhat")
+        if not validate_morphism(morphism).ok:
+            raise ValueError("quotient requires a graded Lie algebra morphism")
         if not morphism.is_surjective():
             raise ValueError("quotient requires a surjective morphism")
         self.dhat = dhat
         self.morphism = morphism
         self.continuous = dhat.continuous
-        target_group = make_group(morphism.target, name="quotient_target")
-        super().__init__(target_group)
-        # the exact section (source_dim x target_dim) and kernel basis (rows in
-        # source coordinates), converted to float once: every lift is float
+        self.exact_capable = dhat.exact_capable
+        super().__init__(make_group(morphism.target, name="quotient_target"))
+        # the minimizing lift x -> M x, exact and in float (source x target)
+        self._lift_exact = min_norm_right_inverse(morphism.entries)
+        self._lift_float = np.array(self._lift_exact, dtype=float)
+        # the exact section and the kernel basis in float, for grid_value
         self.section = np.array(_right_inverse_columns(morphism), dtype=float)
         self.kernel = np.array(morphism.kernel_basis(), dtype=float).reshape(
             -1, morphism.source.dim)
-        self.batch = batch
-        self.polish = polish
 
-    # -- lifting -----------------------------------------------------------
+    def value_from_identity(self, x):
+        return self.dhat.value_from_identity(
+            (self._lift_float @ np.asarray(x, dtype=float)).tolist())
+
+    def value_from_identity_batch(self, X):
+        return self.dhat.value_from_identity_batch(
+            np.asarray(X, dtype=float) @ self._lift_float.T)
+
+    def compare_from_identity(self, x, rho):
+        # a float coordinate makes every entry of M x a float, which dhat refuses
+        return self.dhat.compare_from_identity(
+            tuple(sum(m * xi for m, xi in zip(row, x)) for row in self._lift_exact), rho)
+
+    # the base methods, bound here as well because perfbench/ calls
+    # value_batch_refined and wraps QuotientDistance.__dict__["value"]
+    value = QuasiDistance.value
+    value_batch_refined = QuasiDistance.value_batch
+
+    # -- the section lift and the grid oracle ----------------------------
     def lift(self, p):
         return self.section @ np.asarray(p, dtype=float)
-
-    def lift_batch(self, P):
-        return np.asarray(P, dtype=float) @ self.section.T
 
     def _fiber_displacements(self, p, q, T):
         """Displacements lift(p)^-1 * (k(t) * lift(q)) for rows t of T."""
@@ -737,79 +768,6 @@ class QuotientDistance(QuasiDistance):
         m = len(T)
         Q = multiply_batch(T @ self.kernel, np.repeat(self.lift(q)[None, :], m, axis=0), ghat)
         return multiply_batch(np.repeat(-self.lift(p)[None, :], m, axis=0), Q, ghat)
-
-    def _objective(self, p, q):
-        """t -> dhat(e, lift(p)^-1 * (k(t) * lift(q))) on the scalar path."""
-        ghat = self.dhat.group
-        neg_p, qhat = (-self.lift(p)).tolist(), self.lift(q).tolist()
-
-        def f(t):
-            k = (np.asarray(t, dtype=float) @ self.kernel).tolist()
-            return self.dhat.value_from_identity(multiply(neg_p, multiply(k, qhat, ghat), ghat))
-        return f
-
-    def value(self, p, q):
-        kdim = len(self.kernel)
-        if kdim == 0:
-            return self.dhat.value(self.lift(p), self.lift(q))
-        base = float(self.dhat.value(self.lift(p), self.lift(q)))
-        if base == 0.0:
-            return 0.0
-        L = 4.0 * base
-        rng = np.random.default_rng(12345)
-        T = rng.uniform(-L, L, size=(self.batch, kdim))
-        T[0] = 0.0
-        vals = self.dhat.value_from_identity_batch(self._fiber_displacements(p, q, T))
-        best_i = int(np.argmin(vals))
-        best_t, best_v = T[best_i], float(vals[best_i])
-        if self.polish:
-            from scipy.optimize import minimize
-            res = minimize(self._objective(p, q), best_t, method="Nelder-Mead",
-                           options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-            if res.fun <= best_v:
-                best_v = float(res.fun)
-        return best_v
-
-    def value_batch_refined(self, P, Q, samples=160, levels=4, shrink=3.0,
-                            seed=2718):
-        """Vectorized fiber minimization for many pairs at once.
-
-        Deterministic multiscale sampling: each level draws kernel offsets in
-        a box around the current per-pair best and shrinks the box.  Accuracy
-        is set by samples and levels; used for bulk property tests where a
-        per-pair simplex polish would be too slow.
-        """
-        P = np.asarray(P, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        m = len(P)
-        kdim = len(self.kernel)
-        Phat = self.lift_batch(P)
-        Qhat = self.lift_batch(Q)
-        ghat = self.dhat.group
-        base = self.dhat.value_from_identity_batch(
-            multiply_batch(-Phat, Qhat, ghat))
-        if kdim == 0:
-            return base
-        rng = np.random.default_rng(seed)
-        centers = np.zeros((m, kdim))
-        widths = 4.0 * np.maximum(base, 1e-300)
-        best = base.copy()
-        for _ in range(levels):
-            offs = rng.uniform(-1.0, 1.0, size=(m, samples, kdim))
-            offs[:, 0, :] = 0.0
-            T = centers[:, None, :] + offs * widths[:, None, None]
-            kpts = T.reshape(m * samples, kdim) @ self.kernel
-            Qrep = np.repeat(Qhat, samples, axis=0)
-            Prep = np.repeat(Phat, samples, axis=0)
-            disp = multiply_batch(-Prep, multiply_batch(kpts, Qrep, ghat), ghat)
-            vals = self.dhat.value_from_identity_batch(disp).reshape(m, samples)
-            arg = np.argmin(vals, axis=1)
-            level_best = vals[np.arange(m), arg]
-            improved = level_best < best
-            best = np.where(improved, level_best, best)
-            centers = np.where(improved[:, None], T[np.arange(m), arg], centers)
-            widths = widths / shrink
-        return best
 
     def grid_value(self, p, q, resolution=16, levels=4, shrink=3.0):
         """Refining-grid minimization over the kernel box: the brute oracle."""
@@ -854,9 +812,8 @@ def _right_inverse_columns(m: MorphismMatrix):
     return tuple(tuple(row) for row in S)
 
 
-def quotient_distance(dhat: QuasiDistance, morphism: MorphismMatrix,
-                      **kw) -> QuotientDistance:
-    return QuotientDistance(dhat, morphism, **kw)
+def quotient_distance(dhat: QuasiDistance, morphism: MorphismMatrix) -> QuotientDistance:
+    return QuotientDistance(dhat, morphism)
 
 
 # ---------------------------------------------------------------------------

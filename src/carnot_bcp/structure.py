@@ -208,10 +208,13 @@ def validate_morphism(m: MorphismMatrix):
                            "detail": f"image hits target indices {[b+1 for b in bad]} "
                                      f"outside the degree-{w} layer"})
     units = [_unit(src.dim, i) for i in range(src.dim)]
+    images = [m.column(c) for c in range(src.dim)]     # phi of each basis vector
+    zero = (Fraction(0),) * tgt.dim
     for i in range(src.dim):
         for j in range(i + 1, src.dim):
-            lhs = m.apply(bracket(units[i], units[j], src))
-            rhs = bracket(m.apply(units[i]), m.apply(units[j]), tgt)
+            br = bracket(units[i], units[j], src)
+            lhs = m.apply(br) if any(br) else zero
+            rhs = bracket(images[i], images[j], tgt)
             if lhs != rhs:
                 issues.append({"kind": "bracket", "pair": [i + 1, j + 1],
                                "detail": "phi[a,b] != [phi a, phi b]"})

@@ -241,6 +241,16 @@ def test_orbit_fails_on_euclidean():
     assert not res.ok and res.first_failing_j == 1
 
 
+def test_rejected_orbit_stops_comparing_at_the_first_failure():
+    d = HSDistance(cb.abelian_group([1, 1]), F(1))
+    calls = []
+    d.compare = lambda *a: calls.append(a) or HSDistance.compare(d, *a)
+    res = dilation_orbit_family(d, (F(3, 5), F(4, 5)), F(1, 2), 1, 12)
+    assert not res.ok and res.first_failing_j == 1
+    # one exact compare decides the first failure; the float margins stay complete
+    assert len(calls) == 1 and len(res.margins) == 11
+
+
 def test_orbit_succeeds_on_nonstandard_h1():
     d = nonstd_h1_distance()
     p = sphere_point()
@@ -354,6 +364,21 @@ def test_margin_orbit_rejects_an_underflowing_count():
     p = tuple(float(x) for x in sphere_point())
     with pytest.raises(ValueError, match="count=200"):
         dilation_orbit_family(nonstd_h1_distance(), p, 0.5, k=6, count=200, exact=False)
+
+
+def test_orbit_mode_follows_exact_dilations():
+    # weights 1, 3/2, 5/2: (1/2)^(3/2) is irrational, so the dilates are not
+    # rational although the distance is exact-capable; (1/4)^(3/2) = 1/8 is
+    d = HSDistance(cb.heisenberg_nonstandard_group(F(3, 2)), F(1))
+    p = (F(3, 5), F(4, 5), F(0))
+    res = dilation_orbit_family(d, p, F(1, 2), k=1, count=4)
+    assert res.family is None or res.family.mode == "margin"
+    assert len(res.margins) == 3
+    with pytest.raises(ValueError, match="no exact power"):
+        dilation_orbit_family(d, p, F(1, 2), k=1, count=4, exact=True)
+    for rho, k in ((F(1, 4), 1), (F(1, 2), 2)):
+        res = dilation_orbit_family(d, p, rho, k=k, count=4)
+        assert res.family is None or res.family.mode == "exact"
 
 
 def test_orbit_mode_follows_exact_capability():
@@ -510,6 +535,8 @@ def test_countable_space_audits_read_the_table(monkeypatch):
 
     monkeypatch.setattr(besicovitch, "_countable_distance", one_wrong_entry)
     assert countable_space(10).table[2][4] == F(1, 100)
+    # d(x_4, x_5) = 4/5 > d(x_4, x_3) + d(x_3, x_5) = 3/4 + 1/100
+    assert not countable_space_triangle_audit(10)
     assert not countable_space_ball_audit(2000)
     rep = countable_space_two_ball_audit(100, grid=16)
     assert not rep["ok"] and rep["i"] == 3

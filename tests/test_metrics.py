@@ -2,7 +2,12 @@
 
 import decimal
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,18 +40,33 @@ from carnot_bcp.metrics import (
     quotient_distance,
     snowflake_line,
 )
-from carnot_bcp.structure import MorphismMatrix
+from carnot_bcp.structure import MorphismMatrix, validate_morphism
 
 F = Fraction
 
 
-def f32_to_h1():
+def f32_to_h1(first_layer=((1, 0, 0), (0, 1, 0))):
+    """Graded morphism from the free step-2 group of rank 3 onto H1: the first
+    layer maps by the given 2 x 3 matrix, the second by its 2 x 2 minors,
+    since [e_i, e_j] = e_(ij) goes to [phi e_i, phi e_j]."""
     f32 = cb.free_step2_group(3)
     h1 = cb.heisenberg_group(1)
-    Z, O = F(0), F(1)
+    a = [[F(v) for v in row] for row in first_layer]
+    minors = tuple(a[0][i] * a[1][j] - a[0][j] * a[1][i]
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
     return MorphismMatrix(
-        entries=((O, Z, Z, Z, Z, Z), (Z, O, Z, Z, Z, Z), (Z, Z, Z, O, Z, Z)),
+        entries=(tuple(a[0]) + (F(0),) * 3, tuple(a[1]) + (F(0),) * 3,
+                 (F(0),) * 3 + minors),
         source=f32.algebra, target=h1.algebra)
+
+
+# two morphisms whose kernels are not aligned with the coordinates
+SKEWED_MORPHISMS = {"skewed": ((1, 0, 1), (0, 1, 1)), "minors": ((1, 2, -1), (0, 1, 3))}
+
+
+def skewed_quotient(name):
+    return quotient_distance(HSDistance(cb.free_step2_group(3), F(1, 2)),
+                             f32_to_h1(SKEWED_MORPHISMS[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +308,8 @@ EXACT_KINDS = {
     "product_max": lambda: product_max_distance(HSDistance(cb.heisenberg_group(1), F(1)),
                                                 euclidean_line()),
     "lp_combo": lambda: lp_combination_distance(euclidean_line(), snowflake_line(F(2)), 1),
+    "quotient_skewed": lambda: skewed_quotient("skewed"),
+    "quotient_minors": lambda: skewed_quotient("minors"),
 }
 
 small_rationals = st.fractions(-6, 6, max_denominator=12)
@@ -318,10 +340,8 @@ def test_compare_is_exact_sign_at_the_displacement(kind, data):
         assert want == (1 if v > rho else -1)
 
 
-@pytest.mark.parametrize("make", [disk_union_segment_ball, CCHeisenbergDistance,
-                                  lambda: quotient_distance(HSDistance(cb.free_step2_group(3)),
-                                                            f32_to_h1())],
-                         ids=["unit_ball", "cc_h1", "quotient"])
+@pytest.mark.parametrize("make", [disk_union_segment_ball, CCHeisenbergDistance],
+                         ids=["unit_ball", "cc_h1"])
 def test_float_only_kinds_refuse_exact_comparison(make):
     d = make()
     p = tuple(F(1, k + 2) for k in range(d.group.dim))
@@ -457,13 +477,7 @@ def test_quotient_requires_surjective():
 def test_quotient_skewed_morphism_minimizes():
     # morphism whose kernel is not coordinate-aligned: the fiber minimum is
     # strictly below the section value, and the three evaluators agree
-    f32 = cb.free_step2_group(3)
-    h1 = cb.heisenberg_group(1)
-    Z, O = F(0), F(1)
-    m = MorphismMatrix(entries=((O, Z, O, Z, Z, Z), (Z, O, O, Z, Z, Z),
-                                (Z, Z, Z, O, O, -O)),
-                       source=f32.algebra, target=h1.algebra)
-    dq = quotient_distance(HSDistance(f32, F(1, 2)), m)
+    dq = skewed_quotient("skewed")
     rng = np.random.default_rng(4)
     gains = []
     for _ in range(8):
@@ -492,6 +506,120 @@ def test_quotient_homogeneity_and_left_invariance():
             pytest.approx(lam * base, rel=1e-6)
         assert dq.value(cb.multiply(g, p, h1), cb.multiply(g, q, h1)) == \
             pytest.approx(base, rel=1e-6)
+
+
+def minimizing_fiber_point(dq, p, q):
+    """lift(p)^-1 lift(q) exp(k), with k in the kernel chosen one layer at a
+    time, lowest weight first, so that every block of the product becomes its
+    orthogonal projection onto the complement of the kernel's layer.  The
+    projections come from an SVD of each block of the morphism, not from the
+    quotient's own matrices."""
+    ghat = dq.dhat.group
+    A = np.array(dq.morphism.entries, dtype=float)
+    D = cb.multiply(tuple(-dq.lift(p)), tuple(dq.lift(q)), ghat)
+    k = np.zeros(ghat.dim)
+    for w, ix in ghat.algebra.layers().items():
+        ix = list(ix)
+        rows = [r for r, tw in enumerate(dq.morphism.target.weights) if tw == w]
+        _, sv, vt = np.linalg.svd(A[np.ix_(rows, ix)])
+        kernel = vt[int(np.sum(sv > 1e-12)):]          # orthonormal rows
+        y = np.array(cb.multiply(D, tuple(k), ghat))
+        k[ix] -= kernel.T @ (kernel @ y[ix])
+    return np.array(cb.multiply(D, tuple(k), ghat))
+
+
+@pytest.mark.parametrize("name", sorted(SKEWED_MORPHISMS))
+def test_quotient_minimum_is_attained_at_the_projected_lift(name):
+    dq = skewed_quotient(name)
+    A = np.array(dq.morphism.entries, dtype=float)
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        p, q = tuple(rng.standard_normal(3)), tuple(rng.standard_normal(3))
+        y = minimizing_fiber_point(dq, p, q)
+        x = cb.multiply(tuple(-c for c in p), q, dq.group)
+        assert np.allclose(A @ y, x, rtol=0, atol=1e-12)     # y lies in the fiber
+        assert dq.dhat.value_from_identity(tuple(y)) == pytest.approx(
+            dq.value(p, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SKEWED_MORPHISMS))
+def test_quotient_is_a_lower_bound_over_the_fiber(name):
+    dq = skewed_quotient(name)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        p = tuple(rng.standard_normal(3) * 0.6)
+        q = tuple(rng.standard_normal(3) * 0.6)
+        v = dq.value(p, q)
+        assert v <= dq.grid_value(p, q, resolution=12, levels=4) * (1 + 1e-12)
+        T = rng.standard_normal((10_000, len(dq.kernel))) * 2.0 * v
+        fiber = dq.dhat.value_from_identity_batch(dq._fiber_displacements(p, q, T))
+        assert v <= fiber.min() * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SKEWED_MORPHISMS))
+def test_quotient_batch_and_scalar_values_agree(name):
+    dq = skewed_quotient(name)
+    rng = np.random.default_rng(4)
+    P, Q = rng.standard_normal((2000, 3)) * 0.6, rng.standard_normal((2000, 3)) * 0.6
+    want = np.array([dq.value(tuple(p), tuple(q)) for p, q in zip(P, Q)])
+    for batch in (dq.value_batch_refined, dq.value_batch):
+        assert np.max(np.abs(batch(P, Q) - want) / want) <= 1e-12
+
+
+def test_quotient_compare_needs_rational_coordinates():
+    dq = skewed_quotient("skewed")
+    assert dq.compare_from_identity((F(1, 2), F(0), F(0)), F(1)) == -1
+    with pytest.raises(ExactnessError):
+        dq.compare_from_identity((0.5, F(0), F(0)), F(1))
+
+
+def test_quotient_requires_an_hs_distance_on_a_graded_morphism():
+    f32 = cb.free_step2_group(3)
+    with pytest.raises(ValueError, match="HS distance"):
+        quotient_distance(power_distance(HSDistance(f32, F(1, 2)), 2), f32_to_h1())
+    with pytest.raises(ValueError, match="source"):
+        quotient_distance(HSDistance(cb.heisenberg_group(1)), f32_to_h1())
+    m = f32_to_h1()
+    # surjective, but e_12 goes to 2Z where [phi e_1, phi e_2] = Z
+    bracket = replace(m, entries=m.entries[:2] + ((0, 0, 0, 2, 0, 0),))
+    # surjective, but the weight-1 e_3 reaches the weight-2 Z
+    layer = replace(m, entries=m.entries[:2] + ((0, 0, 1, 1, 0, 0),))
+    for bad in (bracket, layer):
+        assert bad.is_surjective() and not validate_morphism(bad).ok
+        with pytest.raises(ValueError, match="graded"):
+            quotient_distance(HSDistance(f32, F(1, 2)), bad)
+
+
+# a fresh interpreter in which every import outside the standard library,
+# numpy and the package itself fails
+ONLY_NUMPY = """
+import sys
+class OnlyNumpy:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top not in ("numpy", "carnot_bcp"):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, OnlyNumpy())
+"""
+
+
+def test_quotient_distances_need_only_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ONLY_NUMPY + (
+        "import carnot_bcp as cb\n"
+        "from fractions import Fraction as F\n"
+        "from carnot_bcp.structure import MorphismMatrix\n"
+        "f32, h1 = cb.free_step2_group(3), cb.heisenberg_group(1)\n"
+        "m = MorphismMatrix(entries=((1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0),\n"
+        "                            (0, 0, 0, 1, 1, -1)),\n"
+        "                   source=f32.algebra, target=h1.algebra)\n"
+        "dq = cb.quotient_distance(cb.HSDistance(f32, F(1, 2)), m)\n"
+        "print(dq.value((0.3, -0.2, 0.5), (-0.1, 0.4, 0.0)))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0
 
 
 # ---------------------------------------------------------------------------
