@@ -68,7 +68,6 @@ from .metrics import (
     punctured_disk_ball,
     quotient_distance,
     snowflake_line,
-    unit_ball_distance,
 )
 from .besicovitch import (
     BesicovitchFamily,

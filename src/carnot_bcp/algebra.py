@@ -235,7 +235,6 @@ class GradedGroup:
     name: str = ""
     # index tuples of the direct factors, for product groups ((),) otherwise
     factor_slices: tuple = ()
-    params: tuple = ()
 
     @property
     def dim(self):
@@ -252,12 +251,12 @@ class GradedGroup:
         return hash((self.algebra, self.step, self.name))
 
 
-def make_group(alg: StructureConstants, name="", factor_slices=(), params=()) -> GradedGroup:
+def make_group(alg: StructureConstants, name="", factor_slices=()) -> GradedGroup:
     report = validate_algebra(alg)
     if not report.ok:
         raise AlgebraError(f"invalid algebra for group '{name}': {report.issues}")
     return GradedGroup(algebra=alg, step=alg.step(), name=name,
-                       factor_slices=factor_slices, params=params)
+                       factor_slices=factor_slices)
 
 
 def multiply(p, q, group: GradedGroup):
@@ -380,7 +379,7 @@ def heisenberg_group(n: int) -> GradedGroup:
     weights = tuple([Fraction(1)] * (2 * n) + [Fraction(2)])
     br = {(j, n + j): ((dim - 1, Fraction(1)),) for j in range(n)}
     alg = StructureConstants(dim=dim, weights=weights, bracket=br)
-    return make_group(alg, name=f"heisenberg({n})", params=(("n", n),))
+    return make_group(alg, name=f"heisenberg({n})")
 
 
 def heisenberg_nonstandard_group(alpha) -> GradedGroup:
@@ -396,7 +395,7 @@ def heisenberg_nonstandard_group(alpha) -> GradedGroup:
     weights = (Fraction(1), a, a + 1)
     br = {(0, 1): ((2, Fraction(1)),)}
     alg = StructureConstants(dim=3, weights=weights, bracket=br)
-    return make_group(alg, name=f"heisenberg_nonstandard({a})", params=(("alpha", a),))
+    return make_group(alg, name=f"heisenberg_nonstandard({a})")
 
 
 def free_step2_group(r: int) -> GradedGroup:
@@ -412,7 +411,7 @@ def free_step2_group(r: int) -> GradedGroup:
     weights = tuple([Fraction(1)] * r + [Fraction(2)] * len(pairs))
     br = {(i, j): ((r + idx, Fraction(1)),) for idx, (i, j) in enumerate(pairs)}
     alg = StructureConstants(dim=dim, weights=weights, bracket=br)
-    return make_group(alg, name=f"free_step2({r})", params=(("rank", r),))
+    return make_group(alg, name=f"free_step2({r})")
 
 
 def direct_sum(parts):
@@ -449,8 +448,7 @@ def power_group(g: GradedGroup, t) -> GradedGroup:
         raise AlgebraError("power exponent must be positive")
     alg = StructureConstants(dim=g.dim, weights=tuple(w * t for w in g.weights),
                              bracket=g.algebra.bracket)
-    return make_group(alg, name=f"power({g.name},{t})",
-                      factor_slices=g.factor_slices, params=(("t", t),))
+    return make_group(alg, name=f"power({g.name},{t})", factor_slices=g.factor_slices)
 
 
 def step3_rank3_group() -> GradedGroup:

@@ -28,6 +28,9 @@ from .metrics import ExactnessError, FiniteSpaceDistance, QuasiDistance, default
 from .scalars import all_exact, fmt_scalar, rat_pow, to_fractions
 
 EXACT = "exact"
+# the least slack of every margin-mode condition, far above the 1e-10 ..
+# 1e-13 tolerances of the float solvers; a family file may carry its own
+MARGIN_EPSILON = 1e-7
 
 
 class SearchError(RuntimeError):
@@ -47,18 +50,25 @@ class BesicovitchFamily:
     witness: tuple
     distance: QuasiDistance
     mode: str = EXACT          # "exact" or "margin"
-    epsilon: float = 1e-7      # slack for margin mode
+    epsilon: float = MARGIN_EPSILON    # slack for margin mode
 
     def __post_init__(self):
-        self.centers = tuple(tuple(c) if not isinstance(c, (int, np.integer)) else int(c)
-                             for c in self.centers)
+        self.centers = tuple(_as_point(c) for c in self.centers)
+        self.witness = _as_point(self.witness)
         self.radii = tuple(self.radii)
         if len(self.centers) != len(self.radii):
             raise ValueError("centers and radii length mismatch")
+        # a NaN or infinite entry makes float comparisons with it come out
+        # false or true whatever the family, so it would certify nothing
+        if not all(_finite(x) for c in (*self.centers, self.witness)
+                   for x in (c if isinstance(c, tuple) else (c,))):
+            raise ValueError("center and witness coordinates must be finite")
         # compared in their own type: a positive rational radius below the
         # float range is still positive
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        if not all(_finite(r) and r > 0 for r in self.radii):
+            raise ValueError("radii must be positive and finite")
+        if self.mode != EXACT and not (_finite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("margin-mode epsilon must be positive and finite")
 
     def __len__(self):
         return len(self.centers)
@@ -75,6 +85,16 @@ class BesicovitchFamily:
             "mode": self.mode,
             "epsilon": self.epsilon,
         }
+
+
+def _as_point(p):
+    """A group point as a tuple; a finite-space point as an int index."""
+    return int(p) if isinstance(p, (int, np.integer)) else tuple(p)
+
+
+def _finite(x):
+    # a rational is finite, and may lie outside the float range
+    return isinstance(x, (Fraction, int)) or math.isfinite(x)
 
 
 @dataclass
@@ -214,17 +234,24 @@ def _orthant_seed(rng, dim):
     return v
 
 
-def _proposal_batches(d: QuasiDistance, strategy, rng, batch, shell):
-    """Endless stream of (batch, n) arrays; a pure function of the rng state."""
+# proposals per batch, the range of their log-uniform dilation shells, and
+# the annealed search's restart period in proposals
+_BATCH = 256
+_SHELL = (0.02, 1.0)
+_RESTART_INTERVAL = 4096
+
+
+def _proposal_batches(d: QuasiDistance, strategy, rng):
+    """Endless stream of (_BATCH, n) arrays; a pure function of the rng state."""
     group = d.group
     n = group.dim
-    base = default_sampler(d, shell=shell)
-    n_shell = batch - batch // 4 - batch // 4
-    n_chain = batch // 4
-    n_orth = batch // 4
+    base = default_sampler(d, shell=_SHELL)
+    n_shell = _BATCH - _BATCH // 4 - _BATCH // 4
+    n_chain = _BATCH // 4
+    n_orth = _BATCH // 4
     while True:
         if strategy == "random":
-            yield base(rng, batch)
+            yield base(rng, _BATCH)
             continue
         # annealed: shells + dilation-orbit chains + orthant-restricted shells
         parts = [base(rng, n_shell)]
@@ -251,14 +278,17 @@ def _proposal_batches(d: QuasiDistance, strategy, rng, batch, shell):
         lam = d.value_from_identity_batch(orth)
         lam[lam == 0] = 1.0
         orth = dilate_batch(orth, 1.0 / lam, group)
-        shells = np.exp(rng.uniform(math.log(shell[0]), math.log(shell[1]),
+        shells = np.exp(rng.uniform(math.log(_SHELL[0]), math.log(_SHELL[1]),
                                     size=len(orth)))
         parts.append(dilate_batch(orth, shells, group))
-        yield np.concatenate([p for p in parts if len(p)], axis=0)[:batch]
+        yield np.concatenate([p for p in parts if len(p)], axis=0)[:_BATCH]
 
 
-def _greedy_extend(d, centers, radii, cand, cand_r, guard):
+def _greedy_extend(d, centers, radii, cand, cand_r):
     """Greedily add feasible candidates to the running family (float phase)."""
+    # a relative guard above MARGIN_EPSILON, so that few float balls fail the
+    # exact or margin check of repair
+    guard = 1e-6
     m = len(cand)
     feasible = np.ones(m, dtype=bool)
     feasible &= cand_r > 0
@@ -291,15 +321,14 @@ def _greedy_extend(d, centers, radii, cand, cand_r, guard):
             radii.append(float(subr[a]))
 
 
-def _repair(d, centers, radii, exact, epsilon, max_denominator):
+def _repair(d, centers, radii, exact):
     """The family of a float snapshot, valid by construction: each proposed
     ball, in insertion order, is kept only if its conditions against the kept
-    balls pass ``_slack``.  Exact mode rationalizes the center (exactly, unless
-    a denominator cap is requested) and takes ``radius_for_center``; margin
-    mode inflates the float radius by 2 * epsilon."""
+    balls pass ``_slack``.  Exact mode rationalizes the center exactly and
+    takes ``radius_for_center``; margin mode inflates the float radius by
+    2 * MARGIN_EPSILON."""
     witness = (Fraction(0) if exact else 0.0,) * d.group.dim
-    fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin",
-                            epsilon=epsilon)
+    fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin")
 
     def holds(center, point, radius, inside):
         s, least = _slack(fam, center, point, radius, inside)
@@ -308,13 +337,13 @@ def _repair(d, centers, radii, exact, epsilon, max_denominator):
     kept = []
     for c, r in zip(centers, radii):
         if exact:
-            c = to_fractions(c, max_denominator=max_denominator)
+            c = to_fractions(c)
             try:
                 r = radius_for_center(d, c)
             except (ExactnessError, ValueError):
                 continue
         else:
-            c, r = tuple(c), float(r) + 2.0 * epsilon
+            c, r = tuple(c), float(r) + 2.0 * MARGIN_EPSILON
         try:
             ok = holds(c, witness, r, True) and all(
                 holds(c2, c, r2, False) and holds(c, c2, r, False) for c2, r2 in kept)
@@ -323,14 +352,11 @@ def _repair(d, centers, radii, exact, epsilon, max_denominator):
         if ok:
             kept.append((c, r))
     return BesicovitchFamily(tuple(c for c, _ in kept), tuple(r for _, r in kept),
-                             witness, d, mode=fam.mode, epsilon=epsilon)
+                             witness, d, mode=fam.mode)
 
 
 def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
-                  seed: int = 0, exact: bool = True, epsilon: float = 1e-7,
-                  shell=(0.02, 1.0), batch: int = 256,
-                  restart_interval: int = 4096,
-                  max_denominator: int | None = None) -> SearchResult:
+                  seed: int = 0, exact: bool = True) -> SearchResult:
     """Randomized search for large verified families, witness at the identity.
 
     Deterministic for a fixed seed.  The proposal stream and the restart
@@ -345,10 +371,9 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
             f"{d.kind} distance cannot back exact certificates; "
             "run with exact=False for margin-mode families")
     rng = np.random.default_rng(seed)
-    stream = _proposal_batches(d, strategy, rng, batch, shell)
-    guard = max(epsilon, 1e-6)
+    stream = _proposal_batches(d, strategy, rng)
     centers, radii = [], []
-    best = _repair(d, [], [], exact, epsilon, max_denominator)
+    best = _repair(d, [], [], exact)
     trace = []
     used = 0
     since_restart = 0
@@ -359,12 +384,12 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
         used += take
         since_restart += take
         cand_r = d.value_from_identity_batch(cand)
-        _greedy_extend(d, centers, radii, cand, cand_r, guard)
-        restart = strategy == "annealed" and since_restart >= restart_interval
+        _greedy_extend(d, centers, radii, cand, cand_r)
+        restart = strategy == "annealed" and since_restart >= _RESTART_INTERVAL
         # repair only shrinks a family, so a float cardinality that cannot
         # beat the best needs no exact pass
         if (restart or used >= budget) and len(centers) > len(best):
-            snap = _repair(d, centers, radii, exact, epsilon, max_denominator)
+            snap = _repair(d, centers, radii, exact)
             if len(snap) > len(best):
                 best = snap
                 trace.append((used, len(best)))
@@ -405,7 +430,7 @@ class OrbitResult:
 
 
 def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
-                          exact: bool = None, epsilon: float = 1e-7) -> OrbitResult:
+                          exact: bool = None) -> OrbitResult:
     """Family of shrinking dilates q_l = delta_(r_l)(p), radii r_l = rho^(l k)
     for l = 0..count-1, with the identity e as witness.
 
@@ -438,7 +463,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     the i < j conditions are checked, not derived from the i > j ones.
     Where a reduced condition has no exact decision, the certificate is
     ``verify_family``'s own.  Margin families are verified in full: their
-    slack epsilon is absolute and does not scale with the radii.
+    slack ``MARGIN_EPSILON`` is absolute and does not scale with the radii.
     """
     auto = exact is None
     if auto:
@@ -493,10 +518,10 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
         return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
                            margins=margins)
     if not exact:
-        radii = [r * (1.0 + 2 * epsilon) for r in radii]
+        radii = [r * (1.0 + 2 * MARGIN_EPSILON) for r in radii]
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
-                            mode=EXACT if exact else "margin", epsilon=epsilon)
+                            mode=EXACT if exact else "margin")
     cert = _orbit_certificate(fam) if exact and not undecided else None
     if cert is None:
         cert = verify_family(fam)
@@ -553,8 +578,7 @@ class SegmentWitness:
                 "mirrored": self.mirrored}
 
 
-def segment_witness_nonbcp(d, samples: int = 512, t_grid: int = 16, seed: int = 0,
-                           include_mirror: bool = True):
+def segment_witness_nonbcp(d, samples: int = 512, t_grid: int = 16, seed: int = 0):
     """Exact-arithmetic witness that the weak covering property fails.
 
     On the non-standard Heisenberg group, validity of the weak covering
@@ -577,7 +601,7 @@ def segment_witness_nonbcp(d, samples: int = 512, t_grid: int = 16, seed: int = 
         x, y, z = p
         if x == 0:
             continue
-        for mirrored in ((False, True) if include_mirror else (False,)):
+        for mirrored in (False, True):
             sgn = Fraction(-1) if mirrored else Fraction(1)
             for t in ts:
                 pt = ((1 - t) * x, y, z + sgn * t * x * y / 2)

@@ -168,11 +168,6 @@ class AdmissibilityError(RuntimeError):
     certification, not a configuration error."""
 
 
-def _sqrt_iv(x: Fraction):
-    lo, hi = sqrt_bounds(x, bits=96)
-    return lo, hi
-
-
 def _lemma_upper_bounds(lemma: str, eps: Fraction, params: RegionParams):
     """Rational upper bounds of the lemma's scalar expressions at epsilon.
 
@@ -184,39 +179,38 @@ def _lemma_upper_bounds(lemma: str, eps: Fraction, params: RegionParams):
     tail = 2 * r * r * R * eps + (r * r / 4) * eps * eps * R * R
     one_m = 1 - eps
     if lemma == "away":
-        s_lo, s_hi = _sqrt_iv(1 + 4 * a * a)
+        s_lo, s_hi = sqrt_bounds(1 + 4 * a * a)
         inner_lo = (s_lo - 1) / (2 * a * a)
-        t_lo, _ = _sqrt_iv(inner_lo)
+        t_lo, _ = sqrt_bounds(inner_lo)
         bound = 1 + (s_hi - 1) / 2 - 2 * one_m * t_lo + tail
         return [bound]
     if lemma == "near2a":
-        sp_lo, _ = _sqrt_iv(1 + 4 * ap * ap)
+        sp_lo, _ = sqrt_bounds(1 + 4 * ap * ap)
         b1 = 1 / ap + 1 - one_m * (sp_lo - 1) / ap
         b2 = -2 * one_m + tail
         return [b1, b2]
     if lemma == "inbetween":
-        sp_lo, sp_hi = _sqrt_iv(1 + 4 * ap * ap)
-        t_lo, _ = _sqrt_iv((sp_lo - 1) / 2)
+        sp_lo, sp_hi = sqrt_bounds(1 + 4 * ap * ap)
+        t_lo, _ = sqrt_bounds((sp_lo - 1) / 2)
         b1 = Fraction(1, 2) + (sp_hi - 1) / 4 - 2 * one_m * t_lo / ap + tail
-        s_lo, _ = _sqrt_iv(1 + 4 * a * a)
+        s_lo, _ = sqrt_bounds(1 + 4 * a * a)
         b2 = 1 / (2 * a) + Fraction(1, 2) - one_m * (s_lo - 1) / a
         return [b1, b2]
     raise ValueError(f"unknown lemma '{lemma}'")
 
 
-def admissible_epsilon(lemma: str, params: RegionParams, grid: int = 1024,
-                       slack: Fraction = Fraction(9, 10)):
-    """Largest dyadic epsilon certified to satisfy the lemma inequalities,
-    scaled by a safety factor (default 10% below the certified maximum).
+def admissible_epsilon(lemma: str, params: RegionParams):
+    """Largest dyadic epsilon m / 1024 certified to satisfy the lemma
+    inequalities, scaled by a safety factor 10% below the certified maximum.
 
     Returns (epsilon_used, epsilon_max_certified).  Raises
     ``AdmissibilityError`` if no grid point certifies (the lemma inequality
     has no room at these parameters).
     """
-    for m in range(grid - 1, 0, -1):
-        eps = Fraction(m, grid)
+    for m in range(1023, 0, -1):
+        eps = Fraction(m, 1024)
         if all(b < 0 for b in _lemma_upper_bounds(lemma, eps, params)):
-            return eps * slack, eps
+            return eps * Fraction(9, 10), eps
     raise AdmissibilityError(f"no admissible epsilon for lemma '{lemma}' at {params}")
 
 
@@ -258,10 +252,10 @@ def _small_angle_bounds_hold(vp, vq, wp, wq, eps) -> np.ndarray:
     return ok
 
 
-def calibrate_delta(epsilon, r: int, samples: int = 100_000, seed: int = 0,
-                    max_level: int = 20) -> float:
-    """Largest dyadic delta whose random small-angle pairs all satisfy the
-    epsilon bounds; purely empirical, recorded in sweep reports.
+def calibrate_delta(epsilon, r: int, samples: int = 100_000, seed: int = 0) -> float:
+    """Largest dyadic delta pi / 2^level, level <= 20, whose random
+    small-angle pairs all satisfy the epsilon bounds; purely empirical,
+    recorded in sweep reports.
 
     The area bound ties delta to arcsin(epsilon) analytically, so the
     calibration settles near that value; the empirical route keeps the sweep
@@ -270,7 +264,7 @@ def calibrate_delta(epsilon, r: int, samples: int = 100_000, seed: int = 0,
     eps = float(epsilon)
     rng = np.random.default_rng(seed)
     wdim = r * (r - 1) // 2
-    for level in range(1, max_level + 1):
+    for level in range(1, 21):
         delta = math.pi / 2 ** level
         m = samples
         vp_dir, vq_dir = _cone_directions(rng, r, m, delta)
@@ -282,7 +276,7 @@ def calibrate_delta(epsilon, r: int, samples: int = 100_000, seed: int = 0,
         if _small_angle_bounds_hold(vp_dir * sv, vq_dir * sq,
                                     wp_dir * sw, wq_dir * sw2, eps).all():
             return delta
-    return math.pi / 2 ** max_level
+    return math.pi / 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +395,7 @@ def _assemble_points(m, r, nv, nw, vdir, wdir):
 
 
 def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
-                seed: int = 0, epsilon=None, delta=None,
-                tolerance: float = 1e-9, delta_samples: int = 20_000) -> SweepReport:
+                seed: int = 0, tolerance: float = 1e-9) -> SweepReport:
     """Random hypothesis-constrained sweep of one containment lemma.
 
     lemma in {"aq", "small_angles", "away", "near2a", "inbetween"}.
@@ -412,7 +405,8 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
     delta; the conclusion asserted is a_form(p, q) <= tolerance.  For "aq" the
     sign of the form is checked against direct ball membership; for
     "small_angles" the three epsilon bounds are checked at the calibrated
-    delta.
+    delta.  The containment lemmas take epsilon from ``admissible_epsilon``,
+    "small_angles" takes 1/16, and delta is calibrated from 20,000 pairs.
     """
     rng = np.random.default_rng(seed)
     r = params.r
@@ -439,16 +433,11 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                            seed=seed, tolerance=band,
                            notes={"kind": "sign-equivalence", "band": band})
 
-    if epsilon is None and lemma != "small_angles":
-        epsilon, eps_max = admissible_epsilon(lemma, params)
-    elif epsilon is None:
-        epsilon = Fraction(1, 16)
-        eps_max = None
+    if lemma == "small_angles":
+        epsilon, eps_max = Fraction(1, 16), None
     else:
-        epsilon = Fraction(epsilon)
-        eps_max = None
-    if delta is None:
-        delta = calibrate_delta(epsilon, r, samples=delta_samples, seed=seed + 1)
+        epsilon, eps_max = admissible_epsilon(lemma, params)
+    delta = calibrate_delta(epsilon, r, samples=20_000, seed=seed + 1)
 
     if lemma == "small_angles":
         m = sample_count
@@ -534,7 +523,7 @@ def _displacement_sq_batch(P, Q, r: int) -> np.ndarray:
 # sphere packing lower bounds
 # ---------------------------------------------------------------------------
 
-def _repulsion_packing(dim, k, cos_sep, rng, iters=1200):
+def _repulsion_packing(dim, k, cos_sep, rng):
     """Try to place k unit vectors pairwise below cos_sep by soft repulsion.
 
     The inverse temperature anneals upward so the late gradient concentrates
@@ -542,9 +531,10 @@ def _repulsion_packing(dim, k, cos_sep, rng, iters=1200):
     max-min-angle optimum (equidistributed for small k)."""
     V = rng.standard_normal((k, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
+    iters = 1200
     for t in range(iters):
-        beta = 8.0 * (1024.0 / 8.0) ** (t / max(iters - 1, 1))
-        eta = 0.15 * (0.02 / 0.15) ** (t / max(iters - 1, 1))
+        beta = 8.0 * (1024.0 / 8.0) ** (t / (iters - 1))
+        eta = 0.15 * (0.02 / 0.15) ** (t / (iters - 1))
         G = V @ V.T
         np.fill_diagonal(G, -1.0)
         W = np.exp(beta * (G - G.max()))

@@ -64,14 +64,13 @@ def _build_distance(args, group):
     raise ConfigError(f"unknown distance kind '{kind}'")
 
 
-def _parse_point(text, exact=True):
+def _parse_point(text):
+    """Coordinates as Fractions, or as floats when one is not rational text."""
     parts = [t for t in str(text).split(",") if t != ""]
-    if exact:
-        try:
-            return tuple(Fraction(t) for t in parts)
-        except ValueError:
-            return tuple(float(t) for t in parts)
-    return tuple(float(t) for t in parts)
+    try:
+        return tuple(Fraction(t) for t in parts)
+    except ValueError:
+        return tuple(float(t) for t in parts)
 
 
 def _emit(payload, args):
@@ -119,7 +118,7 @@ def cmd_dist(args):
 
 
 def _load_family(path, dist):
-    from .besicovitch import BesicovitchFamily
+    from .besicovitch import MARGIN_EPSILON, BesicovitchFamily
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     mode = data.get("mode", "exact")
@@ -134,7 +133,7 @@ def _load_family(path, dist):
     radii = tuple(Fraction(r) if exact else float(r) for r in data["radii"])
     witness = parse_pt(data["witness"])
     return BesicovitchFamily(centers, radii, witness, dist, mode=mode,
-                             epsilon=float(data.get("epsilon", 1e-7)))
+                             epsilon=float(data.get("epsilon", MARGIN_EPSILON)))
 
 
 def cmd_besicovitch(args):

@@ -77,8 +77,6 @@ class QuasiDistance:
 
     kind = "abstract"
     exact_capable = False
-    continuous = True
-    homogeneous = True  # one-homogeneous with respect to all dilations
 
     def __init__(self, group: GradedGroup):
         self.group = group
@@ -328,7 +326,6 @@ class HSDistance(QuasiDistance):
     """
 
     kind = "hs"
-    continuous = True
 
     def __init__(self, group: GradedGroup, R=Fraction(1)):
         super().__init__(group)
@@ -449,16 +446,15 @@ class UnitBallDistance(QuasiDistance):
     The oracle must satisfy the star-interval property: for every p the set of
     lambda with delta_(1/lambda)(p) in K is a closed interval [d(e,p), inf).
     bound_radius is a Euclidean radius certainly containing K (for bracketing).
+    The gauge is bisected to a relative width of 1e-10.
     """
 
     kind = "unit_ball_oracle"
-    continuous = False  # caller knows; the shipped fixtures are discontinuous
 
-    def __init__(self, group: GradedGroup, oracle, bound_radius: float, tol=1e-10):
+    def __init__(self, group: GradedGroup, oracle, bound_radius: float):
         super().__init__(group)
         self.oracle = oracle
         self.bound_radius = float(bound_radius)
-        self.tol = tol
 
     def _inside(self, x, lam):
         pt = dilate(tuple(x), 1.0 / lam, self.group, exact=False)
@@ -493,14 +489,9 @@ class UnitBallDistance(QuasiDistance):
                 lam_hi = mid
             else:
                 lam_lo = mid
-            if lam_hi - lam_lo <= self.tol * lam_hi:
+            if lam_hi - lam_lo <= 1e-10 * lam_hi:
                 break
         return lam_hi
-
-
-def unit_ball_distance(oracle, p, q, group: GradedGroup, bound_radius: float,
-                       tol=1e-10) -> float:
-    return UnitBallDistance(group, oracle, bound_radius, tol).value(p, q)
 
 
 def disk_union_segment_ball() -> UnitBallDistance:
@@ -548,7 +539,6 @@ class PowerDistance(QuasiDistance):
             raise ValueError("power exponent must be positive")
         super().__init__(power_group(base.group, self.t))
         self.exact_capable = base.exact_capable
-        self.continuous = base.continuous
 
     def value_from_identity(self, x):
         return self.base.value_from_identity(x) ** (1.0 / float(self.t))
@@ -567,9 +557,9 @@ def power_distance(d: QuasiDistance, t) -> PowerDistance:
     return PowerDistance(d, t)
 
 
-def euclidean_line(R=Fraction(1)) -> HSDistance:
-    """The line with |x - y| / R (HS distance on the 1-dimensional abelian group)."""
-    return HSDistance(abelian_group([1]), R)
+def euclidean_line() -> HSDistance:
+    """The line with |x - y| (HS distance on the 1-dimensional abelian group)."""
+    return HSDistance(abelian_group([1]))
 
 
 def snowflake_line(s=Fraction(2)) -> PowerDistance:
@@ -590,7 +580,6 @@ class _CombinedDistance(QuasiDistance):
         self.slice2 = tuple(i for sl in slices[k1:] for i in sl)
         super().__init__(group)
         self.exact_capable = d1.exact_capable and d2.exact_capable
-        self.continuous = d1.continuous and d2.continuous
 
     def split(self, x):
         return (tuple(x[i] for i in self.slice1), tuple(x[i] for i in self.slice2))
@@ -729,7 +718,6 @@ class QuotientDistance(QuasiDistance):
             raise ValueError("quotient requires a surjective morphism")
         self.dhat = dhat
         self.morphism = morphism
-        self.continuous = dhat.continuous
         self.exact_capable = dhat.exact_capable
         super().__init__(make_group(morphism.target, name="quotient_target"))
         # the minimizing lift x -> M x, exact and in float (source x target)
@@ -769,8 +757,9 @@ class QuotientDistance(QuasiDistance):
         Q = multiply_batch(T @ self.kernel, np.repeat(self.lift(q)[None, :], m, axis=0), ghat)
         return multiply_batch(np.repeat(-self.lift(p)[None, :], m, axis=0), Q, ghat)
 
-    def grid_value(self, p, q, resolution=16, levels=4, shrink=3.0):
-        """Refining-grid minimization over the kernel box: the brute oracle."""
+    def grid_value(self, p, q, resolution=16, levels=4):
+        """Refining-grid minimization over the kernel box: the brute oracle.
+        Each level shrinks the box threefold around the best point so far."""
         kdim = len(self.kernel)
         if kdim == 0:
             return self.dhat.value(self.lift(p), self.lift(q))
@@ -792,7 +781,7 @@ class QuotientDistance(QuasiDistance):
                 center = T[i]
             else:
                 center = T[i] if vals[i] == best else center
-            half /= shrink
+            half /= 3.0
         return best
 
 
@@ -889,7 +878,6 @@ class CCHeisenbergDistance(QuasiDistance):
 
     kind = "cc_h1"
     exact_capable = False
-    continuous = True
 
     def __init__(self, a=1.0):
         super().__init__(heisenberg_group(1))
@@ -922,7 +910,6 @@ class FiniteSpaceDistance(QuasiDistance):
 
     kind = "finite_space"
     exact_capable = True
-    homogeneous = False
 
     def __init__(self, table):
         self.table = table
@@ -934,9 +921,6 @@ class FiniteSpaceDistance(QuasiDistance):
 
     def value(self, i, j):
         return float(self.table[int(i)][int(j)])
-
-    def exact(self, i, j) -> Fraction:
-        return self.table[int(i)][int(j)]
 
     def compare(self, i, j, rho):
         d = self.table[int(i)][int(j)]
@@ -981,56 +965,43 @@ def default_sampler(d: QuasiDistance, shell=(0.05, 1.0)):
 
 
 def estimate_quasi_triangle_constant(d: QuasiDistance, sample_count: int,
-                                     seed=0, sampler=None,
-                                     mode="both") -> float:
+                                     seed=0) -> float:
     """Empirical quasi-triangle constant: max d(p,q) / (d(p,m) + d(m,q)).
 
-    mode "random" draws independent triples; mode "chain" probes the sharper
-    configuration (e, u, u*v) with u, v on dilation spheres, where the
-    denominator d(e,u) + d(u, u*v) is the two sphere radii exactly; "both"
-    takes the larger estimate.
+    The larger of two estimates from ``default_sampler`` points: independent
+    triples, and the sharper configuration (e, u, u*v) with u, v on dilation
+    spheres, where the denominator d(e,u) + d(u, u*v) is the two sphere
+    radii exactly.
     """
     rng = np.random.default_rng(seed)
-    sampler = sampler or default_sampler(d)
+    sampler = default_sampler(d)
     best = 0.0
-    if mode in ("random", "both"):
-        P = sampler(rng, sample_count)
-        M = sampler(rng, sample_count)
-        Q = sampler(rng, sample_count)
-        num = d.value_batch(P, Q)
-        den = d.value_batch(P, M) + d.value_batch(M, Q)
-        ok = den > 0
-        if np.any(ok):
-            best = float(np.max(num[ok] / den[ok]))
-    if mode in ("chain", "both") and d.group is not None:
-        U = sampler(rng, sample_count)
-        V = sampler(rng, sample_count)
-        ru = d.value_from_identity_batch(U)
-        rv = d.value_from_identity_batch(V)
-        W = multiply_batch(U, V, d.group)
-        num = d.value_from_identity_batch(W)
-        den = ru + rv
-        ok = den > 0
-        if np.any(ok):
-            best = max(best, float(np.max(num[ok] / den[ok])))
+    P = sampler(rng, sample_count)
+    M = sampler(rng, sample_count)
+    Q = sampler(rng, sample_count)
+    num = d.value_batch(P, Q)
+    den = d.value_batch(P, M) + d.value_batch(M, Q)
+    ok = den > 0
+    if np.any(ok):
+        best = float(np.max(num[ok] / den[ok]))
+    U = sampler(rng, sample_count)
+    V = sampler(rng, sample_count)
+    ru = d.value_from_identity_batch(U)
+    rv = d.value_from_identity_batch(V)
+    W = multiply_batch(U, V, d.group)
+    num = d.value_from_identity_batch(W)
+    den = ru + rv
+    ok = den > 0
+    if np.any(ok):
+        best = max(best, float(np.max(num[ok] / den[ok])))
     return best
 
 
-def packing_count(d: QuasiDistance, center, radius, lam, candidates=None,
-                  budget=4096, seed=0) -> int:
-    """Greedy maximal set of points in B(center, lam * radius) pairwise at
-    least ``radius`` apart.  Candidates may be supplied explicitly (for
-    exhaustive small cases) or sampled around the center."""
+def packing_count(d: QuasiDistance, center, radius, lam, candidates) -> int:
+    """Greedy maximal set of the candidate points in B(center, lam * radius)
+    pairwise at least ``radius`` apart."""
     r = float(radius)
     ball_r = float(lam) * r
-    if candidates is None:
-        rng = np.random.default_rng(seed)
-        sampler = default_sampler(d, shell=(1e-3, 1.0))
-        raw = sampler(rng, budget)
-        raw = dilate_batch(raw, ball_r, d.group)
-        cf = np.array([float(v) for v in center])
-        candidates = multiply_batch(np.repeat(cf[None, :], len(raw), axis=0),
-                                    raw, d.group)
     chosen = []
     c = tuple(float(v) for v in center)
     for row in np.asarray(candidates, dtype=float):

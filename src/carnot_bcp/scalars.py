@@ -13,12 +13,9 @@ import math
 from fractions import Fraction
 
 
-def parse_scalar(text, exact=True):
-    """Parse ``"p/q"``, integer, or decimal text into Fraction or float."""
-    text = str(text).strip()
-    if exact:
-        return Fraction(text)
-    return float(Fraction(text))
+def parse_scalar(text):
+    """Parse ``"p/q"``, integer, or decimal text into a Fraction."""
+    return Fraction(str(text).strip())
 
 
 def fmt_scalar(x):
@@ -38,18 +35,13 @@ def all_exact(xs) -> bool:
     return all(is_exact(x) for x in xs)
 
 
-def to_fractions(xs, max_denominator=None):
-    out = []
-    for x in xs:
-        f = x if isinstance(x, Fraction) else Fraction(x)
-        if max_denominator is not None:
-            f = f.limit_denominator(max_denominator)
-        out.append(f)
-    return tuple(out)
+def to_fractions(xs):
+    """The exact rationals of the coordinates (a float converts exactly)."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
-def sqrt_bounds(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
-    """Rational enclosure lo <= sqrt(x) <= hi with hi-lo <= 2^-bits * scale.
+def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational enclosure lo <= sqrt(x) <= hi with hi - lo = 2^-96 / den(x).
 
     Used to decide strict inequalities involving square roots rigorously:
     a decision made against the outward-rounded enclosure is conservative.
@@ -60,10 +52,10 @@ def sqrt_bounds(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     num, den = x.numerator, x.denominator
     # sqrt(num/den) = sqrt(num*den)/den; isqrt gives floor of integer sqrt
-    shifted = num * den << (2 * bits)
+    shifted = num * den << 192
     s = math.isqrt(shifted)
-    lo = Fraction(s, den << bits)
-    hi = Fraction(s + 1, den << bits)
+    lo = Fraction(s, den << 96)
+    hi = Fraction(s + 1, den << 96)
     return lo, hi
 
 

@@ -342,6 +342,24 @@ def test_group_json_round_trip(tmp_path):
     assert cb.load_group(path).algebra == g.algebra
 
 
+# parameters that build each built-in tag
+BUILTIN_PARAMS = {
+    "abelian": {"weights": ["1", "2", "2"]},
+    "heisenberg": {"n": 2},
+    "heisenberg_nonstandard": {"alpha": "3/2"},
+    "free_step2": {"rank": 3},
+    "step3_rank3": {},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BUILTIN_PARAMS))
+def test_group_json_round_trip_of_every_builtin_tag(tag):
+    from carnot_bcp.algebra import _BUILTINS
+    assert set(BUILTIN_PARAMS) == set(_BUILTINS)
+    g = cb.builtin_group(tag, **BUILTIN_PARAMS[tag])
+    assert group_from_json(group_to_json(g)) == g
+
+
 def test_group_json_omitted_pairs_are_zero():
     data = {"dim": 3, "weights": ["1", "1", "2"],
             "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}

@@ -1,5 +1,6 @@
 """Certificates, searches, covers, and the countable counterexample space."""
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -139,6 +140,41 @@ def test_verify_rejects_a_center_moved_into_another_ball(mode):
         {"kind": v["kind"], "pair": v.get("pair")} for v in cert.violations]
 
 
+@functools.cache
+def valid_family(mode):
+    return VALID_FAMILIES[mode]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["exact", "margin"]), data=st.data())
+def test_verify_rejects_any_shrunk_radius(mode, data):
+    fam = valid_family(mode)
+    i = data.draw(st.integers(0, len(fam) - 1), label="ball")
+    # every witness distance is within 2 epsilon of its radius, and the radii
+    # are at least 0.02, so any factor up to 0.999 moves the witness outside
+    if mode == "exact":
+        factor = data.draw(st.fractions(F(1, 1000), F(999, 1000)), label="factor")
+    else:
+        factor = data.draw(st.floats(1e-3, 0.999), label="factor")
+    radii = list(fam.radii)
+    radii[i] *= factor
+    cert = verify_family(replace(fam, radii=tuple(radii)))
+    assert [(v["kind"], v.get("ball")) for v in cert.violations] == [("witness", i)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["exact", "margin"]), data=st.data())
+def test_verify_rejects_any_center_moved_onto_another(mode, data):
+    fam = valid_family(mode)
+    i = data.draw(st.integers(0, len(fam) - 1), label="moved")
+    j = data.draw(st.integers(0, len(fam) - 1).filter(lambda j: j != i), label="onto")
+    centers = list(fam.centers)
+    centers[i] = centers[j]
+    cert = verify_family(replace(fam, centers=tuple(centers)))
+    pairs = [v["pair"] for v in cert.violations if v["kind"] == "center_in_ball"]
+    assert [i, j] in pairs and [j, i] in pairs
+
+
 def test_repair_keeps_the_earlier_ball_of_a_violating_pair():
     # the second center lies inside the first ball, while the first center
     # lies outside the second; dropping both balls of every violating pair
@@ -146,7 +182,7 @@ def test_repair_keeps_the_earlier_ball_of_a_violating_pair():
     d = CCHeisenbergDistance(1.0)
     centers = [(1.0, 0.0, 0.0), (0.25, 0.0, 0.0)]
     radii = [d.value_from_identity(c) for c in centers]
-    fam = _repair(d, centers, radii, False, 1e-7, None)
+    fam = _repair(d, centers, radii, False)
     assert fam.mode == "margin" and fam.centers == ((1.0, 0.0, 0.0),)
     assert verify_family(fam).valid
 

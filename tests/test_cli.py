@@ -75,6 +75,37 @@ def test_besicovitch_verify_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+# margin-mode family files on the line that would certify nothing: each of
+# them, unchecked, passes every float comparison and is reported valid
+CERTIFY_NOTHING = {
+    # NaN slacks fail no comparison: "min_slack": NaN
+    "nan_radii": {"centers": [["1"], ["1"], ["1"]], "radii": ["nan"] * 3,
+                  "witness": ["0"]},
+    "negative_epsilon": {"centers": [["1"], ["1"]], "radii": ["1", "1"],
+                         "witness": ["0"], "epsilon": -10},
+    # center 1 lies on the boundary of ball 0: slack 0 < NaN is false
+    "nan_epsilon": {"centers": [["0"], ["1"]], "radii": ["1", "1"],
+                    "witness": ["0.5"], "epsilon": "nan"},
+    # "min_slack": Infinity is not even JSON
+    "infinite_radius": {"centers": [["0"]], "radii": ["inf"], "witness": ["0"]},
+    # a malformed input, not a solver failure (it exited 70)
+    "nan_center": {"centers": [["nan"]], "radii": ["1"], "witness": ["0"]},
+}
+LINE_FLAGS = ["--group", "abelian", "--weights", "1", "--kind", "hs", "--R", "1"]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_NOTHING))
+def test_verify_refuses_a_family_that_certifies_nothing(name, tmp_path, capsys):
+    from carnot_bcp.cli import _load_family
+    from carnot_bcp.metrics import euclidean_line
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({**CERTIFY_NOTHING[name], "mode": "margin"}))
+    assert main(["besicovitch", "verify", *LINE_FLAGS, "--family", str(path)]) == 64
+    assert "configuration error" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="finite"):
+        _load_family(path, euclidean_line())
+
+
 def test_besicovitch_search(capsys):
     code = main(["besicovitch", "search", "--group", "abelian", "--weights", "1",
                  "--kind", "hs", "--R", "1", "--budget", "500", "--seed", "0",
