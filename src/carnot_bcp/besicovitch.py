@@ -53,6 +53,9 @@ class BesicovitchFamily:
     epsilon: float = MARGIN_EPSILON    # slack for margin mode
 
     def __post_init__(self):
+        # any other mode string would be certified as margin mode
+        if self.mode not in (EXACT, "margin"):
+            raise ValueError(f"mode must be 'exact' or 'margin', not {self.mode!r}")
         self.centers = tuple(_as_point(c) for c in self.centers)
         self.witness = _as_point(self.witness)
         self.radii = tuple(self.radii)
@@ -160,8 +163,7 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
                 detail = f"{'witness' if inside else 'exclusion'} slack {s} < {least}"
             violations.append({"kind": "witness" if inside else "center_in_ball",
                                **where, "detail": detail})
-    return Certificate(valid=not violations, cardinality=n,
-                       mode=EXACT if exact else "margin",
+    return Certificate(valid=not violations, cardinality=n, mode=family.mode,
                        violations=violations,
                        min_slack=min(slacks) if slacks and not exact else None)
 
@@ -285,40 +287,31 @@ def _proposal_batches(d: QuasiDistance, strategy, rng):
 
 
 def _greedy_extend(d, centers, radii, cand, cand_r):
-    """Greedily add feasible candidates to the running family (float phase)."""
+    """Greedily add candidates to the running family (float phase).
+
+    One conflict filter for every ball: the live candidates start as those
+    of positive radius, and each ball, first the family's in order, then
+    each candidate as it is kept, drops every live x with
+    d(c, x) <= max(r, r_x) (1 + guard) in one ``value_batch`` call.  The
+    first live candidate is kept next, so a candidate is kept exactly when it
+    passes the family and every candidate kept before it.  The float test
+    only proposes: ``_repair`` decides both conditions of each kept ball
+    exactly."""
     # a relative guard above MARGIN_EPSILON, so that few float balls fail the
     # exact or margin check of repair
     guard = 1e-6
-    m = len(cand)
-    feasible = np.ones(m, dtype=bool)
-    feasible &= cand_r > 0
-    if centers:
-        F = len(centers)
-        P = np.repeat(np.asarray(centers, dtype=float), m, axis=0)
-        Q = np.tile(cand, (F, 1))
-        Dm = d.value_batch(P, Q).reshape(F, m)
-        thresh = np.maximum(np.asarray(radii, dtype=float)[:, None],
-                            cand_r[None, :]) * (1.0 + guard)
-        feasible &= np.all(Dm > thresh, axis=0)
-    idx = np.flatnonzero(feasible)
-    if len(idx) == 0:
-        return
-    sub = cand[idx]
-    subr = cand_r[idx]
-    P = np.repeat(sub, len(idx), axis=0)
-    Q = np.tile(sub, (len(idx), 1))
-    M = d.value_batch(P, Q).reshape(len(idx), len(idx))
-    kept = []
-    for a in range(len(idx)):
-        ok = True
-        for b in kept:
-            if M[a, b] <= max(subr[a], subr[b]) * (1.0 + guard):
-                ok = False
-                break
-        if ok:
-            kept.append(a)
-            centers.append(tuple(sub[a]))
-            radii.append(float(subr[a]))
+    live = np.flatnonzero(cand_r > 0)
+    i = 0
+    while len(live):
+        if i == len(centers):
+            centers.append(tuple(cand[live[0]]))
+            radii.append(float(cand_r[live[0]]))
+            live = live[1:]
+            continue
+        x = cand[live]
+        dist = d.value_batch(np.broadcast_to(centers[i], x.shape), x)
+        live = live[dist > np.maximum(radii[i], cand_r[live]) * (1.0 + guard)]
+        i += 1
 
 
 def _repair(d, centers, radii, exact):
@@ -645,6 +638,12 @@ def greedy_cover(points, radii, d: QuasiDistance) -> CoverReport:
     pts = np.asarray([[float(x) for x in p] for p in points], dtype=float)
     rr = np.asarray([float(r) for r in radii], dtype=float)
     n = len(pts)
+    if len(rr) != n:
+        raise ValueError("points and radii length mismatch")
+    # a NaN radius is never eligible and a negative one covers nothing, so
+    # either would leave a point uncovered forever
+    if not np.all(np.isfinite(rr) & (rr >= 0)):
+        raise ValueError("cover radii must be finite and non-negative")
     if n == 0:
         return CoverReport([], [], 0, True, True, True)
     uncovered = np.ones(n, dtype=bool)

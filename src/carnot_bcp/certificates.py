@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import free_step2_group, multiply_batch
 from .scalars import fmt_scalar, sqrt_bounds
 
 
@@ -422,7 +423,8 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
             0.1, 1.2, size=(m, 1)) * Rf / math.sqrt(r + wdim)
         A = a_form_batch(P, Q, r)
         # direct membership of q in B(p, 1): squared gauge of p^-1 q vs R^2
-        gap = _displacement_sq_batch(P, Q, r) - Rf * Rf
+        D = multiply_batch(-P, Q, free_step2_group(r))
+        gap = (D * D).sum(axis=1) - Rf * Rf
         band = 1e-8
         keep = np.abs(A) > band
         mism = np.flatnonzero(np.sign(A[keep]) != np.sign(gap[keep]))
@@ -455,6 +457,7 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                            notes={"kind": "epsilon-bounds"})
 
     region = _REGION_OF_LEMMA[lemma]
+    group = free_step2_group(r)
     accepted = 0
     max_af = -math.inf
     violations = []
@@ -486,7 +489,8 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
         bad = np.flatnonzero(A > tolerance)
         # independent route to the same conclusion: the displacement gauge of
         # p^-1 q must not exceed R^2 either (cross-checks the form algebra)
-        gap = _displacement_sq_batch(P, Q, r) - Rf * Rf
+        D = multiply_batch(-P, Q, group)
+        gap = (D * D).sum(axis=1) - Rf * Rf
         bad_gap = np.flatnonzero(gap > tolerance)
         for i in set(bad[:20]) | set(bad_gap[:20]):
             violations.append({
@@ -504,19 +508,6 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                               "cross_check": "displacement gauge",
                               "epsilon_max_certified":
                               fmt_scalar(eps_max) if eps_max else None})
-
-
-def _displacement_sq_batch(P, Q, r: int) -> np.ndarray:
-    """Squared Euclidean gauge of p^-1 q on the free step-2 group (vectorized)."""
-    V = Q[:, :r] - P[:, :r]
-    out = (V * V).sum(axis=1)
-    idx = r
-    for i in range(r):
-        for j in range(i + 1, r):
-            wij = Q[:, idx] - P[:, idx] - 0.5 * (P[:, i] * Q[:, j] - P[:, j] * Q[:, i])
-            out += wij * wij
-            idx += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,14 @@ def cmd_dist(args):
     return EXIT_OK
 
 
+def _array(value, what):
+    """A JSON array from a points or family file; anything else, a string
+    included, is a malformed file rather than a sequence to iterate."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON array, not {json.dumps(value)}")
+    return value
+
+
 def _load_family(path, dist):
     from .besicovitch import MARGIN_EPSILON, BesicovitchFamily
     with open(path, "r", encoding="utf-8") as fh:
@@ -124,14 +132,12 @@ def _load_family(path, dist):
     mode = data.get("mode", "exact")
     exact = mode == "exact"
 
-    def parse_pt(p):
-        if isinstance(p, (int, float)):
-            return p
-        return tuple(Fraction(x) if exact else float(x) for x in p)
+    def scalars(values, what):
+        return tuple(Fraction(x) if exact else float(x) for x in _array(values, what))
 
-    centers = tuple(parse_pt(c) for c in data["centers"])
-    radii = tuple(Fraction(r) if exact else float(r) for r in data["radii"])
-    witness = parse_pt(data["witness"])
+    centers = tuple(scalars(c, "a center") for c in _array(data["centers"], "centers"))
+    radii = scalars(data["radii"], "radii")
+    witness = scalars(data["witness"], "the witness")
     return BesicovitchFamily(centers, radii, witness, dist, mode=mode,
                              epsilon=float(data.get("epsilon", MARGIN_EPSILON)))
 
@@ -169,8 +175,9 @@ def cmd_besicovitch(args):
     if args.action == "cover":
         with open(args.points, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        pts = [tuple(float(x) for x in p) for p in data["points"]]
-        radii = [float(r) for r in data["radii"]]
+        pts = [tuple(float(x) for x in _array(p, "a point"))
+               for p in _array(data["points"], "points")]
+        radii = [float(r) for r in _array(data["radii"], "radii")]
         rep = bz.greedy_cover(pts, radii, d)
         _emit(rep.to_json(), args)
         return EXIT_OK

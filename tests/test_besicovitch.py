@@ -187,6 +187,42 @@ def test_repair_keeps_the_earlier_ball_of_a_violating_pair():
     assert verify_family(fam).valid
 
 
+def _pairwise_greedy(d, centers, radii, cand, cand_r, guard=1e-6):
+    """Reference for the float phase, from every pairwise distance: a
+    candidate of positive radius is kept when d(c, x) > max(r, r_x) (1 + guard)
+    holds from each family ball (c, r) and d(x, c) > max(r, r_x) (1 + guard)
+    to each candidate kept before it."""
+    n_fam, m = len(centers), len(cand)
+    balls = np.concatenate([np.reshape(centers, (n_fam, cand.shape[1])), cand])
+    D = d.value_batch(np.repeat(balls, m, axis=0),
+                      np.tile(cand, (len(balls), 1))).reshape(len(balls), m)
+    kept = []
+    for a in range(m):
+        thresh = [max(r, cand_r[a]) * (1 + guard) for r in (*radii, *cand_r[kept])]
+        dists = [*D[:n_fam, a], *D[n_fam + a, kept]]
+        if cand_r[a] > 0 and all(x > t for x, t in zip(dists, thresh)):
+            kept.append(a)
+    return [tuple(cand[a]) for a in kept], [float(cand_r[a]) for a in kept]
+
+
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_greedy_extend_keeps_what_the_pairwise_rule_keeps(strategy):
+    d = nonstd_h1_distance()
+    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(8))
+    centers, radii = [], []
+    added = []
+    # the first batch extends the empty family, the later ones a non-empty one
+    for _ in range(6):
+        cand = next(stream)
+        cand_r = d.value_from_identity_batch(cand)
+        expected = _pairwise_greedy(d, centers, radii, cand, cand_r)
+        n = len(centers)
+        besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
+        assert (centers[n:], radii[n:]) == expected
+        added.append(len(centers) - n)
+    assert added[0] > 0 and sum(added[1:]) > 0
+
+
 def test_radius_for_center_exact_membership():
     d = nonstd_h1_distance()
     rng = np.random.default_rng(0)

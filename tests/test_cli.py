@@ -106,6 +106,32 @@ def test_verify_refuses_a_family_that_certifies_nothing(name, tmp_path, capsys):
         _load_family(path, euclidean_line())
 
 
+# family files that are not what they say: the parent read the first three
+# with a TypeError (exit 1), the string point as (1,), and the unknown mode as
+# a margin family (both exit 0)
+MALFORMED_FAMILY = {
+    "scalar_witness": {"centers": [["1"]], "radii": ["1"], "witness": 0.5,
+                       "mode": "margin"},
+    "scalar_center": {"centers": [3], "radii": ["1"], "witness": ["0"]},
+    "scalar_radii": {"centers": [["1"]], "radii": 1, "witness": ["0"]},
+    "string_center": {"centers": ["1"], "radii": ["1"], "witness": ["0"]},
+    "unknown_mode": {"centers": [["1"]], "radii": ["1"], "witness": ["0"],
+                     "mode": "Exact"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FAMILY))
+def test_verify_refuses_a_malformed_family_file(name, tmp_path, capsys):
+    from carnot_bcp.cli import _load_family
+    from carnot_bcp.metrics import euclidean_line
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(MALFORMED_FAMILY[name]))
+    assert main(["besicovitch", "verify", *LINE_FLAGS, "--family", str(path)]) == 64
+    assert "configuration error" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        _load_family(path, euclidean_line())
+
+
 def test_besicovitch_search(capsys):
     code = main(["besicovitch", "search", "--group", "abelian", "--weights", "1",
                  "--kind", "hs", "--R", "1", "--budget", "500", "--seed", "0",
@@ -123,6 +149,28 @@ def test_besicovitch_cover(tmp_path, capsys):
                  "--kind", "hs", "--R", "1", "--points", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["covered"] and out["quarter_disjoint"]
+
+
+# points files the cover cannot use: the NaN and the negative radii made the
+# parent loop forever, the length mismatch and the scalar point exited 1
+MALFORMED_POINTS = {
+    "nan_radius": {"points": [[0.0], [3.0]], "radii": [float("nan"), 1.0]},
+    "negative_radii": {"points": [[0.0], [3.0]], "radii": [-1.0, -2.0]},
+    "infinite_radius": {"points": [[0.0], [3.0]], "radii": [1.0, float("inf")]},
+    "length_mismatch": {"points": [[0.0], [3.0]], "radii": [1.0]},
+    "scalar_point": {"points": [0.0, [3.0]], "radii": [1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POINTS))
+def test_cover_refuses_a_malformed_points_file(name, tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(MALFORMED_POINTS[name]))
+    # in a subprocess, so that a cover that never ends fails the test
+    res = run_cli(["besicovitch", "cover", *LINE_FLAGS, "--points", str(path)],
+                  timeout=60)
+    assert res.returncode == 64
+    assert "configuration error" in res.stderr
 
 
 def test_certify_lemmas(capsys):
