@@ -19,6 +19,7 @@ from .algebra import (
     bracket,
     builtin_group,
     dilate,
+    displacement,
     free_step2_group,
     group_from_json,
     group_to_json,

@@ -15,18 +15,22 @@ through step 3:
 which is the exact group law for every group of nilpotency step <= 3 (all the
 groups this package constructs).  With rational inputs every operation here is
 exact; batch variants operate on float numpy arrays for search workloads.
+``displacement`` forms p^-1 q for exact comparisons in integers over one
+denominator, from the structure constants scaled to integers once per algebra.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exact_linalg import rank, span_basis
-from .scalars import fmt_scalar, nth_root_exact, parse_scalar
+from .scalars import fmt_scalar, nth_root_exact, over_common_denominator, parse_scalar
 
 MAX_SUPPORTED_STEP = 3
 
@@ -111,6 +115,16 @@ class StructureConstants:
                 and self.dim == other.dim and self.weights == other.weights
                 and self.bracket == other.bracket)
 
+    @cached_property
+    def scaled_bracket(self):
+        """(L, table): L is the lcm of the denominators of the structure
+        constants and table lists (i, j, ((k, L c_ijk), ...)) with integer
+        coefficients, so [a, b] = [a, b]_L / L for the bracket [., .]_L of
+        the table.  Built once per algebra."""
+        L = math.lcm(*(c.denominator for terms in self.bracket.values() for _k, c in terms))
+        return L, tuple((i, j, tuple((k, int(c * L)) for k, c in terms))
+                        for (i, j), terms in self.bracket.items())
+
     def layers(self):
         """Map weight -> tuple of basis indices (the layer decomposition)."""
         out = {}
@@ -118,19 +132,38 @@ class StructureConstants:
             out.setdefault(w, []).append(i)
         return {w: tuple(ix) for w, ix in sorted(out.items())}
 
+    @cached_property
+    def _bracket_rows(self):
+        """a -> {b: terms of [X_a, X_b]} for the nonzero brackets of the
+        integer table of ``scaled_bracket``, in both orientations."""
+        rows = {}
+        for i, j, terms in self.scaled_bracket[1]:
+            rows.setdefault(i, {})[j] = terms
+            rows.setdefault(j, {})[i] = tuple((k, -c) for k, c in terms)
+        return rows
+
     def step(self) -> int:
         """Nilpotency step: length of the lower central series."""
-        full = [_unit(self.dim, i) for i in range(self.dim)]
-        current = full
+        return self._step
+
+    @cached_property
+    def _step(self):
+        # [X_a, v] from the row of each X_a that has brackets; spans only,
+        # so the brackets may be those of the table scaled by L
+        current = [_unit(self.dim, i) for i in range(self.dim)]
         s = 0
         while current:
             s += 1
             nxt = []
-            for a in full:
-                for b in current:
-                    v = bracket(a, b, self)
-                    if any(c != 0 for c in v):
-                        nxt.append(v)
+            for row in self._bracket_rows.values():
+                for v in current:
+                    out = [0] * self.dim
+                    for j, terms in row.items():
+                        if v[j]:
+                            for k, c in terms:
+                                out[k] += c * v[j]
+                    if any(out):
+                        nxt.append(out)
             current = span_basis(nxt)
         return s
 
@@ -153,6 +186,17 @@ def bracket(a, b, alg: StructureConstants):
         for k, c in terms:
             out[k] = out[k] + c * coef
     return tuple(out)
+
+
+def _bracket_int(a, b, table):
+    """[a, b]_L of integer vectors, for the table of ``scaled_bracket``."""
+    out = [0] * len(a)
+    for i, j, terms in table:
+        coef = a[i] * b[j] - a[j] * b[i]
+        if coef:
+            for k, c in terms:
+                out[k] += c * coef
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +233,12 @@ def validate_algebra(alg: StructureConstants) -> ValidationReport:
                     "target": k + 1,
                     "detail": f"weight {w[k]} != {w[i]} + {w[j]}",
                 })
-    units = [_unit(alg.dim, i) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(j + 1, alg.dim):
-                jac = _vec_add(
-                    bracket(units[i], bracket(units[j], units[k], alg), alg),
-                    _vec_add(
-                        bracket(units[j], bracket(units[k], units[i], alg), alg),
-                        bracket(units[k], bracket(units[i], units[j], alg), alg)))
-                if any(c != 0 for c in jac):
-                    issues.append({
-                        "kind": "jacobi",
-                        "triple": [i + 1, j + 1, k + 1],
-                        "detail": "cyclic bracket sum is nonzero",
-                    })
+    for triple in _jacobi_violations(alg):
+        issues.append({
+            "kind": "jacobi",
+            "triple": [t + 1 for t in triple],
+            "detail": "cyclic bracket sum is nonzero",
+        })
     # positive weights + grading compatibility force nilpotency; surface the
     # computed step so callers can see it, and flag the (impossible for a
     # grading-clean table, but cheap to check) runaway case.
@@ -212,6 +247,27 @@ def validate_algebra(alg: StructureConstants) -> ValidationReport:
         if s > len(set(alg.weights)) + alg.dim:
             issues.append({"kind": "nilpotency", "detail": f"step {s} exceeds bound"})
     return ValidationReport(ok=not issues, issues=issues)
+
+
+def _jacobi_violations(alg):
+    """The triples i < j < k, in lexicographic order, whose cyclic sum
+    [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]] is nonzero.  Only the
+    triples with a nonzero double bracket are visited: [X_a, X_m] != 0 for a
+    target m of a nonzero [X_b, X_c]."""
+    row = alg._bracket_rows
+    triples = {tuple(sorted((a, b, c)))
+               for b, c, terms in alg.scaled_bracket[1] for m, _c in terms
+               for a in row.get(m, ()) if a != b and a != c}
+    out = []
+    for i, j, k in sorted(triples):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in row.get(b, {}).get(c, ()):
+                for t, ct in row.get(a, {}).get(m, ()):
+                    total[t] = total.get(t, 0) + cm * ct
+        if any(total.values()):
+            out.append((i, j, k))
+    return out
 
 
 def _vec_add(a, b):
@@ -276,6 +332,45 @@ def multiply(p, q, group: GradedGroup):
         if any(c != 0 for c in corr):
             out = _vec_add(out, _vec_scale(corr, Fraction(1, 12)))
     return out
+
+
+def displacement(p, q, group: GradedGroup):
+    """p^-1 q as (numerators, denominator): a list of integers over one
+    positive integer, exact for rational (or float) coordinates.
+
+    With p = P / a and q = Q / b over the least common denominator of each
+    point, and [., .]_L the bracket of ``scaled_bracket`` (so [x, y] =
+    [x, y]_L / L), put B = [P, Q]_L.  The BCH product of -p and q is then
+
+        (a Q - b P) / (a b) - B / (2 L a b) + [b P + a Q, B]_L / (12 L^2 a^2 b^2),
+
+    since [-p, [-p, q]] + [q, [q, -p]] = [p + q, [p, q]].  Through step 2
+    that is (2 L (a Q - b P) - B) / (2 L a b), at step 3 the numerator
+    12 L^2 a b (a Q - b P) - 6 L a b B + [b P + a Q, B]_L over 12 L^2 a^2 b^2.
+    The terms enter as in ``multiply``: the bracket ones only where the
+    table has brackets, the third only from step 3.
+    """
+    if group.step > MAX_SUPPORTED_STEP:
+        raise UnsupportedStepError(
+            f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
+    n = group.dim
+    if len(p) != n or len(q) != n:
+        raise AlgebraError("vector length does not match algebra dimension")
+    P, a = over_common_denominator(p)
+    Q, b = over_common_denominator(q)
+    diff = [a * y - b * x for x, y in zip(P, Q)]
+    ab = a * b
+    L, table = group.algebra.scaled_bracket
+    if not table:
+        return diff, ab
+    B = _bracket_int(P, Q, table)
+    k = 2 * L
+    if group.step < 3:
+        return [k * x - y for x, y in zip(diff, B)], k * ab
+    C = _bracket_int([b * x + a * y for x, y in zip(P, Q)], B, table)
+    k2 = 3 * k * ab
+    k1 = k2 * k
+    return [k1 * x - k2 * y + z for x, y, z in zip(diff, B, C)], k1 * ab
 
 
 def inverse(p, group: GradedGroup):

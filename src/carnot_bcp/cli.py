@@ -125,21 +125,46 @@ def _array(value, what):
     return value
 
 
+def _object(value, what):
+    """The top level of a JSON file that holds named fields."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must hold a JSON object, not {json.dumps(value)}")
+    return value
+
+
+def _scalar(value, what):
+    """A coordinate or radius from a JSON file: a number or numeric text,
+    not an array, an object, a boolean or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{what} must be a number or a string, not {json.dumps(value)}")
+    return value
+
+
 def _load_family(path, dist):
     from .besicovitch import MARGIN_EPSILON, BesicovitchFamily
+    from .scalars import parse_scalar
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _object(json.load(fh), "a family file")
     mode = data.get("mode", "exact")
     exact = mode == "exact"
 
     def scalars(values, what):
-        return tuple(Fraction(x) if exact else float(x) for x in _array(values, what))
+        out = []
+        for x in _array(values, what):
+            x = _scalar(x, f"an entry of {what}")
+            # text goes through parse_scalar, which reads integers of any
+            # size; a JSON number keeps Fraction(x), since a float converts
+            # exactly and 0.1 is not "0.1"
+            out.append((parse_scalar(x) if isinstance(x, str) else Fraction(x))
+                       if exact else float(x))
+        return tuple(out)
 
     centers = tuple(scalars(c, "a center") for c in _array(data["centers"], "centers"))
     radii = scalars(data["radii"], "radii")
     witness = scalars(data["witness"], "the witness")
+    epsilon = _scalar(data.get("epsilon", MARGIN_EPSILON), "epsilon")
     return BesicovitchFamily(centers, radii, witness, dist, mode=mode,
-                             epsilon=float(data.get("epsilon", MARGIN_EPSILON)))
+                             epsilon=float(epsilon))
 
 
 def cmd_besicovitch(args):
@@ -174,10 +199,10 @@ def cmd_besicovitch(args):
         return EXIT_OK
     if args.action == "cover":
         with open(args.points, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        pts = [tuple(float(x) for x in _array(p, "a point"))
+            data = _object(json.load(fh), "a points file")
+        pts = [tuple(float(_scalar(x, "an entry of a point")) for x in _array(p, "a point"))
                for p in _array(data["points"], "points")]
-        radii = [float(r) for r in _array(data["radii"], "radii")]
+        radii = [float(_scalar(r, "an entry of radii")) for r in _array(data["radii"], "radii")]
         rep = bz.greedy_cover(pts, radii, d)
         _emit(rep.to_json(), args)
         return EXIT_OK
@@ -223,7 +248,7 @@ def cmd_countable_space(args):
 
 def cmd_report(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = _object(json.load(fh), "a config file")
     sub = config.pop("subcommand", None)
     if sub is None:
         raise ConfigError("config file needs a 'subcommand' field")

@@ -23,12 +23,19 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
 * ``FiniteSpaceDistance`` -- rational distance table.
 
 Exactness contract: ``compare(p, q, rho)`` returns the sign of d(p,q) - rho
-decided in exact rational arithmetic, raising ``ExactnessError`` when the kind
+decided in exact integer arithmetic, raising ``ExactnessError`` when the kind
 or the inputs cannot support it; ``value`` always returns a float.  Exact
 comparison goes through one path, in the base class: ``QuasiDistance.compare``
-forms the displacement p^-1 q in rationals and hands it to the kind's
-``compare_from_identity``, the only exact method a kind defines (the finite
-table of ``FiniteSpaceDistance``, which has no group, is the one exception).
+forms the displacement p^-1 q with ``algebra.displacement`` as integer
+numerators over one positive denominator and hands (nums, den, rho) to the
+kind's ``_sign``, the only exact method a kind defines.  ``_sign`` decides the
+sign with integers only: HS cross-multiplies its power sum against R^2, and
+the other kinds map the numerators (quotient), the radius (power) or split
+them (products) before calling their component's ``_sign``.  The public
+``compare_from_identity(x, rho)`` is the same hook for a point given by
+rational coordinates, which it puts over one denominator; a float coordinate
+is an ``ExactnessError``.  The finite table of ``FiniteSpaceDistance``, which
+has no group, is the one kind that compares differently.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ from .algebra import (
     abelian_group,
     dilate,
     dilate_batch,
+    displacement,
     heisenberg_group,
-    inverse,
     make_group,
     multiply,
     multiply_batch,
@@ -54,7 +61,7 @@ from .algebra import (
     product_group,
 )
 from .exact_linalg import min_norm_right_inverse, rref
-from .scalars import all_exact, rat_pow
+from .scalars import all_exact, int_power, over_common_denominator, rat_pow
 from .structure import MorphismMatrix, validate_morphism
 
 TWO_PI = 2.0 * math.pi
@@ -106,12 +113,18 @@ class QuasiDistance:
 
     def compare(self, p, q, rho) -> int:
         """Exact sign of d(p, q) - rho, or raise ExactnessError: the sign of
-        d(e, p^-1 q) - rho for the displacement formed in rationals."""
-        df = multiply(inverse(tuple(Fraction(v) for v in p), self.group),
-                      tuple(Fraction(v) for v in q), self.group)
-        return self.compare_from_identity(df, rho)
+        d(e, p^-1 q) - rho for the displacement formed in integers."""
+        return self._sign(*displacement(p, q, self.group), rho)
 
     def compare_from_identity(self, x, rho) -> int:
+        """Exact sign of d(e, x) - rho for rational coordinates x."""
+        if not all_exact(x):
+            raise ExactnessError("exact comparison needs rational coordinates")
+        return self._sign(*over_common_denominator(x), rho)
+
+    def _sign(self, nums, den, rho) -> int:
+        """Exact sign of d(e, x) - rho at x = nums / den, integer numerators
+        over one positive integer denominator; the one exact hook of a kind."""
         raise ExactnessError(f"{self.kind} distance has no exact comparison")
 
     def exact_value(self, p, q):
@@ -336,6 +349,10 @@ class HSDistance(QuasiDistance):
         # holds for every rational rho exactly when all 2 w_i are integers
         self.exact_capable = all((2 * w).denominator == 1 for w in group.weights)
         self._plan = _HSPlan(group.weights)
+        # per term of the plan, its weight w and the exponent 2w = e / r
+        self._exact_terms = [(w, (2 * w).numerator, (2 * w).denominator)
+                             for w in self._plan.weights]
+        self._R2 = (self.R.numerator ** 2, self.R.denominator ** 2)
 
     def value_from_identity(self, x):
         """The batch solve for one point, in plain floats with no numpy."""
@@ -359,23 +376,41 @@ class HSDistance(QuasiDistance):
     def value_from_identity_batch(self, X):
         return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)
 
-    def compare_from_identity(self, x, rho):
-        rho = Fraction(rho)
-        if rho <= 0:
+    def _sign(self, nums, den, rho):
+        """With x = N / den, rho = u / v and R = a / b, the sign of
+        sum_w S_w / (den^2 rho^(2w)) - R^2, S_w = sum of N_i^2 over the
+        coordinates of weight w: for U the largest u^(2w) of the terms
+        present, which every u^(2w) divides, the sign of
+
+            b^2 sum_w S_w v^(2w) (U / u^(2w)) - a^2 den^2 U.
+
+        A term with S_w = 0 needs no power of rho; the first term without
+        one, by weight, is the ExactnessError."""
+        if not isinstance(rho, Fraction):
+            rho = Fraction(rho)
+        u, v = rho.as_integer_ratio()
+        if u <= 0:
             raise ValueError("comparison radius must be positive")
-        if not all_exact(x):
-            raise ExactnessError("exact comparison needs rational coordinates")
-        s = Fraction(0)
-        for xi, wi in zip(x, self.weights):
-            if xi == 0:
-                continue
-            pw = rat_pow(rho, 2 * wi)
-            if pw is None:
-                raise ExactnessError(
-                    f"radius {rho} has no exact power for weight {wi}")
-            s += Fraction(xi) ** 2 / pw
-        target = self.R ** 2
-        return (s > target) - (s < target)
+        S = [0] * len(self._exact_terms)
+        for n, k in zip(nums, self._plan.term_of):
+            if n:
+                S[k] += n * n
+        terms = []
+        for s, (w, e, r) in zip(S, self._exact_terms):
+            if s:
+                if r == 1:
+                    up, vp = u ** e, v ** e
+                else:
+                    up, vp = int_power(u, e, r), int_power(v, e, r)
+                    if up is None or vp is None:
+                        raise ExactnessError(f"radius {rho} has no exact power for weight {w}")
+                terms.append((s * vp, up))
+        # u >= 1, so the power of the last (heaviest) term is the largest
+        U = terms[-1][1] if terms else 1
+        a2, b2 = self._R2
+        lhs = sum(t * (U // up) for t, up in terms) * b2
+        rhs = a2 * den * den * U
+        return (lhs > rhs) - (lhs < rhs)
 
     # the base method, bound here as well because perfbench/tracer.py wraps
     # HSDistance.__dict__["compare"]
@@ -546,11 +581,11 @@ class PowerDistance(QuasiDistance):
     def value_from_identity_batch(self, X):
         return self.base.value_from_identity_batch(X) ** (1.0 / float(self.t))
 
-    def compare_from_identity(self, x, rho):
+    def _sign(self, nums, den, rho):
         rt = rat_pow(Fraction(rho), self.t)
         if rt is None:
             raise ExactnessError(f"radius {rho} has no exact power {self.t}")
-        return self.base.compare_from_identity(x, rt)
+        return self.base._sign(nums, den, rt)
 
 
 def power_distance(d: QuasiDistance, t) -> PowerDistance:
@@ -604,10 +639,10 @@ class ProductMaxDistance(_CombinedDistance):
         return np.maximum(self.components[0].value_from_identity_batch(X1),
                           self.components[1].value_from_identity_batch(X2))
 
-    def compare_from_identity(self, x, rho):
-        x1, x2 = self.split(x)
-        s1 = self.components[0].compare_from_identity(x1, rho)
-        s2 = self.components[1].compare_from_identity(x2, rho)
+    def _sign(self, nums, den, rho):
+        n1, n2 = self.split(nums)
+        s1 = self.components[0]._sign(n1, den, rho)
+        s2 = self.components[1]._sign(n2, den, rho)
         if s1 > 0 or s2 > 0:
             return 1
         if s1 == 0 or s2 == 0:
@@ -646,19 +681,19 @@ class LpComboDistance(_CombinedDistance):
         v2 = self.components[1].value_from_identity_batch(X2)
         return (v1 ** rf + v2 ** rf) ** (1.0 / rf)
 
-    def compare_from_identity(self, x, rho):
+    def _sign(self, nums, den, rho):
         rho = Fraction(rho)
-        x1, x2 = self.split(x)
+        n1, n2 = self.split(nums)
         d1, d2 = self.components
-        ex1 = d1.exact_value(tuple(Fraction(0) for _ in self.slice1), x1)
-        ex2 = d2.exact_value(tuple(Fraction(0) for _ in self.slice2), x2)
+        ex1 = d1.exact_value(tuple(Fraction(0) for _ in n1), tuple(Fraction(n, den) for n in n1))
+        ex2 = d2.exact_value(tuple(Fraction(0) for _ in n2), tuple(Fraction(n, den) for n in n2))
         if ex1 is not None and ex2 is not None and self.r.denominator == 1:
             k = self.r.numerator
             s = ex1 ** k + ex2 ** k
             t = rho ** k
             return (s > t) - (s < t)
         if self.r == 1:
-            for (exv, other, xo) in ((ex1, d2, x2), (ex2, d1, x1)):
+            for (exv, other, no) in ((ex1, d2, n2), (ex2, d1, n1)):
                 if exv is None:
                     continue
                 rem = rho - exv
@@ -666,9 +701,8 @@ class LpComboDistance(_CombinedDistance):
                     return 1
                 if rem == 0:
                     # d = exv + other >= rho, strict unless the other leg is 0
-                    zo = all(Fraction(v) == 0 for v in xo)
-                    return 0 if zo else 1
-                return other.compare_from_identity(xo, rem)
+                    return 1 if any(no) else 0
+                return other._sign(no, den, rem)
         raise ExactnessError("no exact comparison for this lp combination")
 
 
@@ -720,9 +754,12 @@ class QuotientDistance(QuasiDistance):
         self.morphism = morphism
         self.exact_capable = dhat.exact_capable
         super().__init__(make_group(morphism.target, name="quotient_target"))
-        # the minimizing lift x -> M x, exact and in float (source x target)
-        self._lift_exact = min_norm_right_inverse(morphism.entries)
-        self._lift_float = np.array(self._lift_exact, dtype=float)
+        # the minimizing lift x -> M x (source x target): in float, and as
+        # integers M s over the lcm s of the denominators of M
+        lift = min_norm_right_inverse(morphism.entries)
+        self._lift_float = np.array(lift, dtype=float)
+        scale = math.lcm(*(m.denominator for row in lift for m in row))
+        self._lift_scaled = scale, tuple(tuple(int(m * scale) for m in row) for row in lift)
         # the exact section and the kernel basis in float, for grid_value
         self.section = np.array(_right_inverse_columns(morphism), dtype=float)
         self.kernel = np.array(morphism.kernel_basis(), dtype=float).reshape(
@@ -736,10 +773,10 @@ class QuotientDistance(QuasiDistance):
         return self.dhat.value_from_identity_batch(
             np.asarray(X, dtype=float) @ self._lift_float.T)
 
-    def compare_from_identity(self, x, rho):
-        # a float coordinate makes every entry of M x a float, which dhat refuses
-        return self.dhat.compare_from_identity(
-            tuple(sum(m * xi for m, xi in zip(row, x)) for row in self._lift_exact), rho)
+    def _sign(self, nums, den, rho):
+        scale, M = self._lift_scaled
+        return self.dhat._sign(tuple(sum(m * n for m, n in zip(row, nums)) for row in M),
+                               den * scale, rho)
 
     # the base methods, bound here as well because perfbench/ calls
     # value_batch_refined and wraps QuotientDistance.__dict__["value"]

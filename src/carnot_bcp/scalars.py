@@ -1,29 +1,68 @@
 """Dual scalar backends: exact rationals and double floats.
 
-Certificates are decided in exact rational arithmetic (``fractions.Fraction``);
-searches and solvers run in float for speed.  Helpers here convert between the
-two, serialize rationals as ``"p/q"`` strings, and provide the handful of exact
-number-theoretic operations the rest of the package needs (rational interval
-enclosures of square roots, exact n-th roots).
+Certificates are decided in exact arithmetic (points are ``fractions.Fraction``
+coordinates, comparisons run on integers over a common denominator); searches
+and solvers run in float for speed.  Helpers here convert between the two,
+serialize rationals as ``"p/q"`` strings of any length, and provide the
+handful of exact number-theoretic operations the rest of the package needs
+(rational interval enclosures of square roots, exact n-th roots and powers).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+# Integers convert to and from decimal text in pieces of this many digits,
+# below the least limit (640 digits) the interpreter may set on one int <-> str
+# conversion, so values of any size round-trip without touching that
+# process-wide setting.
+_DIGITS = 600
+_PIECE = 10 ** _DIGITS
+_INTEGER_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_text(n: int) -> str:
+    """The decimal text of an integer of any size."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    pieces = []
+    while n >= _PIECE:
+        n, r = divmod(n, _PIECE)
+        pieces.append(str(r).zfill(_DIGITS))
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
+
+
+def _text_int(digits: str) -> int:
+    """The integer of a string of decimal digits of any length."""
+    n = 0
+    for i in range(0, len(digits), _DIGITS):
+        piece = digits[i:i + _DIGITS]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
 
 
 def parse_scalar(text):
-    """Parse ``"p/q"``, integer, or decimal text into a Fraction."""
-    return Fraction(str(text).strip())
+    """Parse ``"p/q"``, integer, or decimal text into a Fraction; integer
+    and "p/q" text may have any number of digits."""
+    text = str(text).strip()
+    m = _INTEGER_RATIO.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    sign, num, den = m.groups()
+    value = Fraction(_text_int(num), _text_int(den) if den else 1)
+    return -value if sign == "-" else value
 
 
 def fmt_scalar(x):
     """Serialize a scalar: rationals as "p/q", floats as shortest repr."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        num = _int_text(x.numerator)
+        return f"{num}/{_int_text(x.denominator)}" if x.denominator != 1 else num
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     return repr(float(x))
 
 
@@ -33,6 +72,17 @@ def is_exact(x) -> bool:
 
 def all_exact(xs) -> bool:
     return all(is_exact(x) for x in xs)
+
+
+def over_common_denominator(xs):
+    """Exact reals (Fractions, ints, floats: anything ``Fraction`` takes) as
+    (integer numerators, their least common positive denominator)."""
+    try:
+        ratios = [x.as_integer_ratio() for x in xs]
+    except AttributeError:
+        ratios = [Fraction(x).as_integer_ratio() for x in xs]
+    den = math.lcm(*[d for _n, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def to_fractions(xs):
@@ -89,6 +139,16 @@ def _iroot_exact(n: int, k: int):
         if s >= r:
             return r if r ** k == n else None
         r = s
+
+
+def int_power(n: int, e: int, r: int):
+    """n^(e/r) for integers n >= 0 and e, r >= 1 when it is an integer,
+    else None."""
+    if r > 1:
+        n = _iroot_exact(n, r)
+        if n is None:
+            return None
+    return n ** e
 
 
 def rat_pow(x: Fraction, w: Fraction):

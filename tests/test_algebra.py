@@ -1,6 +1,7 @@
 """Group arithmetic: exactness of the BCH product, dilations, built-ins."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from carnot_bcp.algebra import (
     group_to_json,
     multiply_batch,
 )
-from carnot_bcp.scalars import nth_root_exact
+from carnot_bcp.scalars import fmt_scalar, nth_root_exact, parse_scalar
 
 F = Fraction
 
@@ -79,6 +80,77 @@ def test_validate_jacobi_violation():
                  (0, 3): ((4, F(1)),)})
     rep = cb.validate_algebra(alg)
     assert any(i["kind"] == "jacobi" for i in rep.issues)
+
+
+def dense_issues(alg):
+    """The validation issues from the dense Fraction loop over every triple
+    i < j < k of basis vectors: the oracle for the sparse integer check."""
+    w = alg.weights
+    issues = [{"kind": "grading", "pair": [i + 1, j + 1], "target": k + 1,
+               "detail": f"weight {w[k]} != {w[i]} + {w[j]}"}
+              for (i, j), terms in alg.bracket.items() for k, c in terms
+              if c != 0 and w[k] != w[i] + w[j]]
+    units = [tuple(F(int(a == b)) for b in range(alg.dim)) for a in range(alg.dim)]
+
+    def br(a, b):
+        return bracket(a, b, alg)
+
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(j + 1, alg.dim):
+                x, y, z = units[i], units[j], units[k]
+                jac = [a + b + c for a, b, c in
+                       zip(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))]
+                if any(jac):
+                    issues.append({"kind": "jacobi", "triple": [i + 1, j + 1, k + 1],
+                                   "detail": "cyclic bracket sum is nonzero"})
+    return issues
+
+
+def dense_step(alg):
+    """Length of the lower central series from Fraction brackets of spans."""
+    from carnot_bcp.exact_linalg import span_basis
+    full = [tuple(F(int(a == b)) for b in range(alg.dim)) for a in range(alg.dim)]
+    current, s = full, 0
+    while current:
+        s += 1
+        current = span_basis([v for a in full for b in current
+                              for v in [bracket(a, b, alg)] if any(v)])
+    return s
+
+
+def random_graded_table(rng):
+    """A table whose every bracket lands in the layer of the summed weights,
+    with rational coefficients; most such tables fail Jacobi, some pass."""
+    weights = sorted(rng.choice((1, 1, 1, 2, 2, 3, 4)) for _ in range(rng.randint(3, 8)))
+    dim = len(weights)
+    bracket_table = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            targets = [k for k in range(dim) if weights[k] == weights[i] + weights[j]]
+            if targets and rng.random() < 0.4:
+                bracket_table[i, j] = tuple(
+                    (k, F(rng.randint(-3, 3), rng.randint(1, 4)))
+                    for k in rng.sample(targets, rng.randint(1, len(targets))))
+    return StructureConstants(dim=dim, weights=tuple(weights), bracket=bracket_table)
+
+
+def test_sparse_jacobi_check_matches_the_dense_oracle():
+    rng = random.Random(7)
+    tables = [random_graded_table(rng) for _ in range(300)]
+    tables += [g.algebra for g in all_builtin_groups()]
+    tables.append(StructureConstants(
+        dim=5, weights=(1, 1, 2, 3, 4),
+        bracket={(0, 1): ((2, F(1)),), (1, 2): ((3, F(1)),), (0, 3): ((4, F(1)),)}))
+    kinds = set()
+    for alg in tables:
+        rep = cb.validate_algebra(alg)
+        assert rep.issues == dense_issues(alg)
+        kinds.update(i["kind"] for i in rep.issues)
+        if rep.ok:
+            assert alg.step() == dense_step(alg)
+    assert "jacobi" in kinds
+    assert sum(cb.validate_algebra(a).ok for a in tables) > 30
 
 
 def test_bracket_index_out_of_range():
@@ -164,6 +236,24 @@ def test_inverse_step3_random():
         assert cb.multiply(p, cb.inverse(p, g), g) == g.identity()
 
 
+@pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)
+def test_displacement_is_the_bch_product_of_the_inverse(g):
+    # integers over one denominator, equal to multiply(inverse(p), q) in
+    # Fractions: small rationals, ints, floats, and scales 2^(+-700)
+    rng = np.random.default_rng(11)
+    points = [rand_rational_point(rng, g.dim) for _ in range(30)]
+    points += [tuple(x * F(2) ** e for x in rand_rational_point(rng, g.dim, 50, 9))
+               for e in (700, -700) for _ in range(5)]
+    points += [g.identity(), tuple(range(g.dim)),
+               tuple(float(x) for x in rand_rational_point(rng, g.dim))]
+    for p in points:
+        for q in points[::3]:
+            nums, den = cb.displacement(p, q, g)
+            assert den > 0 and all(isinstance(n, int) for n in nums)
+            want = cb.multiply(cb.inverse(tuple(map(F, p)), g), tuple(map(F, q)), g)
+            assert tuple(F(n, den) for n in nums) == want
+
+
 def test_unsupported_step_rejected():
     # free step-2 relations plus a fake chain up to step 4
     alg = StructureConstants(
@@ -175,6 +265,8 @@ def test_unsupported_step_rejected():
     assert g.step == 4
     with pytest.raises(UnsupportedStepError):
         cb.multiply(g.identity(), g.identity(), g)
+    with pytest.raises(UnsupportedStepError):
+        cb.displacement(g.identity(), g.identity(), g)
 
 
 def test_dilate_nonstandard_example():
@@ -217,6 +309,28 @@ def test_exact_roots_beyond_the_float_range():
     lam = F(1, 4) ** 600
     assert cb.dilate((F(1), F(1), F(1)), lam, g, exact=True) == \
         (F(1, 2 ** 1200), F(1, 2 ** 1800), F(1, 2 ** 3000))
+
+
+def test_scalar_text_of_integers_beyond_the_conversion_limit():
+    # the interpreter refuses int <-> str of more than 4300 digits by default;
+    # fmt_scalar and parse_scalar convert in pieces, and the text of a value
+    # under the limit is str's own
+    big = 3 ** 20000 + 1                       # 9,543 digits
+    for x in (F(1, 3), F(-7), F(10 ** 4000 + 1, 2 ** 100), -F(10 ** 599),
+              F(10 ** 600), F(big, 7 ** 5000), -F(big), F(1, big)):
+        text = fmt_scalar(x)
+        assert parse_scalar(text) == x
+        if max(abs(x.numerator), x.denominator) < 10 ** 4000:
+            assert text == (str(x.numerator) if x.denominator == 1 else str(x))
+    assert fmt_scalar(big) == fmt_scalar(F(big))
+    assert parse_scalar("1/" + "1" * 5000) == F(1, (10 ** 5000 - 1) // 9)
+    assert parse_scalar(" -0012/0030 ") == F(-2, 5)
+    for text in ("0.1", "1e-3", "-2.5E2"):
+        assert parse_scalar(text) == F(text)
+    with pytest.raises(ValueError):
+        parse_scalar("1/-2")
+    with pytest.raises(ZeroDivisionError):
+        parse_scalar("1/0")
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,10 @@ class LopsidedHS(HSDistance):
     def value_from_identity(self, x):
         return super().value_from_identity(self.squash(x))
 
-    def compare_from_identity(self, x, rho):
-        return super().compare_from_identity(self.squash(x), rho)
+    def _sign(self, nums, den, rho):
+        # the squashed point over the denominator 10^6 den
+        return super()._sign(tuple(n if n < 0 else n * 10 ** 6 for n in nums),
+                             den * 10 ** 6, rho)
 
 
 def orbit_distance(kind):

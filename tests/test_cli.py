@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -171,6 +172,63 @@ def test_cover_refuses_a_malformed_points_file(name, tmp_path):
                   timeout=60)
     assert res.returncode == 64
     assert "configuration error" in res.stderr
+
+
+# files whose shape the loaders did not check: each exited 1 with a
+# traceback (AttributeError or TypeError) instead of a configuration error
+MALFORMED_SHAPES = {
+    "verify_top_level_array": (["besicovitch", "verify", "--family"], [1, 2]),
+    "verify_array_coordinate": (["besicovitch", "verify", "--family"],
+                                {"centers": [[[1]]], "radii": [1], "witness": [0]}),
+    "cover_array_coordinate": (["besicovitch", "cover", "--points"],
+                               {"points": [[[0.0]]], "radii": [1.0]}),
+    "cover_top_level_array": (["besicovitch", "cover", "--points"], [[0.0]]),
+    "report_top_level_array": (["report", "--config"], [1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPES))
+def test_malformed_file_shapes_are_configuration_errors(name, tmp_path):
+    command, content = MALFORMED_SHAPES[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    flags = LINE_FLAGS if command[0] == "besicovitch" else []
+    res = run_cli(command + [str(path)] + flags, timeout=60)
+    assert res.returncode == 64
+    assert res.stderr.startswith("configuration error: ") and "Traceback" not in res.stderr
+
+
+def test_family_with_integers_beyond_the_conversion_limit_round_trips(tmp_path):
+    # centers 0, 500 and 999 of the 1000-ball orbit: coordinates of up to
+    # 5,400 digits, beyond the 4,300 of one int <-> str conversion
+    from dataclasses import replace
+
+    import carnot_bcp as cb
+    from carnot_bcp.besicovitch import dilation_orbit_family
+    from carnot_bcp.metrics import HSDistance
+    from carnot_bcp.scalars import parse_scalar
+    u1, u2 = Fraction(3, 100), Fraction(-41, 100)
+    s = u1 * u1 + u2 * u2
+    p = (2 * u1 / (1 + s), 2 * u2 / (1 + s), (1 - s) / (1 + s))
+    d = HSDistance(cb.heisenberg_nonstandard_group(2), Fraction(1))
+    res = dilation_orbit_family(d, p, Fraction(1, 2), k=6, count=1000)
+    assert res.ok
+    fam = res.family
+    assert max(x.denominator for x in fam.centers[999]) > 10 ** 5000
+    # the whole result serializes, and its text reads back
+    whole = json.loads(json.dumps(res.to_json()))
+    assert [parse_scalar(x) for x in whole["family"]["centers"][999]] == list(fam.centers[999])
+    sub = replace(fam, centers=tuple(fam.centers[i] for i in (0, 500, 999)),
+                  radii=tuple(fam.radii[i] for i in (0, 500, 999)))
+    data = sub.to_json()
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    out = run_cli(["besicovitch", "verify", "--group", "heisenberg_nonstandard",
+                   "--alpha", "2", "--kind", "hs", "--R", "1", "--family", str(path)],
+                  timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"valid": True, "cardinality": 3, "mode": "exact",
+                                      "violations": [], "min_slack": None}
 
 
 def test_certify_lemmas(capsys):

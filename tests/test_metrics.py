@@ -40,6 +40,8 @@ from carnot_bcp.metrics import (
     quotient_distance,
     snowflake_line,
 )
+from carnot_bcp.exact_linalg import min_norm_right_inverse
+from carnot_bcp.scalars import rat_pow
 from carnot_bcp.structure import MorphismMatrix, validate_morphism
 
 F = Fraction
@@ -338,6 +340,115 @@ def test_compare_is_exact_sign_at_the_displacement(kind, data):
     # and the sign is that of d(p, q) - rho wherever the float value decides it
     if abs(v - float(rho)) > 1e-9 * float(rho):
         assert want == (1 if v > rho else -1)
+
+
+def fraction_sign(d, x, rho):
+    """The Fraction path the integer hooks replaced, kept as their oracle:
+    the sign of d(e, x) - rho from sum_i x_i^2 / rho^(2 w_i) against R^2 in
+    Fractions, with each kind's reduction to its HS components."""
+    rho = F(rho)
+    if isinstance(d, HSDistance):
+        if rho <= 0:
+            raise ValueError("comparison radius must be positive")
+        s = F(0)
+        for xi, wi in zip(x, d.weights):
+            if xi == 0:
+                continue
+            pw = rat_pow(rho, 2 * wi)
+            if pw is None:
+                raise ExactnessError(f"radius {rho} has no exact power for weight {wi}")
+            s += F(xi) ** 2 / pw
+        return (s > d.R ** 2) - (s < d.R ** 2)
+    if d.kind == "power":
+        rt = rat_pow(rho, d.t)
+        if rt is None:
+            raise ExactnessError(f"radius {rho} has no exact power {d.t}")
+        return fraction_sign(d.base, x, rt)
+    if d.kind == "quotient":
+        M = min_norm_right_inverse(d.morphism.entries)
+        return fraction_sign(d.dhat, [sum(m * v for m, v in zip(row, x)) for row in M], rho)
+    x1, x2 = d.split(x)
+    d1, d2 = d.components
+    if d.kind == "product_max":
+        s1, s2 = fraction_sign(d1, x1, rho), fraction_sign(d2, x2, rho)
+        return 1 if s1 > 0 or s2 > 0 else (0 if s1 == 0 or s2 == 0 else -1)
+    assert d.kind == "lp_combo" and d.r == 1
+    ex1 = d1.exact_value(tuple(F(0) for _ in x1), x1)
+    rem = rho - ex1
+    if rem <= 0:
+        return 1 if rem < 0 or any(x2) else 0
+    return fraction_sign(d2, x2, rem)
+
+
+# the exact kinds, plus a step-3 group, weights whose 2w is not an integer
+# (a radius must be a perfect square) and a power that needs a square root
+ORACLE_KINDS = dict(
+    EXACT_KINDS,
+    hs_step3=lambda: HSDistance(cb.step3_rank3_group(), F(3, 2)),
+    hs_quarter_weights=lambda: HSDistance(cb.heisenberg_nonstandard_group(F(5, 4)), F(2, 3)),
+    power_three_halves=lambda: power_distance(HSDistance(cb.heisenberg_group(1), F(1)),
+                                              F(3, 2)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_compare_matches_the_fraction_oracle(kind, data):
+    d = ORACLE_KINDS[kind]()
+    g, n = d.group, d.group.dim
+    p, q = (tuple(data.draw(st.lists(small_rationals, min_size=n, max_size=n)))
+            for _ in range(2))
+    # radii near d(p, q), squares of a rational and twice such a square
+    v = d.value(p, q)
+    near = F(v) if v > 0 else F(1)
+    root = F(math.sqrt(near))
+    rho = data.draw(st.sampled_from([near * F(7, 8), near, near * F(9, 8),
+                                     root ** 2, 2 * root ** 2, F(0), F(-1, 3)]))
+    # the dilation by lam = 2^(+-700), a perfect fourth power, keeps the radius
+    # as near and as (non-)square while the coordinates grow to 2^(+-700 w)
+    lam = F(2) ** data.draw(st.sampled_from([0, 0, 700, -700]))
+    p, q, rho = cb.dilate(p, lam, g, exact=True), cb.dilate(q, lam, g, exact=True), lam * rho
+    x = cb.multiply(cb.inverse(p, g), q, g)
+    try:
+        want = fraction_sign(d, x, rho)
+    except ValueError as exc:     # ExactnessError included
+        for call in (lambda: d.compare(p, q, rho), lambda: d.compare_from_identity(x, rho)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    assert d.compare(p, q, rho) == want
+    assert d.compare_from_identity(x, rho) == want
+
+
+def test_integer_compare_decides_ties_at_any_scale():
+    # q = p * delta_lam(u) with |u| = R puts q on the sphere of radius lam
+    # about p, so d(p, q) = lam exactly, at every scale of lam
+    g = cb.heisenberg_nonstandard_group(2)
+    d = HSDistance(g, F(1))
+    unit = [(F(3, 5), F(4, 5), F(0)), (F(0), F(-3, 5), F(4, 5)), (F(2, 7), F(3, 7), F(-6, 7))]
+    rng = np.random.default_rng(8)
+    for lam in (F(1), F(9, 4), F(2) ** -700, F(2) ** 700 / 3):
+        for u in unit:
+            p = tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) * lam
+                      for _ in range(3))
+            q = cb.multiply(p, cb.dilate(u, lam, g), g)
+            x = cb.multiply(cb.inverse(p, g), q, g)
+            for rho, want in ((lam, 0), (lam * (1 - F(1, 2 ** 3000)), 1),
+                              (lam * (1 + F(1, 2 ** 3000)), -1)):
+                assert d.compare(p, q, rho) == fraction_sign(d, x, rho) == want
+            # d^(1/2) on the 2-power of the group ties at the square root of lam
+            root = rat_pow(lam, F(1, 2))
+            if root is not None:
+                dp = power_distance(d, 2)
+                assert dp.compare(p, q, root) == fraction_sign(dp, x, root) == 0
+        # |x1| + |x2|^(1/2) at the radius |x1| of its first leg: a tie only
+        # while the second leg is 0
+        lp = lp_combination_distance(euclidean_line(), snowflake_line(F(2)), 1)
+        for x2, want in ((F(0), 0), (lam * lam / 4, 1)):
+            p, q = (lam / 3, F(1, 5)), (lam / 3 + lam, F(1, 5) + x2)
+            assert lp.compare(p, q, lam) == fraction_sign(lp, (lam, x2), lam) == want
 
 
 @pytest.mark.parametrize("make", [disk_union_segment_ball, CCHeisenbergDistance],

@@ -32,7 +32,10 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         assert cb.algebra.multiply is not multiply
         d = cb.HSDistance(cb.heisenberg_nonstandard_group(2), Fraction(1))
         with tracer.root("check"):
+            # the exact comparison forms its displacement in integers, and
+            # the float value through multiply
             assert d.compare((0, 0, 0), (1, 0, 0), Fraction(2)) == -1
+            assert d.value((0, 0, 0), (1, 0, 0)) == 1.0
         assert tracer.span("metrics.hs_compare").calls == 1
         assert tracer.span("algebra.multiply").calls == 1
     finally:
