@@ -78,7 +78,7 @@ b = boundary_sample(d1, (0.4, -1.2, 0.7))
 print("\nboundary sample Euclidean norm:", sum(x * x for x in b))
 
 # --- the negative-type gauge comparison ---------------------------------------
-rep = lee_naor_comparison(1, samples=2000, seed=0)
+rep = lee_naor_comparison(samples=2000)
 print("\nquartic-gauge comparison at R=2:")
 print("  homogeneous closed form reproduces d_2 to:", rep["closed_form_rel_dev"])
 print("  printed quartic gauge matches d_2:", rep["quartic_gauge_matches"],

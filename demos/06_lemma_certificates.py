@@ -62,6 +62,6 @@ for lemma in ("away", "near2a", "inbetween"):
 
 # the pigeonhole endgame needs a packing count: vectors pairwise separated by
 # more than delta/2 in angle
-n, note = sphere_packing_estimate(2, delta / 2, samples=4096, seed=0)
+n, note = sphere_packing_estimate(2, delta / 2, samples=4096)
 print(f"\npacking estimate in the plane at separation {delta/2:.4f}: {n} "
       f"vectors -> family bound 3N^2 = {note['bound_3N2']} ({note['note']})")

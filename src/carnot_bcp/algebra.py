@@ -15,6 +15,9 @@ through step 3:
 which is the exact group law for every group of nilpotency step <= 3 (all the
 groups this package constructs).  With rational inputs every operation here is
 exact; batch variants operate on float numpy arrays for search workloads.
+The inputs alone choose the backend: ``dilate`` is exact when the factor and
+every coordinate are rational, which needs the factor's power of every weight
+to be rational, and float when any of them is a float.
 ``displacement`` forms p^-1 q for exact comparisons in integers over one
 denominator, from the structure constants scaled to integers once per algebra.
 """
@@ -30,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .exact_linalg import rank, span_basis
-from .scalars import fmt_scalar, nth_root_exact, over_common_denominator, parse_scalar
+from .scalars import (all_exact, fmt_scalar, is_exact, over_common_denominator, parse_scalar,
+                      rat_pow)
 
 MAX_SUPPORTED_STEP = 3
 
@@ -381,34 +385,26 @@ def inverse(p, group: GradedGroup):
     return tuple(-x for x in p)
 
 
-def dilate(p, lam, group: GradedGroup, exact=None):
+def dilate(p, lam, group: GradedGroup):
     """Coordinate i scaled by lam**w_i.
 
-    exact=True demands a rational result: lam must be rational and, when the
-    weights have common denominator q > 1, a perfect q-th power.  exact=None
-    picks the backend from the input types.
+    The inputs decide the backend: the result is exact when lam and every
+    coordinate are rational (``int`` or ``Fraction``), which needs lam^w_i
+    rational for every weight (an ``ExactnessError`` otherwise), and float
+    when any of them is a float.
     """
     w = group.weights
-    if exact is None:
-        exact = isinstance(lam, (Fraction, int)) and all(
-            isinstance(x, (Fraction, int)) for x in p)
-    if exact:
+    if len(p) != len(w):
+        raise AlgebraError("vector length does not match algebra dimension")
+    if is_exact(lam) and all_exact(p):
         lam = Fraction(lam)
         if lam <= 0:
             raise AlgebraError("dilation factor must be positive")
-        factors = []
-        for wi in w:
-            f = None
-            if wi.denominator == 1:
-                f = lam ** wi.numerator
-            else:
-                root = nth_root_exact(lam, wi.denominator)
-                if root is not None:
-                    f = root ** wi.numerator
+        factors = [rat_pow(lam, wi) for wi in w]
+        for wi, f in zip(w, factors):
             if f is None:
                 raise ExactnessError(
                     f"lambda={lam} has no exact power for weight {wi}")
-            factors.append(f)
         return tuple(x * f for x, f in zip(p, factors))
     lamf = float(lam)
     if lamf <= 0:
@@ -436,6 +432,9 @@ def multiply_batch(P, Q, group: GradedGroup):
         raise UnsupportedStepError("unsupported step")
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
+    # numpy would broadcast a row of one entry and index past a short one
+    if P.shape[-1:] != (group.dim,) or Q.shape[-1:] != (group.dim,):
+        raise AlgebraError("vector length does not match algebra dimension")
     alg = group.algebra
     out = P + Q
     pq = bracket_batch(P, Q, alg)
@@ -448,6 +447,8 @@ def multiply_batch(P, Q, group: GradedGroup):
 def dilate_batch(P, lam, group: GradedGroup):
     """Rowwise dilation; lam is a scalar or an (m,) array."""
     P = np.asarray(P, dtype=float)
+    if P.shape[-1:] != (group.dim,):
+        raise AlgebraError("vector length does not match algebra dimension")
     lam = np.asarray(lam, dtype=float)
     w = np.array([float(x) for x in group.weights])
     if lam.ndim == 0:

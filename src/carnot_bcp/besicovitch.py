@@ -7,7 +7,10 @@ rigorous certificate) or in float with an explicit margin; it decides both
 which balls a search keeps and whether ``verify_family`` accepts a family.
 Searches propose centers with the witness pinned at the identity and radii
 set to the distance of the center from the identity, rationalized minimally
-upward in exact mode so witness containment is exact.
+upward in exact mode so witness containment is exact.  A dilation orbit takes
+its mode from its inputs: exact when the distance is exact-capable and the
+point, the ratio and the dilates are rational, margin otherwise; the family's
+``mode`` records which.
 
 Also here: the constructive block-greedy cover with its per-block radius
 bounds and quarter-radius disjointness, and the countable metric space with
@@ -25,7 +28,7 @@ import numpy as np
 
 from .algebra import dilate, dilate_batch
 from .metrics import ExactnessError, FiniteSpaceDistance, QuasiDistance, default_sampler
-from .scalars import all_exact, fmt_scalar, rat_pow, to_fractions
+from .scalars import all_exact, fmt_scalar, is_exact, rat_pow, to_fractions
 
 EXACT = "exact"
 # the least slack of every margin-mode condition, far above the 1e-10 ..
@@ -97,7 +100,7 @@ def _as_point(p):
 
 def _finite(x):
     # a rational is finite, and may lie outside the float range
-    return isinstance(x, (Fraction, int)) or math.isfinite(x)
+    return is_exact(x) or math.isfinite(x)
 
 
 @dataclass
@@ -263,7 +266,7 @@ def _proposal_batches(d: QuasiDistance, strategy, rng):
             lam = d.value_from_identity(tuple(seed_dir))
             if lam <= 0 or not math.isfinite(lam):
                 continue
-            p0 = dilate(tuple(seed_dir), 1.0 / lam, group, exact=False)
+            p0 = dilate(tuple(seed_dir), 1.0 / lam, group)
             # chain ratio: the escape margin of shrinking dilates only beats
             # the second-order terms once the ratio is fairly small
             base_exp = rng.uniform(3.0, 9.0)
@@ -422,8 +425,7 @@ class OrbitResult:
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
 
-def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
-                          exact: bool = None) -> OrbitResult:
+def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> OrbitResult:
     """Family of shrinking dilates q_l = delta_(r_l)(p), radii r_l = rho^(l k)
     for l = 0..count-1, with the identity e as witness.
 
@@ -431,10 +433,10 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     homogeneous distance and every ratio rho in (0,1)).  The orbit test asks
     d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode; ``margins`` holds
     d(p, q_j) - 1 in float.  A family is emitted only when the test passes.
-    exact=None picks exact mode for an exact-capable distance with rational
-    p and rho when every dilation factor rho^(l k) has an exact power for
-    every weight, which holds exactly when rho^k has; with exact=True a ratio
-    without them is rejected.
+    The inputs decide the mode, which the family records: exact for an
+    exact-capable distance, rational p and rho, and rational dilates, that
+    is when every dilation factor rho^(l k) has an exact power for every
+    weight, which holds exactly when rho^k has; margin otherwise.
 
     An exact family is certified from 2 count - 1 conditions instead of the
     count^2 of ``verify_family``.  Proof: d is left-invariant (``compare``
@@ -458,26 +460,15 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     ``verify_family``'s own.  Margin families are verified in full: their
     slack ``MARGIN_EPSILON`` is absolute and does not scale with the radii.
     """
-    auto = exact is None
-    if auto:
-        exact = d.exact_capable and all_exact(p) and isinstance(rho, (Fraction, int))
-    elif exact and not d.exact_capable:
-        raise ValueError(
-            f"{d.kind} distance cannot back exact certificates; "
-            "run with exact=False for margin-mode families")
     if not (0 < float(rho) < 1):
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or count < 2:
         raise ValueError("need k >= 1 and count >= 2")
-    if exact and any(rat_pow(Fraction(rho) ** k, w) is None for w in d.group.weights):
-        if not auto:
-            raise ValueError(f"ratio {rho}: rho^{k} has no exact power for every "
-                             "weight, so the dilates are not rational; use a perfect "
-                             "power or exact=False")
-        exact = False
+    exact = (d.exact_capable and all_exact(p) and is_exact(rho)
+             and all(rat_pow(Fraction(rho) ** k, w) is not None for w in d.group.weights))
     if not exact and float(rho) ** ((count - 1) * k) == 0.0:
         raise ValueError(f"count={count}: the smallest radius rho^((count-1) k) "
-                         "underflows to 0.0 in float; use exact mode")
+                         "underflows to 0.0 in float; rational p and rho give exact mode")
     if exact:
         ratio, p0 = Fraction(rho), to_fractions(p)
     else:
@@ -489,7 +480,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int,
     first_fail = None
     undecided = False
     for j in range(1, count):
-        qj = dilate(p0, radii[j], d.group, exact=exact)
+        qj = dilate(p0, radii[j], d.group)
         centers.append(qj)
         # the float margin of an exact dilate is its own rounding, so no
         # float power of rho can underflow to a zero dilation factor

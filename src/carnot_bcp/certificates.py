@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,15 +42,11 @@ class RegionParams:
 
     r: int
     R: Fraction = Fraction(1)
-    a: Fraction = Fraction(9, 10)
-    a_prime: Fraction = Fraction(19, 10)
+    a: ClassVar[Fraction] = Fraction(9, 10)
+    a_prime: ClassVar[Fraction] = Fraction(19, 10)
 
     def __post_init__(self):
         object.__setattr__(self, "R", Fraction(self.R))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "a_prime", Fraction(self.a_prime))
-        if not (0 < self.a < self.a_prime):
-            raise ValueError("need 0 < a < a_prime")
         if self.R <= 0 or self.r < 2:
             raise ValueError("need R > 0 and rank >= 2")
 
@@ -396,19 +393,22 @@ def _assemble_points(m, r, nv, nw, vdir, wdir):
 
 
 def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
-                seed: int = 0, tolerance: float = 1e-9) -> SweepReport:
+                seed: int = 0) -> SweepReport:
     """Random hypothesis-constrained sweep of one containment lemma.
 
     lemma in {"aq", "small_angles", "away", "near2a", "inbetween"}.
 
     For the three containment lemmas: p is sampled on the sphere and q in the
     ball, both in the lemma's parabolic region, with both layer angles below
-    delta; the conclusion asserted is a_form(p, q) <= tolerance.  For "aq" the
+    delta; the conclusion asserted is a_form(p, q) <= 1e-9.  For "aq" the
     sign of the form is checked against direct ball membership; for
     "small_angles" the three epsilon bounds are checked at the calibrated
     delta.  The containment lemmas take epsilon from ``admissible_epsilon``,
     "small_angles" takes 1/16, and delta is calibrated from 20,000 pairs.
+    A sweep needs at least one sample: an empty one would certify nothing.
     """
+    if sample_count < 1:
+        raise ValueError(f"a sweep needs at least one sample, not {sample_count}")
     rng = np.random.default_rng(seed)
     r = params.r
     wdim = r * (r - 1) // 2
@@ -457,6 +457,8 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                            notes={"kind": "epsilon-bounds"})
 
     region = _REGION_OF_LEMMA[lemma]
+    # the conclusion a_form(p, q) <= 0, up to float rounding
+    tolerance = 1e-9
     group = free_step2_group(r)
     accepted = 0
     max_af = -math.inf
@@ -540,11 +542,11 @@ def _repulsion_packing(dim, k, cos_sep, rng):
     return bool(G.max() < cos_sep)
 
 
-def sphere_packing_estimate(dim: int, angular_sep: float, samples: int = 8192,
-                            seed: int = 0):
+def sphere_packing_estimate(dim: int, angular_sep: float, samples: int = 8192):
     """Lower bound on the number of unit vectors pairwise separated by more
-    than the given angle: greedy selection refined by a repulsion pass that
-    tries to place one more vector than the greedy count, repeatedly.
+    than the given angle: greedy selection over random directions of seed 0,
+    refined by a repulsion pass that tries to place one more vector than the
+    greedy count, repeatedly.
 
     The reported 3 * N^2 value uses this count, which is a heuristic lower
     bound on the true packing number, not a certified constant.
@@ -555,7 +557,7 @@ def sphere_packing_estimate(dim: int, angular_sep: float, samples: int = 8192,
         count = 2 if angular_sep < math.pi else 1
         return count, {"bound_3N2": 3 * count * count,
                        "note": "exhaustive on the two signs"}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     V = rng.standard_normal((samples, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     cos_sep = math.cos(angular_sep)

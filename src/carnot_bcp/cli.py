@@ -19,6 +19,8 @@ import sys
 import time
 from fractions import Fraction
 
+from .scalars import all_exact, parse_scalar
+
 EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_CONFIG = 64
@@ -39,8 +41,9 @@ def _build_group(args):
         raise ConfigError("--group is required")
     if os.path.exists(args.group):
         return algebra.load_group(args.group)
-    weights = args.weights.split(",") if args.weights else None
-    return algebra.builtin_group(args.group, weights=weights, n=args.n, alpha=args.alpha,
+    weights = [parse_scalar(w) for w in args.weights.split(",")] if args.weights else None
+    alpha = parse_scalar(args.alpha) if args.alpha is not None else None
+    return algebra.builtin_group(args.group, weights=weights, n=args.n, alpha=alpha,
                                  rank=args.rank)
 
 
@@ -48,19 +51,19 @@ def _build_distance(args, group):
     from . import metrics
     kind = args.kind
     if kind == "hs":
-        return metrics.HSDistance(group, Fraction(args.R))
+        return metrics.HSDistance(group, parse_scalar(args.R))
     if kind == "cc_h1":
         return metrics.CCHeisenbergDistance(a=float(args.scale))
     if kind == "power":
-        base = metrics.HSDistance(group, Fraction(args.R))
-        return metrics.PowerDistance(base, Fraction(args.t))
+        base = metrics.HSDistance(group, parse_scalar(args.R))
+        return metrics.PowerDistance(base, parse_scalar(args.t))
     if kind == "snowflake_product_max":
         return metrics.product_max_distance(
-            metrics.euclidean_line(), metrics.snowflake_line(Fraction(args.t)))
+            metrics.euclidean_line(), metrics.snowflake_line(parse_scalar(args.t)))
     if kind == "snowflake_product_lp":
         return metrics.lp_combination_distance(
-            metrics.euclidean_line(), metrics.snowflake_line(Fraction(args.t)),
-            Fraction(args.r_exp))
+            metrics.euclidean_line(), metrics.snowflake_line(parse_scalar(args.t)),
+            parse_scalar(args.r_exp))
     raise ConfigError(f"unknown distance kind '{kind}'")
 
 
@@ -68,7 +71,7 @@ def _parse_point(text):
     """Coordinates as Fractions, or as floats when one is not rational text."""
     parts = [t for t in str(text).split(",") if t != ""]
     try:
-        return tuple(Fraction(t) for t in parts)
+        return tuple(parse_scalar(t) for t in parts)
     except ValueError:
         return tuple(float(t) for t in parts)
 
@@ -104,7 +107,6 @@ def cmd_dist(args):
     q = _parse_point(args.q)
     value = d.value(p, q)
     backend = "float"
-    from .scalars import all_exact
     if all_exact(p) and all_exact(q):
         try:
             r_probe = Fraction(value).limit_denominator(1 << 40)
@@ -142,7 +144,6 @@ def _scalar(value, what):
 
 def _load_family(path, dist):
     from .besicovitch import MARGIN_EPSILON, BesicovitchFamily
-    from .scalars import parse_scalar
     with open(path, "r", encoding="utf-8") as fh:
         data = _object(json.load(fh), "a family file")
     mode = data.get("mode", "exact")
@@ -219,7 +220,7 @@ def _search_worker(args, seed, budget):
 
 def cmd_certify_lemmas(args):
     from .certificates import RegionParams, lemma_sweep
-    params = RegionParams(r=int(args.rank), R=Fraction(args.R))
+    params = RegionParams(r=int(args.rank), R=parse_scalar(args.R))
     rep = lemma_sweep(args.lemma, params, sample_count=int(args.samples),
                       seed=int(args.seed))
     _emit(rep.to_json(), args)

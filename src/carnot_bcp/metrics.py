@@ -47,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
+    AlgebraError,
     ExactnessError,
     GradedGroup,
     abelian_group,
@@ -120,6 +121,8 @@ class QuasiDistance:
         """Exact sign of d(e, x) - rho for rational coordinates x."""
         if not all_exact(x):
             raise ExactnessError("exact comparison needs rational coordinates")
+        if len(x) != self.group.dim:
+            raise AlgebraError("vector length does not match algebra dimension")
         return self._sign(*over_common_denominator(x), rho)
 
     def _sign(self, nums, den, rho) -> int:
@@ -302,6 +305,8 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     if plan is None:
         plan = _HSPlan(weights)
     X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (len(plan.term_of),):
+        raise AlgebraError("vector length does not match algebra dimension")
     # the output comes first, below the solve's temporaries in the heap, so
     # that the allocator can return their memory once they are freed; on
     # large batches this lowers the peak memory
@@ -357,6 +362,8 @@ class HSDistance(QuasiDistance):
     def value_from_identity(self, x):
         """The batch solve for one point, in plain floats with no numpy."""
         plan = self._plan
+        if len(x) != len(plan.term_of):
+            raise AlgebraError("vector length does not match algebra dimension")
         S = [0.0] * len(plan.exps)
         for v, k in zip(x, plan.term_of):
             v = float(v)
@@ -492,7 +499,7 @@ class UnitBallDistance(QuasiDistance):
         self.bound_radius = float(bound_radius)
 
     def _inside(self, x, lam):
-        pt = dilate(tuple(x), 1.0 / lam, self.group, exact=False)
+        pt = dilate(tuple(x), 1.0 / lam, self.group)
         return bool(self.oracle(pt))
 
     def value_from_identity(self, x):
@@ -977,7 +984,7 @@ def boundary_sample(d: QuasiDistance, u) -> tuple:
     lam = d.value(d.identity(), u)
     if lam <= 0:
         raise ValueError("cannot project the identity to the unit sphere")
-    return dilate(tuple(float(v) for v in u), 1.0 / lam, d.group, exact=False)
+    return dilate(tuple(float(v) for v in u), 1.0 / lam, d.group)
 
 
 def default_sampler(d: QuasiDistance, shell=(0.05, 1.0)):
@@ -1054,9 +1061,10 @@ def packing_count(d: QuasiDistance, center, radius, lam, candidates) -> int:
 # negative-type gauge on Heisenberg groups (derived-oracle comparison)
 # ---------------------------------------------------------------------------
 
-def lee_naor_comparison(n=1, samples=2000, seed=0) -> dict:
-    """Compare the HS distance at R=2 on the n-th Heisenberg group against the
-    quartic gauge and against the homogeneous closed form.
+def lee_naor_comparison(samples=2000) -> dict:
+    """Compare the HS distance at R=2 on the first Heisenberg group against
+    the quartic gauge and against the homogeneous closed form, on random
+    points of seed 0.
 
     The quartic gauge (A^2 + sqrt(A^2 + 16 z^2))^(1/4), A = sum x^2 + y^2, is
     shipped as printed; its addends scale with different powers under the
@@ -1067,9 +1075,9 @@ def lee_naor_comparison(n=1, samples=2000, seed=0) -> dict:
     and (b) the maximum relative deviation of d_2^2 from
     (A + sqrt(A^2 + 16 z^2)) / 8 (expected at solver tolerance).
     """
-    group = heisenberg_group(n)
+    group = heisenberg_group(1)
     d2 = HSDistance(group, Fraction(2))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     P = rng.standard_normal((samples, group.dim)) * \
         np.exp(rng.uniform(-3, 3, size=(samples, 1)))
     e = np.zeros((samples, group.dim))

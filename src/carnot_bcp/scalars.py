@@ -5,7 +5,7 @@ coordinates, comparisons run on integers over a common denominator); searches
 and solvers run in float for speed.  Helpers here convert between the two,
 serialize rationals as ``"p/q"`` strings of any length, and provide the
 handful of exact number-theoretic operations the rest of the package needs
-(rational interval enclosures of square roots, exact n-th roots and powers).
+(rational interval enclosures of square roots, exact rational powers).
 """
 
 from __future__ import annotations
@@ -46,13 +46,17 @@ def _text_int(digits: str) -> int:
 
 def parse_scalar(text):
     """Parse ``"p/q"``, integer, or decimal text into a Fraction; integer
-    and "p/q" text may have any number of digits."""
+    and "p/q" text may have any number of digits.  A zero denominator is a
+    ValueError, like any other text that names no rational."""
     text = str(text).strip()
     m = _INTEGER_RATIO.fullmatch(text)
     if m is None:
         return Fraction(text)
     sign, num, den = m.groups()
-    value = Fraction(_text_int(num), _text_int(den) if den else 1)
+    den = _text_int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    value = Fraction(_text_int(num), den)
     return -value if sign == "-" else value
 
 
@@ -109,21 +113,6 @@ def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def nth_root_exact(x: Fraction, k: int):
-    """Exact k-th root of a nonnegative rational, or None if irrational."""
-    if k <= 0:
-        raise ValueError("root order must be positive")
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    num = _iroot_exact(x.numerator, k)
-    den = _iroot_exact(x.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def _iroot_exact(n: int, k: int):
     """The integer r with r^k = n >= 0, or None; integers only, so neither a
     huge n nor a huge k overflows or stalls."""
@@ -154,11 +143,16 @@ def int_power(n: int, e: int, r: int):
 def rat_pow(x: Fraction, w: Fraction):
     """x**w for rational w, exact when decidable, else None.
 
-    Exact iff x is a perfect q-th power where q = denominator of w.
+    Exact iff x is a perfect q-th power where q = denominator of w; for
+    q > 1 a negative x has none, and the root is taken in integers.
     """
     q = w.denominator
-    root = nth_root_exact(x, q) if q > 1 else x
-    if root is None:
+    if q == 1:
+        return x ** w.numerator
+    if x < 0:
         return None
-    p = w.numerator
-    return root ** p
+    num = _iroot_exact(x.numerator, q)
+    den = _iroot_exact(x.denominator, q)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den) ** w.numerator

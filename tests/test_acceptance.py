@@ -171,8 +171,7 @@ def test_criterion_4_lemma_sweeps():
         for r in (2, 3):
             for R in (F(1, 2), F(1)):
                 rep = lemma_sweep(lemma, RegionParams(r=r, R=R),
-                                  sample_count=10_000, seed=400,
-                                  tolerance=1e-9)
+                                  sample_count=10_000, seed=400)
                 if not rep.ok:
                     failures.append((lemma, r, str(R), rep.violations[:1]))
     elapsed = time.time() - t0

@@ -18,7 +18,7 @@ from carnot_bcp.algebra import (
     group_to_json,
     multiply_batch,
 )
-from carnot_bcp.scalars import fmt_scalar, nth_root_exact, parse_scalar
+from carnot_bcp.scalars import fmt_scalar, parse_scalar, rat_pow
 
 F = Fraction
 
@@ -292,22 +292,28 @@ def test_dilate_one_parameter_group():
 
 def test_dilate_exact_mode_rejects_irrational():
     g = cb.power_group(cb.heisenberg_group(1), F(1, 2))  # weights 1/2, 1/2, 1
-    with pytest.raises(ExactnessError):
-        cb.dilate((F(1), F(1), F(1)), F(2), g, exact=True)
+    with pytest.raises(ExactnessError, match="no exact power for weight 1/2"):
+        cb.dilate((F(1), F(1), F(1)), F(2), g)
     # perfect square factor is fine: 4^(1/2) = 2
-    assert cb.dilate((F(1), F(1), F(1)), F(4), g, exact=True) == (F(2), F(2), F(4))
+    assert cb.dilate((F(1), F(1), F(1)), F(4), g) == (F(2), F(2), F(4))
+    # a float factor or coordinate takes the float backend
+    assert cb.dilate((F(1), F(1), F(1)), 4.0, g) == (2.0, 2.0, 4.0)
+    assert cb.dilate((1.0, F(1), F(1)), F(4), g) == (2.0, 2.0, 4.0)
 
 
 def test_exact_roots_beyond_the_float_range():
     # integers of 1024 bits and more have no float value; the roots are
     # taken in integers only
-    assert nth_root_exact(F(2 ** 2000), 2) == 2 ** 1000
-    assert nth_root_exact(F(3 ** 1001, 2 ** 2002), 7) == F(3 ** 143, 2 ** 286)
-    assert nth_root_exact(F(2 ** 2000 + 1), 2) is None
+    assert rat_pow(F(2 ** 2000), F(1, 2)) == 2 ** 1000
+    assert rat_pow(F(3 ** 1001, 2 ** 2002), F(1, 7)) == F(3 ** 143, 2 ** 286)
+    assert rat_pow(F(2 ** 2000 + 1), F(1, 2)) is None
+    # zero, and a negative base: a root of order q > 1 of one is not taken
+    assert rat_pow(F(0), F(3, 2)) == 0 and rat_pow(F(-2), F(3)) == -8
+    assert rat_pow(F(-8), F(1, 3)) is None and rat_pow(F(-1, 8), F(2, 3)) is None
     # (1/4)^600 = 2^-1200: weight 3/2 needs its square root 2^-600
     g = cb.heisenberg_nonstandard_group(F(3, 2))  # weights 1, 3/2, 5/2
     lam = F(1, 4) ** 600
-    assert cb.dilate((F(1), F(1), F(1)), lam, g, exact=True) == \
+    assert cb.dilate((F(1), F(1), F(1)), lam, g) == \
         (F(1, 2 ** 1200), F(1, 2 ** 1800), F(1, 2 ** 3000))
 
 
@@ -329,7 +335,8 @@ def test_scalar_text_of_integers_beyond_the_conversion_limit():
         assert parse_scalar(text) == F(text)
     with pytest.raises(ValueError):
         parse_scalar("1/-2")
-    with pytest.raises(ZeroDivisionError):
+    # a zero denominator is malformed text, like "1/-2", not an arithmetic error
+    with pytest.raises(ValueError, match="zero denominator"):
         parse_scalar("1/0")
 
 

@@ -437,7 +437,7 @@ def test_large_exact_orbit():
 def test_margin_orbit_rejects_an_underflowing_count():
     p = tuple(float(x) for x in sphere_point())
     with pytest.raises(ValueError, match="count=200"):
-        dilation_orbit_family(nonstd_h1_distance(), p, 0.5, k=6, count=200, exact=False)
+        dilation_orbit_family(nonstd_h1_distance(), p, 0.5, k=6, count=200)
 
 
 def test_orbit_mode_follows_exact_dilations():
@@ -448,8 +448,6 @@ def test_orbit_mode_follows_exact_dilations():
     res = dilation_orbit_family(d, p, F(1, 2), k=1, count=4)
     assert res.family is None or res.family.mode == "margin"
     assert len(res.margins) == 3
-    with pytest.raises(ValueError, match="no exact power"):
-        dilation_orbit_family(d, p, F(1, 2), k=1, count=4, exact=True)
     for rho, k in ((F(1, 4), 1), (F(1, 2), 2)):
         res = dilation_orbit_family(d, p, rho, k=k, count=4)
         assert res.family is None or res.family.mode == "exact"
@@ -464,8 +462,6 @@ def test_orbit_mode_follows_exact_capability():
     assert res.family.mode == "margin" and res.certificate.mode == "margin"
     assert not any(v["kind"] == "exactness" for v in res.certificate.violations)
     assert res.certificate.to_json() == verify_family(res.family).to_json()
-    with pytest.raises(ValueError, match="cannot back exact certificates"):
-        dilation_orbit_family(cc, p, F(1, 2), k=2, count=4, exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_region_norm_bounds_exact_rational():
 def test_layer_angle_zero_on_dilates():
     g = cb.free_step2_group(2)
     p = (1.0, 0.5, 0.25)
-    q = cb.dilate(p, 3.0, g, exact=False)
+    q = cb.dilate(p, 3.0, g)
     av, aw = layer_angle(p, q, 2)
     # arccos rounding fuzz near angle 0 is about 1e-8
     assert av == pytest.approx(0.0, abs=1e-7)
@@ -196,8 +196,7 @@ def test_layer_angle_dilation_invariance():
         q = tuple(rng.standard_normal(6))
         av0, aw0 = layer_angle(p, q, 3)
         lam = float(np.exp(rng.uniform(-3, 3)))
-        av1, aw1 = layer_angle(cb.dilate(p, lam, g, exact=False),
-                               cb.dilate(q, lam, g, exact=False), 3)
+        av1, aw1 = layer_angle(cb.dilate(p, lam, g), cb.dilate(q, lam, g), 3)
         assert abs(av0 - av1) <= 1e-12 and abs(aw0 - aw1) <= 1e-12
 
 
@@ -280,6 +279,17 @@ def test_sweep_report_serializes():
     data = rep.to_json()
     assert data["lemma"] == "near2a" and data["rank"] == 2
     assert data["violations"] == []
+    # the region constants are reported, though no sweep sets them
+    assert (data["a"], data["a_prime"], data["tolerance"]) == ("9/10", "19/10", 1e-9)
+
+
+@pytest.mark.parametrize("lemma", ["aq", "small_angles", "away", "near2a", "inbetween"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_sweep_without_samples_certifies_nothing(lemma, count):
+    # an empty containment sweep reported no violations and a max_a_form of
+    # -inf, which is not JSON; the "aq" sweep failed only inside numpy
+    with pytest.raises(ValueError, match="at least one sample"):
+        lemma_sweep(lemma, params(2, F(1)), sample_count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +314,7 @@ def test_packing_dim1():
 
 
 def test_packing_dim2_near_three():
-    n, note = sphere_packing_estimate(2, 2 * math.pi / 3 - 1e-6, samples=4096, seed=0)
+    n, note = sphere_packing_estimate(2, 2 * math.pi / 3 - 1e-6, samples=4096)
     assert n == 3
 
 
@@ -314,5 +324,5 @@ def test_packing_bound_cross_check():
     from carnot_bcp.besicovitch import search_family
     d = HSDistance(cb.free_step2_group(2), F(1))
     res = search_family(d, 4000, strategy="annealed", seed=0, exact=True)
-    n, note = sphere_packing_estimate(2, 0.5, samples=4096, seed=0)
+    n, note = sphere_packing_estimate(2, 0.5, samples=4096)
     assert res.cardinality <= note["bound_3N2"]

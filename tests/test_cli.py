@@ -268,6 +268,41 @@ def test_config_error_exit_64(tmp_path):
     assert main(["report", "--config", str(path)]) == 64
 
 
+# each of these inputs read "1/0" as a Fraction and exited 1 with a
+# ZeroDivisionError traceback; GROUP and FAMILY name files the test writes
+ZERO_DENOMINATOR = {
+    "p": ["dist", "--group", "heisenberg", "--p", "1/0,0,0", "--q", "0,0,1"],
+    "R": ["dist", "--group", "heisenberg", "--R", "1/0", "--p", "0,0,0", "--q", "0,0,1"],
+    "t": ["dist", "--group", "heisenberg", "--kind", "power", "--t", "1/0",
+          "--p", "0,0,0", "--q", "0,0,1"],
+    "r_exp": ["dist", "--group", "abelian", "--weights", "1", "--kind",
+              "snowflake_product_lp", "--r-exp", "1/0", "--p", "0,0", "--q", "1,1"],
+    "alpha": ["classify", "--group", "heisenberg_nonstandard", "--alpha", "1/0"],
+    "weights": ["classify", "--group", "abelian", "--weights", "1,1/0"],
+    "group_weight": ["classify", "--group", "GROUP"],
+    "family_coordinate": ["besicovitch", "verify", *LINE_FLAGS, "--family", "FAMILY"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DENOMINATOR))
+def test_a_zero_denominator_is_a_configuration_error(name, tmp_path):
+    files = {"GROUP": tmp_path / "group.json", "FAMILY": tmp_path / "family.json"}
+    files["GROUP"].write_text(json.dumps({"dim": 2, "weights": ["1", "1/0"]}))
+    files["FAMILY"].write_text(json.dumps({"centers": [["1/0"]], "radii": ["1"],
+                                           "witness": ["0"]}))
+    res = run_cli([str(files.get(a, a)) for a in ZERO_DENOMINATOR[name]], timeout=60)
+    assert res.returncode == 64 and res.stdout == ""
+    assert res.stderr.startswith("configuration error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("lemma", ["aq", "small_angles", "away", "near2a", "inbetween"])
+def test_certify_lemmas_without_samples_exit_64(lemma, capsys):
+    # the containment sweeps exited 0 and printed "max_a_form": -Infinity
+    assert main(["certify-lemmas", "--lemma", lemma, "--samples", "0"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "at least one sample" in err
+
+
 def test_no_admissible_epsilon_exit_70(capsys):
     # a lemma inequality with no room is a solver outcome, not a bad config
     assert main(["certify-lemmas", "--lemma", "away", "--R", "100"]) == 70

@@ -169,6 +169,31 @@ def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
         evaluate(X)
 
 
+# points one coordinate short or long: numpy broadcast a one-entry row and
+# indexed past a short one, and zip cut a long point to the dimension
+WRONG_LENGTH = {
+    "dilate": lambda g, x: cb.dilate(x, 2.0, g),
+    "dilate_exact": lambda g, x: cb.dilate(tuple(map(F, x)), F(4), g),
+    "dilate_batch": lambda g, x: dilate_batch([x, x], 2.0, g),
+    "multiply_batch": lambda g, x: multiply_batch(np.zeros((2, g.dim)), [x, x], g),
+    "value_from_identity": lambda g, x: HSDistance(g).value_from_identity(x),
+    "value_from_identity_batch": lambda g, x: HSDistance(g).value_from_identity_batch([x, x]),
+    "value_batch": lambda g, x: HSDistance(g).value_batch(np.zeros((2, g.dim)), [x, x]),
+    "compare_from_identity": lambda g, x: HSDistance(g).compare_from_identity(
+        tuple(map(F, x)), F(1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_LENGTH))
+@pytest.mark.parametrize("group,length", [
+    pytest.param(cb.abelian_group([1, 1, 2]), 1, id="abelian112-1"),
+    pytest.param(cb.abelian_group([1, 1, 2]), 2, id="abelian112-2"),
+    pytest.param(cb.heisenberg_group(1), 4, id="h1-4")])
+def test_a_point_of_the_wrong_length_is_rejected_on_every_path(entry, group, length):
+    with pytest.raises(cb.AlgebraError, match="vector length does not match"):
+        WRONG_LENGTH[entry](group, (1.0,) * length)
+
+
 # the q > 1 branch: weights (1, 3/2, 5/2) give q = 2, u = 1/lam, f of degree 5;
 # large q, where one Newton step in lam follows: weights (1, 1001/1000,
 # 2001/1000) give q = 1000, weights (1, 1 + 1e-6) give q = 1e6
@@ -408,7 +433,7 @@ def test_integer_compare_matches_the_fraction_oracle(kind, data):
     # the dilation by lam = 2^(+-700), a perfect fourth power, keeps the radius
     # as near and as (non-)square while the coordinates grow to 2^(+-700 w)
     lam = F(2) ** data.draw(st.sampled_from([0, 0, 700, -700]))
-    p, q, rho = cb.dilate(p, lam, g, exact=True), cb.dilate(q, lam, g, exact=True), lam * rho
+    p, q, rho = cb.dilate(p, lam, g), cb.dilate(q, lam, g), lam * rho
     x = cb.multiply(cb.inverse(p, g), q, g)
     try:
         want = fraction_sign(d, x, rho)
@@ -612,8 +637,7 @@ def test_quotient_homogeneity_and_left_invariance():
         g = tuple(rng.standard_normal(3) * 0.5)
         base = dq.value(p, q)
         lam = 1.7
-        assert dq.value(cb.dilate(p, lam, h1, exact=False),
-                        cb.dilate(q, lam, h1, exact=False)) == \
+        assert dq.value(cb.dilate(p, lam, h1), cb.dilate(q, lam, h1)) == \
             pytest.approx(lam * base, rel=1e-6)
         assert dq.value(cb.multiply(g, p, h1), cb.multiply(g, q, h1)) == \
             pytest.approx(base, rel=1e-6)
@@ -892,7 +916,7 @@ def test_boundedness_shadow_on_dilation_orbits():
     vals = []
     coords = []
     for k in (1, 10, 100, 1000):
-        pk = cb.dilate(p, 1.0 / k, g, exact=False)
+        pk = cb.dilate(p, 1.0 / k, g)
         vals.append(d.value(g.identity(), pk))
         coords.append(max(abs(x) for x in pk))
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -900,7 +924,7 @@ def test_boundedness_shadow_on_dilation_orbits():
 
 
 def test_lee_naor_report_flags_gauge():
-    rep = lee_naor_comparison(1, samples=1000, seed=0)
+    rep = lee_naor_comparison(samples=1000)
     assert rep["closed_form_rel_dev"] <= 1e-10
     assert rep["quartic_gauge_matches"] is False
     assert rep["quartic_gauge_rel_dev"] > 0.1
