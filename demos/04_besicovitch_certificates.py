@@ -67,18 +67,18 @@ print("\nsegment witness:", w.to_json())
 print("\nsearches (witness at the identity, exact certificates):")
 dlp = lp_combination_distance(euclidean_line(), snowflake_line(2), 1)
 for budget in (10_000, 100_000):
-    res = search_family(dlp, budget, strategy="annealed", seed=0, exact=True)
+    res = search_family(dlp, budget, strategy="annealed", seed=0)
     print(f"  l1-combination line x snowflake, budget {budget:>6}: "
           f"cardinality {res.cardinality}")
 
 t0 = time.time()
-res = search_family(d, 100_000, strategy="annealed", seed=0, exact=True)
+res = search_family(d, 100_000, strategy="annealed", seed=0)
 print(f"  non-standard Heisenberg, budget 100000: cardinality "
       f"{res.cardinality} in {time.time()-t0:.1f}s")
 print("  family re-verifies exactly:", verify_family(res.family).valid)
 
 # On a space where the covering property HOLDS, the same search saturates:
 dsat = HSDistance(cb.free_step2_group(2), F(1))
-cards = [search_family(dsat, b, strategy="annealed", seed=3, exact=True).cardinality
+cards = [search_family(dsat, b, strategy="annealed", seed=3).cardinality
          for b in (10_000, 50_000)]
 print("  free step-2 rank 2 (covering property holds): cards", cards)

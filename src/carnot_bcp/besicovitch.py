@@ -7,10 +7,10 @@ rigorous certificate) or in float with an explicit margin; it decides both
 which balls a search keeps and whether ``verify_family`` accepts a family.
 Searches propose centers with the witness pinned at the identity and radii
 set to the distance of the center from the identity, rationalized minimally
-upward in exact mode so witness containment is exact.  A dilation orbit takes
-its mode from its inputs: exact when the distance is exact-capable and the
-point, the ratio and the dilates are rational, margin otherwise; the family's
-``mode`` records which.
+upward in exact mode so witness containment is exact.  The distance decides
+the mode: a search is exact when ``d.exact_capable`` holds and margin
+otherwise, and a dilation orbit is exact when in addition the point, the
+ratio and the dilates are rational; the family's ``mode`` records which.
 
 Also here: the constructive block-greedy cover with its per-block radius
 bounds and quarter-radius disjointness, and the countable metric space with
@@ -176,11 +176,12 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def radius_for_center(d: QuasiDistance, center):
-    """Exact radius paired with a rational center so the identity is inside
-    the ball: the float distance from the identity, bumped upward by
-    geometrically growing relative increments (starting at 2^-50) until the
-    exact membership test accepts.  The result is an exact dyadic-denominator
-    rational barely above the true distance, at every scale.
+    """Exact radius paired with a rational center, on an exact-capable
+    distance, so the identity is inside the ball: the float distance from the
+    identity, bumped upward by geometrically growing relative increments
+    (starting at 2^-50) until the exact membership test accepts.  The result
+    is an exact dyadic-denominator rational barely above the true distance,
+    at every scale.
     """
     e = d.identity()
     val = d.value(e, center)
@@ -190,10 +191,7 @@ def radius_for_center(d: QuasiDistance, center):
         raise ValueError("center coincides with the identity")
 
     def ok(r):
-        try:
-            return d.compare(center, e, r) <= 0
-        except ExactnessError:
-            return False
+        return d.compare(center, e, r) <= 0
 
     base = Fraction(val)
     if ok(base):
@@ -317,12 +315,13 @@ def _greedy_extend(d, centers, radii, cand, cand_r):
         i += 1
 
 
-def _repair(d, centers, radii, exact):
+def _repair(d, centers, radii):
     """The family of a float snapshot, valid by construction: each proposed
     ball, in insertion order, is kept only if its conditions against the kept
-    balls pass ``_slack``.  Exact mode rationalizes the center exactly and
-    takes ``radius_for_center``; margin mode inflates the float radius by
-    2 * MARGIN_EPSILON."""
+    balls pass ``_slack``.  Exact mode, on an exact-capable distance,
+    rationalizes the center exactly and takes ``radius_for_center``; margin
+    mode inflates the float radius by 2 * MARGIN_EPSILON."""
+    exact = d.exact_capable
     witness = (Fraction(0) if exact else 0.0,) * d.group.dim
     fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin")
 
@@ -336,40 +335,33 @@ def _repair(d, centers, radii, exact):
             c = to_fractions(c)
             try:
                 r = radius_for_center(d, c)
-            except (ExactnessError, ValueError):
+            except ValueError:      # a center at the identity, or no radius found
                 continue
         else:
             c, r = tuple(c), float(r) + 2.0 * MARGIN_EPSILON
-        try:
-            ok = holds(c, witness, r, True) and all(
-                holds(c2, c, r2, False) and holds(c, c2, r, False) for c2, r2 in kept)
-        except ExactnessError:
-            ok = False
-        if ok:
+        if holds(c, witness, r, True) and all(
+                holds(c2, c, r2, False) and holds(c, c2, r, False) for c2, r2 in kept):
             kept.append((c, r))
     return BesicovitchFamily(tuple(c for c, _ in kept), tuple(r for _, r in kept),
                              witness, d, mode=fam.mode)
 
 
 def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
-                  seed: int = 0, exact: bool = True) -> SearchResult:
+                  seed: int = 0) -> SearchResult:
     """Randomized search for large verified families, witness at the identity.
 
-    Deterministic for a fixed seed.  The proposal stream and the restart
-    schedule do not depend on the budget, and the best family is tracked as a
-    running maximum over verified snapshots, so the returned cardinality is
-    non-decreasing in the budget for a fixed seed.
+    The family is exact when ``d.exact_capable`` holds, and a margin family
+    otherwise.  Deterministic for a fixed seed.  The proposal stream and the
+    restart schedule do not depend on the budget, and the best family is
+    tracked as a running maximum over verified snapshots, so the returned
+    cardinality is non-decreasing in the budget for a fixed seed.
     """
     if strategy not in ("random", "annealed"):
         raise ValueError("strategy must be 'random' or 'annealed'")
-    if exact and not d.exact_capable:
-        raise ValueError(
-            f"{d.kind} distance cannot back exact certificates; "
-            "run with exact=False for margin-mode families")
     rng = np.random.default_rng(seed)
     stream = _proposal_batches(d, strategy, rng)
     centers, radii = [], []
-    best = _repair(d, [], [], exact)
+    best = _repair(d, [], [])
     trace = []
     used = 0
     since_restart = 0
@@ -385,7 +377,7 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
         # repair only shrinks a family, so a float cardinality that cannot
         # beat the best needs no exact pass
         if (restart or used >= budget) and len(centers) > len(best):
-            snap = _repair(d, centers, radii, exact)
+            snap = _repair(d, centers, radii)
             if len(snap) > len(best):
                 best = snap
                 trace.append((used, len(best)))
@@ -456,9 +448,8 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     stands for, in ``verify_family``'s order and wording, and the
     certificate equals ``verify_family``'s.  No symmetry of d is assumed:
     the i < j conditions are checked, not derived from the i > j ones.
-    Where a reduced condition has no exact decision, the certificate is
-    ``verify_family``'s own.  Margin families are verified in full: their
-    slack ``MARGIN_EPSILON`` is absolute and does not scale with the radii.
+    Margin families are verified in full: their slack ``MARGIN_EPSILON`` is
+    absolute and does not scale with the radii.
     """
     if not (0 < float(rho) < 1):
         raise ValueError("ratio must lie in (0, 1)")
@@ -478,7 +469,6 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     centers = [p0]
     margins = []
     first_fail = None
-    undecided = False
     for j in range(1, count):
         qj = dilate(p0, radii[j], d.group)
         centers.append(qj)
@@ -492,10 +482,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
         passed = m > 0
         # only the first failure reaches the result
         if exact and first_fail is None:
-            try:
-                passed = d.compare(p0, qj, Fraction(1)) > 0
-            except ExactnessError:
-                undecided = True
+            passed = d.compare(p0, qj, Fraction(1)) > 0
         if not passed and first_fail is None:
             first_fail = j
     if first_fail is not None:
@@ -506,9 +493,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
                             mode=EXACT if exact else "margin")
-    cert = _orbit_certificate(fam) if exact and not undecided else None
-    if cert is None:
-        cert = verify_family(fam)
+    cert = _orbit_certificate(fam) if exact else verify_family(fam)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
                        margins=margins, certificate=cert)
 
@@ -516,19 +501,16 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
 def _orbit_certificate(fam):
     """``verify_family(fam)`` for an exact orbit family whose orbit test
     passed, from the witness condition and the i < j reductions of
-    ``dilation_orbit_family``; None when one of them has no exact decision."""
+    ``dilation_orbit_family``."""
     d, n, p = fam.distance, len(fam), fam.centers[0]
-    try:
-        outside = d.compare(p, fam.witness, Fraction(1)) > 0
-        backward = [None] + [d.compare(fam.centers[m], p, fam.radii[m]) > 0
-                             for m in range(1, n)]
-    except ExactnessError:
-        return None
+    outside = d.compare(p, fam.witness, Fraction(1)) > 0
+    # the m = j - i whose backward condition d(q_m, p) > r_m fails
+    failing = [m for m in range(1, n) if d.compare(fam.centers[m], p, fam.radii[m]) <= 0]
     violations = [{"kind": "witness", "ball": l, "detail": "witness outside ball"}
                   for l in range(n) if outside]
-    violations += [{"kind": "center_in_ball", "pair": [i, j],
-                    "detail": f"center {i} inside ball {j}"}
-                   for i in range(n) for j in range(i + 1, n) if not backward[j - i]]
+    violations += [{"kind": "center_in_ball", "pair": [i, i + m],
+                    "detail": f"center {i} inside ball {i + m}"}
+                   for i in range(n) for m in failing if i + m < n]
     return Certificate(valid=not violations, cardinality=n, mode=EXACT,
                        violations=violations)
 

@@ -5,6 +5,10 @@ certify-lemmas, countable-space, report.  All outputs are UTF-8 JSON with
 rationals serialized as "p/q" strings; every numeric result is tagged with the
 backend that produced it.  Seeds are explicit (no wall-clock defaults), so
 identical configurations produce byte-identical reports up to timing fields.
+The distance decides exact or margin mode: a search is exact when the kind is
+exact-capable (``QuasiDistance.exact_capable``) and margin otherwise, and
+``dist`` labels its value "exact-comparable" when, in addition, both points
+are rational.  No flag selects the mode.
 
 Exit codes: 0 success / valid certificate, 2 certificate rejected, 64 bad
 configuration or arguments, 70 internal solver failure.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -100,20 +105,13 @@ def cmd_classify(args):
 
 
 def cmd_dist(args):
-    from .metrics import ExactnessError
     group = _build_group(args)
     d = _build_distance(args, group)
     p = _parse_point(args.p)
     q = _parse_point(args.q)
     value = d.value(p, q)
-    backend = "float"
-    if all_exact(p) and all_exact(q):
-        try:
-            r_probe = Fraction(value).limit_denominator(1 << 40)
-            d.compare(p, q, r_probe if r_probe > 0 else Fraction(1))
-            backend = "exact-comparable"
-        except (ExactnessError, ValueError):
-            backend = "float"
+    exact = d.exact_capable and all_exact(p) and all_exact(q)
+    backend = "exact-comparable" if exact else "float"
     _emit({"value": value, "backend": backend,
            "kind": d.kind, "group": group.name}, args)
     return EXIT_OK
@@ -153,6 +151,9 @@ def _load_family(path, dist):
         out = []
         for x in _array(values, what):
             x = _scalar(x, f"an entry of {what}")
+            # Fraction(x) of an infinite float is an OverflowError
+            if exact and isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"an entry of {what} must be finite, not {json.dumps(x)}")
             # text goes through parse_scalar, which reads integers of any
             # size; a JSON number keeps Fraction(x), since a float converts
             # exactly and 0.1 is not "0.1"
@@ -214,8 +215,7 @@ def _search_worker(args, seed, budget):
     from . import besicovitch as bz
     group = _build_group(args)
     d = _build_distance(args, group)
-    return bz.search_family(d, budget, strategy=args.strategy, seed=seed,
-                            exact=not args.float_mode)
+    return bz.search_family(d, budget, strategy=args.strategy, seed=seed)
 
 
 def cmd_certify_lemmas(args):
@@ -234,7 +234,7 @@ def cmd_countable_space(args):
     n = int(args.n)
     payload = {
         "n": n,
-        "triangle_exact": countable_space_triangle_audit(min(n, args.triangle_limit)),
+        "triangle_exact": countable_space_triangle_audit(min(n, 200)),
         "ball_structure_exact": countable_space_ball_audit(n),
         "two_ball_audit": countable_space_two_ball_audit(min(n, 200), grid=args.grid),
     }
@@ -328,8 +328,6 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--strategy", default="annealed", choices=["random", "annealed"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--float-mode", action="store_true",
-                   help="margin-mode certificates instead of exact")
     p.add_argument("--jobs", type=int,
                    default=int(os.environ.get("CARNOT_BCP_JOBS", "1")))
     p.add_argument("--out")
@@ -348,7 +346,6 @@ def build_parser():
     p = sub.add_parser("countable-space", help="audits of the countable example")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--triangle-limit", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_countable_space)
 

@@ -81,7 +81,14 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class QuasiDistance:
-    """Common interface: float evaluation plus optional exact comparisons."""
+    """Common interface: float evaluation plus optional exact comparisons.
+
+    ``exact_capable`` is True exactly when ``_sign`` decides every rational
+    point at every positive rational radius.  It is the one place that
+    chooses between exact and margin certificates: searches and dilation
+    orbits on an exact-capable distance build exact families, and margin
+    families otherwise, so no caller selects a mode.
+    """
 
     kind = "abstract"
     exact_capable = False
@@ -580,7 +587,8 @@ class PowerDistance(QuasiDistance):
         if self.t <= 0:
             raise ValueError("power exponent must be positive")
         super().__init__(power_group(base.group, self.t))
-        self.exact_capable = base.exact_capable
+        # rho^t is rational for every rational rho only for an integer t
+        self.exact_capable = base.exact_capable and self.t.denominator == 1
 
     def value_from_identity(self, x):
         return self.base.value_from_identity(x) ** (1.0 / float(self.t))
@@ -624,10 +632,14 @@ class _CombinedDistance(QuasiDistance):
         self.exact_capable = d1.exact_capable and d2.exact_capable
 
     def split(self, x):
+        if len(x) != self.group.dim:
+            raise AlgebraError("vector length does not match algebra dimension")
         return (tuple(x[i] for i in self.slice1), tuple(x[i] for i in self.slice2))
 
     def split_batch(self, X):
         X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != (self.group.dim,):
+            raise AlgebraError("vector length does not match algebra dimension")
         return X[:, list(self.slice1)], X[:, list(self.slice2)]
 
 
@@ -660,10 +672,11 @@ class ProductMaxDistance(_CombinedDistance):
 class LpComboDistance(_CombinedDistance):
     """(d1^r + d2^r)^(1/r) on the direct product, r >= 1.
 
-    Exact comparisons are available when r is an integer and the components
-    expose exact values, or when r = 1 and one component has an exact rational
-    value while the other supports exact comparison (the snowflake-product
-    configuration used by the covering counterexamples).
+    Exact comparisons exist for r = 1 when one component has exact rational
+    values and the other is exact-capable (the line times a snowflake, the
+    configuration of the covering counterexamples): d <= rho exactly when the
+    other leg is at most rho minus the exact value.  Any other r has margin
+    certificates only.
     """
 
     kind = "lp_combo"
@@ -673,6 +686,10 @@ class LpComboDistance(_CombinedDistance):
         self.r = Fraction(r)
         if self.r < 1:
             raise ValueError("lp exponent must be >= 1")
+        # exact values are known for every point or for none, so the
+        # identity tells which component has them
+        self.exact_capable = self.r == 1 and self.exact_capable and any(
+            d.exact_value(d.identity(), d.identity()) is not None for d in (d1, d2))
 
     def value_from_identity(self, x):
         x1, x2 = self.split(x)
@@ -689,27 +706,23 @@ class LpComboDistance(_CombinedDistance):
         return (v1 ** rf + v2 ** rf) ** (1.0 / rf)
 
     def _sign(self, nums, den, rho):
+        if self.r != 1:
+            raise ExactnessError("no exact comparison for this lp combination")
         rho = Fraction(rho)
         n1, n2 = self.split(nums)
         d1, d2 = self.components
         ex1 = d1.exact_value(tuple(Fraction(0) for _ in n1), tuple(Fraction(n, den) for n in n1))
         ex2 = d2.exact_value(tuple(Fraction(0) for _ in n2), tuple(Fraction(n, den) for n in n2))
-        if ex1 is not None and ex2 is not None and self.r.denominator == 1:
-            k = self.r.numerator
-            s = ex1 ** k + ex2 ** k
-            t = rho ** k
-            return (s > t) - (s < t)
-        if self.r == 1:
-            for (exv, other, no) in ((ex1, d2, n2), (ex2, d1, n1)):
-                if exv is None:
-                    continue
-                rem = rho - exv
-                if rem < 0:
-                    return 1
-                if rem == 0:
-                    # d = exv + other >= rho, strict unless the other leg is 0
-                    return 1 if any(no) else 0
-                return other._sign(no, den, rem)
+        for (exv, other, no) in ((ex1, d2, n2), (ex2, d1, n1)):
+            if exv is None:
+                continue
+            rem = rho - exv
+            if rem < 0:
+                return 1
+            if rem == 0:
+                # d = exv + other >= rho, strict unless the other leg is 0
+                return 1 if any(no) else 0
+            return other._sign(no, den, rem)
         raise ExactnessError("no exact comparison for this lp combination")
 
 
@@ -917,7 +930,8 @@ class CCHeisenbergDistance(QuasiDistance):
     """Sub-Riemannian distance on the first Heisenberg group (scale a).
 
     Left-invariant and one-homogeneous with respect to the standard dilations
-    (lambda, lambda, lambda^2).  Float backend only.
+    (lambda, lambda, lambda^2).  Float backend only, so its certificates are
+    margin families.
     """
 
     kind = "cc_h1"
@@ -930,6 +944,8 @@ class CCHeisenbergDistance(QuasiDistance):
             raise ValueError("scale must be positive")
 
     def value_from_identity(self, x):
+        if len(x) != 3:
+            raise AlgebraError("vector length does not match algebra dimension")
         x, y, z = (float(v) for v in x)
         # as for HS: a point whose squared planar norm or height is not finite
         # is an error, not a distance that NaN comparisons would call covered

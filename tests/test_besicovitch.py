@@ -113,7 +113,7 @@ VALID_FAMILIES = {
     "exact": lambda: dilation_orbit_family(nonstd_h1_distance(), sphere_point(),
                                            F(1, 2), k=6, count=5).family,
     "margin": lambda: search_family(CCHeisenbergDistance(1.0), 4000, strategy="random",
-                                    seed=2, exact=False).family,
+                                    seed=2).family,
 }
 
 
@@ -182,7 +182,7 @@ def test_repair_keeps_the_earlier_ball_of_a_violating_pair():
     d = CCHeisenbergDistance(1.0)
     centers = [(1.0, 0.0, 0.0), (0.25, 0.0, 0.0)]
     radii = [d.value_from_identity(c) for c in centers]
-    fam = _repair(d, centers, radii, False)
+    fam = _repair(d, centers, radii)
     assert fam.mode == "margin" and fam.centers == ((1.0, 0.0, 0.0),)
     assert verify_family(fam).valid
 
@@ -245,7 +245,7 @@ def test_radius_for_center_exact_membership():
 def test_search_euclidean_line_caps_at_two():
     d = euclidean_line()
     for budget in (500, 2000):
-        res = search_family(d, budget, strategy="random", seed=0, exact=True)
+        res = search_family(d, budget, strategy="random", seed=0)
         assert res.cardinality == 2
         assert verify_family(res.family).valid
 
@@ -254,7 +254,7 @@ def test_search_monotone_in_budget():
     d = lp_combination_distance(euclidean_line(), snowflake_line(2), 1)
     cards = []
     for budget in (2000, 8000, 32000):
-        res = search_family(d, budget, strategy="annealed", seed=5, exact=True)
+        res = search_family(d, budget, strategy="annealed", seed=5)
         cards.append(res.cardinality)
         assert verify_family(res.family).valid
     assert cards == sorted(cards)
@@ -262,7 +262,7 @@ def test_search_monotone_in_budget():
 
 def test_search_soundness_reverification():
     d = nonstd_h1_distance()
-    res = search_family(d, 8000, strategy="annealed", seed=1, exact=True)
+    res = search_family(d, 8000, strategy="annealed", seed=1)
     assert res.cardinality >= 4
     cert = verify_family(res.family)
     assert cert.valid and cert.mode == "exact"
@@ -285,20 +285,15 @@ def test_search_raises_when_its_family_fails_verification(monkeypatch):
 
 def test_search_margin_mode_on_cc():
     d = CCHeisenbergDistance(1.0)
-    res = search_family(d, 4000, strategy="random", seed=2, exact=False)
+    res = search_family(d, 4000, strategy="random", seed=2)
     assert res.family.mode == "margin"
     assert verify_family(res.family).valid
 
 
-def test_search_exact_mode_rejected_without_capability():
-    with pytest.raises(ValueError):
-        search_family(CCHeisenbergDistance(1.0), 100, exact=True)
-
-
 def test_merge_prefers_cardinality_then_lexicographic():
     d = euclidean_line()
-    r1 = search_family(d, 500, strategy="random", seed=0, exact=True)
-    r2 = search_family(d, 500, strategy="random", seed=3, exact=True)
+    r1 = search_family(d, 500, strategy="random", seed=0)
+    r2 = search_family(d, 500, strategy="random", seed=3)
     best = merge_search_results([r1, r2])
     assert best.cardinality == max(r1.cardinality, r2.cardinality)
 

@@ -323,6 +323,6 @@ def test_packing_bound_cross_check():
     # contradictory; confirm the search stays below the replayed bound
     from carnot_bcp.besicovitch import search_family
     d = HSDistance(cb.free_step2_group(2), F(1))
-    res = search_family(d, 4000, strategy="annealed", seed=0, exact=True)
+    res = search_family(d, 4000, strategy="annealed", seed=0)
     n, note = sphere_packing_estimate(2, 0.5, samples=4096)
     assert res.cardinality <= note["bound_3N2"]

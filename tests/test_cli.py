@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -51,7 +52,6 @@ def test_dist_eval(capsys):
 
 
 def test_dist_eval_cc(capsys):
-    import math
     code = main(["dist", "--group", "heisenberg", "--n", "1", "--kind", "cc_h1",
                  "--scale", "1", "--p", "0,0,0", "--q", "0,0,1"])
     out = json.loads(capsys.readouterr().out)
@@ -121,6 +121,20 @@ MALFORMED_FAMILY = {
 }
 
 
+@pytest.mark.parametrize("where", ["center", "radius", "witness"])
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
+def test_an_infinite_number_in_an_exact_family_is_a_configuration_error(where, inf,
+                                                                        tmp_path, capsys):
+    # Fraction(Infinity) raised OverflowError: exit 1 with a traceback
+    fam = {"centers": [[1]], "radii": [1], "witness": [0], "mode": "exact"}
+    fam = {"center": {**fam, "centers": [[inf]]}, "radius": {**fam, "radii": [inf]},
+           "witness": {**fam, "witness": [inf]}}[where]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    assert main(["besicovitch", "verify", *LINE_FLAGS, "--family", str(path)]) == 64
+    assert "must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_FAMILY))
 def test_verify_refuses_a_malformed_family_file(name, tmp_path, capsys):
     from carnot_bcp.cli import _load_family
@@ -140,6 +154,29 @@ def test_besicovitch_search(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["cardinality"] == 2
     assert out["family"]["mode"] == "exact"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--group", "heisenberg", "--kind", "cc_h1"],
+    ["--group", "abelian", "--weights", "1", "--kind", "snowflake_product_lp", "--r", "2"],
+    ["--group", "heisenberg", "--kind", "power", "--t", "3/2"],
+], ids=["cc_h1", "lp_r2", "power_t3_2"])
+def test_a_search_without_exact_comparisons_gives_a_margin_family(flags, capsys):
+    # cc_h1 exited 64 asking for exact=False; the other two returned an
+    # "exact" family of 0 balls
+    code = main(["besicovitch", "search", *flags, "--budget", "2000", "--seed", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["cardinality"] >= 1
+    assert out["family"]["mode"] == "margin"
+
+
+def test_the_mode_is_no_flag_and_no_config_key(tmp_path, capsys):
+    assert main(["besicovitch", "search", *LINE_FLAGS, "--float-mode"]) == 64
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "besicovitch", "action": "search",
+                                "group": "abelian", "weights": "1", "float_mode": True}))
+    assert main(["report", "--config", str(path)]) == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_besicovitch_cover(tmp_path, capsys):

@@ -487,6 +487,70 @@ def test_float_only_kinds_refuse_exact_comparison(make):
         d.compare_from_identity(p, F(1))
 
 
+# each kind with the exact_capable it must report: True exactly when every
+# rational point is decided at every positive rational radius
+CAPABILITY_KINDS = {
+    "hs": (lambda: HSDistance(cb.heisenberg_nonstandard_group(2), F(1)), True),
+    "hs_weights_5_4": (lambda: HSDistance(cb.heisenberg_nonstandard_group(F(5, 4)), F(1)),
+                       False),
+    "power_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), 2), True),
+    "power_3_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(3, 2)), False),
+    "power_1_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(1, 2)), False),
+    "product_max": (lambda: product_max_distance(euclidean_line(), snowflake_line(2)), True),
+    "lp_1": (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1), True),
+    "lp_2": (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 2), False),
+    "lp_3_2": (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), F(3, 2)),
+               False),
+    "quotient": (lambda: skewed_quotient("skewed"), True),
+}
+CAPABLE = sorted(k for k, (_, capable) in CAPABILITY_KINDS.items() if capable)
+
+
+@pytest.mark.parametrize("kind", CAPABLE)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_exact_capable_kind_decides_every_rational_radius(kind, data):
+    d = CAPABILITY_KINDS[kind][0]()
+    assert d.exact_capable
+    x = tuple(data.draw(st.lists(small_rationals, min_size=d.group.dim,
+                                 max_size=d.group.dim)))
+    rho = data.draw(st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6))
+    assert d.compare_from_identity(x, rho) in (-1, 0, 1)
+
+
+@pytest.mark.parametrize("kind", sorted(set(CAPABILITY_KINDS) - set(CAPABLE)))
+def test_a_kind_that_is_not_exact_capable_fails_at_some_rational_radius(kind):
+    d = CAPABILITY_KINDS[kind][0]()
+    assert not d.exact_capable
+    with pytest.raises(ExactnessError):
+        d.compare_from_identity((F(1),) * d.group.dim, F(2))
+
+
+@pytest.mark.parametrize("kind", sorted(CAPABILITY_KINDS))
+def test_the_search_mode_is_the_distance_capability(kind):
+    from carnot_bcp.besicovitch import search_family, verify_family
+    d = CAPABILITY_KINDS[kind][0]()
+    res = search_family(d, 2000, strategy="annealed", seed=0)
+    assert res.cardinality >= 1
+    assert res.family.mode == ("exact" if d.exact_capable else "margin")
+    assert verify_family(res.family).valid
+
+
+@pytest.mark.parametrize("path", ["scalar", "batch"])
+@pytest.mark.parametrize("offset", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("make", [
+    lambda: product_max_distance(euclidean_line(), snowflake_line(2)),
+    lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1),
+    CCHeisenbergDistance], ids=["product_max", "lp_combo", "cc_h1"])
+def test_a_combined_or_cc_point_of_the_wrong_length_is_rejected(make, offset, path):
+    # the max product dropped the extra coordinate of a long point, the lp
+    # combination raised IndexError and cc_h1 an unpacking ValueError
+    d = make()
+    x = (0.5,) * (d.group.dim + offset)
+    with pytest.raises(cb.AlgebraError, match="vector length does not match"):
+        d.value_from_identity(x) if path == "scalar" else d.value_from_identity_batch([x, x])
+
+
 # ---------------------------------------------------------------------------
 # unit-ball oracle distances
 # ---------------------------------------------------------------------------

@@ -14,8 +14,14 @@ might carry it; an argument that is the literal of the parameter's own
 default sets nothing and does not count.  A constructor is called through
 its class name, and the fields of a dataclass are its constructor's
 parameters, in field order.
+
+The same holds for the command line: every optional flag of
+``cli.build_parser()`` must be passed by at least one test, as a string of
+its argv or as a key of a ``report`` config (a dict with a "subcommand"
+key), or it is a constant.
 """
 
+import argparse
 import ast
 import pathlib
 
@@ -197,3 +203,61 @@ def test_a_call_passing_the_default_literal_sets_nothing():
     # a value other than the default, or one that is no literal, counts
     assert never_passed(sources, ["sweep(1, 1e-8, seed=x)"]) == []
     assert never_passed(sources, ["sweep(1, *args)"]) == []
+
+
+def _optional_actions(parser):
+    """The actions with option strings of a parser and its subparsers,
+    help left out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _optional_actions(sub)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield action
+
+
+def untested_flags(parser, texts):
+    """The optional flags of the parser that no text passes: none of a flag's
+    option strings is a string constant of the texts, and none of its config
+    keys (``report`` reads key k as the flag --k with "_" as "-") is a key of
+    a dict that holds a "subcommand" key."""
+    strings, config_keys = set(), set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                if "subcommand" in keys:
+                    config_keys |= keys
+    missing = set()
+    for action in _optional_actions(parser):
+        flags = action.option_strings
+        keys = {f.lstrip("-").replace("-", "_") for f in flags}
+        if not strings & set(flags) and not config_keys & keys:
+            missing.add("/".join(flags))
+    return sorted(missing)
+
+
+def test_every_cli_flag_is_passed_by_a_test():
+    from carnot_bcp.cli import build_parser
+    texts = [path.read_text(encoding="utf-8") for path in (ROOT / "tests").rglob("*.py")]
+    missing = untested_flags(build_parser(), texts)
+    assert not missing, ("CLI flags no test passes; make each the constant it "
+                         "always holds:\n  " + "\n  ".join(missing))
+
+
+def test_a_flag_no_test_passes_is_flagged():
+    parser = argparse.ArgumentParser()
+    run = parser.add_subparsers().add_parser("run")
+    run.add_argument("--used")
+    run.add_argument("--keyed-flag")
+    run.add_argument("--unused", "--alias")
+    run.add_argument("target")
+    texts = ['main(["run", "--used", "1", "x"])',
+             'config = {"subcommand": "run", "keyed_flag": 1}']
+    assert untested_flags(parser, texts) == ["--unused/--alias"]
+    # an alias passes its flag; a key of a dict that is no config does not
+    assert untested_flags(parser, texts + ['["--alias"]']) == []
+    assert untested_flags(parser, ['["--used", "--alias"]', '{"keyed_flag": 1}']) == \
+        ["--keyed-flag"]
