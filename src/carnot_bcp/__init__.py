@@ -47,7 +47,6 @@ from .structure import (
 )
 from .metrics import (
     CCHeisenbergDistance,
-    FiniteSpaceDistance,
     HSDistance,
     LpComboDistance,
     ProductMaxDistance,

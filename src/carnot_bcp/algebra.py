@@ -15,11 +15,13 @@ through step 3:
 which is the exact group law for every group of nilpotency step <= 3 (all the
 groups this package constructs).  With rational inputs every operation here is
 exact; batch variants operate on float numpy arrays for search workloads.
-The inputs alone choose the backend: ``dilate`` is exact when the factor and
-every coordinate are rational, which needs the factor's power of every weight
-to be rational, and float when any of them is a float.
-``displacement`` forms p^-1 q for exact comparisons in integers over one
-denominator, from the structure constants scaled to integers once per algebra.
+The inputs alone choose the backend: ``multiply`` and ``dilate`` are exact
+when every coordinate (and the factor of ``dilate``) is rational, which for
+``dilate`` needs the factor's power of every weight to be rational, and float
+when any of them is a float.  The exact product has one implementation:
+``displacement`` forms p^-1 q in integers over one denominator, from the
+structure constants scaled to integers once per algebra, and ``multiply``
+of rational points is ``displacement(inverse(p), q)`` read as Fractions.
 """
 
 from __future__ import annotations
@@ -274,14 +276,6 @@ def _jacobi_violations(alg):
     return out
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_scale(a, s):
-    return tuple(s * x for x in a)
-
-
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -320,22 +314,34 @@ def make_group(alg: StructureConstants, name="", factor_slices=()) -> GradedGrou
 
 
 def multiply(p, q, group: GradedGroup):
-    """BCH product in exponential coordinates; exact for rational inputs."""
+    """BCH product in exponential coordinates.
+
+    Rational points (``int`` or ``Fraction`` coordinates) multiply exactly,
+    through the integer BCH of ``displacement``, and come back as Fractions.
+    Other points sum the series term by term, with Fraction scalars if any
+    coordinate is rational, so the terms built from those stay exact.
+    """
+    if all_exact(p) and all_exact(q):
+        nums, den = displacement(inverse(p, group), q, group)
+        return tuple(Fraction(n, den) for n in nums)
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError(
             f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
     alg = group.algebra
-    out = _vec_add(tuple(p), tuple(q))
+    # a float times Fraction(1, 2) or Fraction(1, 12) rounds as times 0.5 or 1 / 12
+    half, twelfth = ((0.5, 1 / 12) if all(isinstance(x, float) for x in (*p, *q))
+                     else (Fraction(1, 2), Fraction(1, 12)))
+    out = [x + y for x, y in zip(p, q)]
     pq = bracket(p, q, alg)
-    if any(c != 0 for c in pq):
-        out = _vec_add(out, _vec_scale(pq, Fraction(1, 2)))
+    if any(pq):
+        out = [x + half * y for x, y in zip(out, pq)]
     if group.step >= 3:
         ppq = bracket(p, pq, alg)
-        qqp = bracket(q, _vec_scale(pq, -1), alg)
-        corr = _vec_add(ppq, qqp)
-        if any(c != 0 for c in corr):
-            out = _vec_add(out, _vec_scale(corr, Fraction(1, 12)))
-    return out
+        qqp = bracket(q, tuple(-y for y in pq), alg)
+        corr = [x + y for x, y in zip(ppq, qqp)]
+        if any(corr):
+            out = [x + twelfth * y for x, y in zip(out, corr)]
+    return tuple(out)
 
 
 def displacement(p, q, group: GradedGroup):
@@ -351,8 +357,9 @@ def displacement(p, q, group: GradedGroup):
     since [-p, [-p, q]] + [q, [q, -p]] = [p + q, [p, q]].  Through step 2
     that is (2 L (a Q - b P) - B) / (2 L a b), at step 3 the numerator
     12 L^2 a b (a Q - b P) - 6 L a b B + [b P + a Q, B]_L over 12 L^2 a^2 b^2.
-    The terms enter as in ``multiply``: the bracket ones only where the
-    table has brackets, the third only from step 3.
+    The bracket terms enter only where the table has brackets, the third
+    only from step 3.  ``multiply`` of rational points is this product for
+    the inverse of its first factor.
     """
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError(

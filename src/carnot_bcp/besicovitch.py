@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import dilate, dilate_batch
-from .metrics import ExactnessError, FiniteSpaceDistance, QuasiDistance, default_sampler
+from .metrics import ExactnessError, QuasiDistance, default_sampler
 from .scalars import all_exact, fmt_scalar, is_exact, rat_pow, to_fractions
 
 EXACT = "exact"
@@ -59,15 +59,14 @@ class BesicovitchFamily:
         # any other mode string would be certified as margin mode
         if self.mode not in (EXACT, "margin"):
             raise ValueError(f"mode must be 'exact' or 'margin', not {self.mode!r}")
-        self.centers = tuple(_as_point(c) for c in self.centers)
-        self.witness = _as_point(self.witness)
+        self.centers = tuple(tuple(c) for c in self.centers)
+        self.witness = tuple(self.witness)
         self.radii = tuple(self.radii)
         if len(self.centers) != len(self.radii):
             raise ValueError("centers and radii length mismatch")
         # a NaN or infinite entry makes float comparisons with it come out
         # false or true whatever the family, so it would certify nothing
-        if not all(_finite(x) for c in (*self.centers, self.witness)
-                   for x in (c if isinstance(c, tuple) else (c,))):
+        if not all(_finite(x) for c in (*self.centers, self.witness) for x in c):
             raise ValueError("center and witness coordinates must be finite")
         # compared in their own type: a positive rational radius below the
         # float range is still positive
@@ -81,8 +80,6 @@ class BesicovitchFamily:
 
     def to_json(self):
         def fmt_point(p):
-            if isinstance(p, int):
-                return p
             return [fmt_scalar(x) for x in p]
         return {
             "centers": [fmt_point(c) for c in self.centers],
@@ -91,11 +88,6 @@ class BesicovitchFamily:
             "mode": self.mode,
             "epsilon": self.epsilon,
         }
-
-
-def _as_point(p):
-    """A group point as a tuple; a finite-space point as an int index."""
-    return int(p) if isinstance(p, (int, np.integer)) else tuple(p)
 
 
 def _finite(x):
@@ -663,9 +655,6 @@ def greedy_cover(points, radii, d: QuasiDistance) -> CoverReport:
 class FiniteMetricSpace:
     labels: list
     table: tuple              # tuple of tuples of Fractions
-
-    def distance(self) -> FiniteSpaceDistance:
-        return FiniteSpaceDistance(self.table)
 
     def validate(self) -> list:
         """Symmetry, identity, triangle; exact, O(n^3). For small spaces."""

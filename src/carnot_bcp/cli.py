@@ -73,12 +73,16 @@ def _build_distance(args, group):
 
 
 def _parse_point(text):
-    """Coordinates as Fractions, or as floats when one is not rational text."""
+    """Coordinates as Fractions, or as floats when one is not rational text;
+    a NaN or infinite coordinate is a configuration error."""
     parts = [t for t in str(text).split(",") if t != ""]
     try:
         return tuple(parse_scalar(t) for t in parts)
     except ValueError:
-        return tuple(float(t) for t in parts)
+        point = tuple(float(t) for t in parts)
+    if not all(math.isfinite(x) for x in point):
+        raise ConfigError(f"coordinates must be finite, not {text!r}")
+    return point
 
 
 def _emit(payload, args):
@@ -328,8 +332,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--strategy", default="annealed", choices=["random", "annealed"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("CARNOT_BCP_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_besicovitch)
 

@@ -20,7 +20,6 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
   kernel fiber, in closed form through one linear map.
 * ``CCHeisenbergDistance`` -- the exact sub-Riemannian distance on the first
   Heisenberg group (circular-arc geodesics).
-* ``FiniteSpaceDistance`` -- rational distance table.
 
 Exactness contract: ``compare(p, q, rho)`` returns the sign of d(p,q) - rho
 decided in exact integer arithmetic, raising ``ExactnessError`` when the kind
@@ -34,8 +33,8 @@ the other kinds map the numerators (quotient), the radius (power) or split
 them (products) before calling their component's ``_sign``.  The public
 ``compare_from_identity(x, rho)`` is the same hook for a point given by
 rational coordinates, which it puts over one denominator; a float coordinate
-is an ``ExactnessError``.  The finite table of ``FiniteSpaceDistance``, which
-has no group, is the one kind that compares differently.
+is an ``ExactnessError``.  Every distance lives on a group, and no kind
+overrides ``compare`` or ``compare_from_identity``.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class QuasiDistance:
 
     @property
     def weights(self):
-        return self.group.weights if self.group is not None else ()
+        return self.group.weights
 
     def identity(self):
         return self.group.identity()
@@ -137,13 +136,8 @@ class QuasiDistance:
         over one positive integer denominator; the one exact hook of a kind."""
         raise ExactnessError(f"{self.kind} distance has no exact comparison")
 
-    def exact_value(self, p, q):
-        """Exact rational value when representable, else None."""
-        return None
-
     def __repr__(self):
-        gname = self.group.name if self.group is not None else "-"
-        return f"<{type(self).__name__} on {gname}>"
+        return f"<{type(self).__name__} on {self.group.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +424,6 @@ class HSDistance(QuasiDistance):
     # HSDistance.__dict__["compare"]
     compare = QuasiDistance.compare
 
-    def exact_value(self, p, q):
-        # representable only on a line with unit weight: d = |x| / R
-        if self.group.dim == 1 and self.group.weights[0] == 1 and \
-                all_exact(p) and all_exact(q):
-            return abs(Fraction(q[0]) - Fraction(p[0])) / self.R
-        return None
-
 
 def hs_distance(p, q, R, group: GradedGroup) -> float:
     """Euclidean-unit-ball quasi-distance between two points (float backend)."""
@@ -587,8 +574,12 @@ class PowerDistance(QuasiDistance):
         if self.t <= 0:
             raise ValueError("power exponent must be positive")
         super().__init__(power_group(base.group, self.t))
-        # rho^t is rational for every rational rho only for an integer t
-        self.exact_capable = base.exact_capable and self.t.denominator == 1
+        # rho^t is rational for every rational rho only for an integer t; an
+        # HS base then needs (rho^t)^(2w) rational, the HS rule on the power
+        # group's weights t w, which a capable base satisfies and more meet
+        self.exact_capable = self.t.denominator == 1 and (base.exact_capable or (
+            isinstance(base, HSDistance)
+            and all((2 * w).denominator == 1 for w in self.group.weights)))
 
     def value_from_identity(self, x):
         return self.base.value_from_identity(x) ** (1.0 / float(self.t))
@@ -669,14 +660,20 @@ class ProductMaxDistance(_CombinedDistance):
         return -1
 
 
+def _is_line(d):
+    """The Euclidean line: an HS distance on one coordinate of weight 1,
+    whose value at x is |x| / R."""
+    return isinstance(d, HSDistance) and d.weights == (1,)
+
+
 class LpComboDistance(_CombinedDistance):
     """(d1^r + d2^r)^(1/r) on the direct product, r >= 1.
 
-    Exact comparisons exist for r = 1 when one component has exact rational
-    values and the other is exact-capable (the line times a snowflake, the
-    configuration of the covering counterexamples): d <= rho exactly when the
-    other leg is at most rho minus the exact value.  Any other r has margin
-    certificates only.
+    Exact comparisons exist for r = 1 when one component is the Euclidean
+    line, whose values |x| / R are rational, and the other is exact-capable
+    (the line times a snowflake, the configuration of the covering
+    counterexamples): d <= rho exactly when the other leg is at most rho
+    minus the line's value.  Any other r has margin certificates only.
     """
 
     kind = "lp_combo"
@@ -686,10 +683,8 @@ class LpComboDistance(_CombinedDistance):
         self.r = Fraction(r)
         if self.r < 1:
             raise ValueError("lp exponent must be >= 1")
-        # exact values are known for every point or for none, so the
-        # identity tells which component has them
-        self.exact_capable = self.r == 1 and self.exact_capable and any(
-            d.exact_value(d.identity(), d.identity()) is not None for d in (d1, d2))
+        self.exact_capable = self.r == 1 and self.exact_capable and (
+            _is_line(d1) or _is_line(d2))
 
     def value_from_identity(self, x):
         x1, x2 = self.split(x)
@@ -711,16 +706,14 @@ class LpComboDistance(_CombinedDistance):
         rho = Fraction(rho)
         n1, n2 = self.split(nums)
         d1, d2 = self.components
-        ex1 = d1.exact_value(tuple(Fraction(0) for _ in n1), tuple(Fraction(n, den) for n in n1))
-        ex2 = d2.exact_value(tuple(Fraction(0) for _ in n2), tuple(Fraction(n, den) for n in n2))
-        for (exv, other, no) in ((ex1, d2, n2), (ex2, d1, n1)):
-            if exv is None:
+        for line, nl, other, no in ((d1, n1, d2, n2), (d2, n2, d1, n1)):
+            if not _is_line(line):
                 continue
-            rem = rho - exv
+            rem = rho - Fraction(abs(nl[0]), den) / line.R
             if rem < 0:
                 return 1
             if rem == 0:
-                # d = exv + other >= rho, strict unless the other leg is 0
+                # d = |x_line| / R + other >= rho, strict unless the other leg is 0
                 return 1 if any(no) else 0
             return other._sign(no, den, rem)
         raise ExactnessError("no exact comparison for this lp combination")
@@ -956,39 +949,6 @@ class CCHeisenbergDistance(QuasiDistance):
 
 def cc_distance_h1(p, q, a=1.0) -> float:
     return CCHeisenbergDistance(a).value(p, q)
-
-
-# ---------------------------------------------------------------------------
-# finite metric spaces (rational distance tables)
-# ---------------------------------------------------------------------------
-
-class FiniteSpaceDistance(QuasiDistance):
-    """Distance given by an exact rational table on labeled points.
-
-    Points are integer indices.  Exact comparisons are table lookups.
-    """
-
-    kind = "finite_space"
-    exact_capable = True
-
-    def __init__(self, table):
-        self.table = table
-        self.n = len(table)
-        self.group = None
-
-    def identity(self):
-        return 0
-
-    def value(self, i, j):
-        return float(self.table[int(i)][int(j)])
-
-    def compare(self, i, j, rho):
-        d = self.table[int(i)][int(j)]
-        rho = Fraction(rho)
-        return (d > rho) - (d < rho)
-
-    def exact_value(self, i, j):
-        return self.table[int(i)][int(j)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from carnot_bcp.algebra import (
 )
 from carnot_bcp.scalars import fmt_scalar, parse_scalar, rat_pow
 
+from bch_oracle import fraction_bch
+
 F = Fraction
 
 
@@ -250,8 +252,23 @@ def test_displacement_is_the_bch_product_of_the_inverse(g):
         for q in points[::3]:
             nums, den = cb.displacement(p, q, g)
             assert den > 0 and all(isinstance(n, int) for n in nums)
-            want = cb.multiply(cb.inverse(tuple(map(F, p)), g), tuple(map(F, q)), g)
-            assert tuple(F(n, den) for n in nums) == want
+            assert tuple(F(n, den) for n in nums) == fraction_bch(cb.inverse(p, g), q, g)
+
+
+@pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)
+def test_exact_multiply_is_the_fraction_bch(g):
+    # small rationals, ints and scales 2^(+-700); the product of rational
+    # points is a tuple of Fractions, ints included
+    rng = np.random.default_rng(12)
+    points = [rand_rational_point(rng, g.dim) for _ in range(20)]
+    points += [tuple(int(x) for x in rng.integers(-9, 10, g.dim)) for _ in range(5)]
+    points += [tuple(x * F(2) ** e for x in rand_rational_point(rng, g.dim, 50, 9))
+               for e in (700, -700) for _ in range(3)]
+    for p in points:
+        for q in points[::2]:
+            got = cb.multiply(p, q, g)
+            assert all(type(x) is F for x in got)
+            assert got == fraction_bch(p, q, g)
 
 
 def test_unsupported_step_rejected():

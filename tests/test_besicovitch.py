@@ -91,15 +91,6 @@ def test_margin_mode_certificate():
     assert cert.valid and cert.min_slack >= 1e-7
 
 
-def test_countable_space_families_capped_at_one():
-    space = countable_space(30)
-    d = space.distance()
-    # any 2-ball candidate violates: radii below r_i make singleton balls
-    fam = BesicovitchFamily((4, 9), (F(1, 2), F(2, 3)), 0, d)
-    cert = verify_family(fam)
-    assert not cert.valid
-
-
 def test_exactness_violation_reported():
     d = CCHeisenbergDistance(1.0)
     fam = BesicovitchFamily(((F(1), F(0), F(0)),), (F(1),),

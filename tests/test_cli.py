@@ -387,6 +387,31 @@ def test_dist_with_a_huge_root_order_falls_back_to_float():
     assert json.loads(proc.stdout)["backend"] == "float"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["--p", "--q"])
+@pytest.mark.parametrize("kind", ["hs", "cc_h1"])
+def test_a_nonfinite_dist_coordinate_is_a_configuration_error(kind, where, bad):
+    # each exited 70 with "solver failure: nonfinite coordinates"
+    points = {"--p": "0,0,0", "--q": "1,0,0"}
+    points[where] = f"{bad},0,0"
+    # "--p=-inf,..." in one word, as argparse reads "-inf,..." as a flag
+    proc = run_cli(["dist", "--group", "heisenberg", "--kind", kind,
+                    *(f"{flag}={point}" for flag, point in points.items())], timeout=60)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("configuration error: ") and proc.stdout == ""
+
+
+def test_the_search_jobs_do_not_depend_on_the_environment(monkeypatch):
+    # --jobs took its default from CARNOT_BCP_JOBS, so the same argv printed
+    # another report where that variable was set
+    import carnot_bcp.cli as cli
+
+    monkeypatch.setenv("CARNOT_BCP_JOBS", "2")
+    args = cli.build_parser().parse_args(
+        ["besicovitch", "search", "--group", "heisenberg_nonstandard", "--alpha", "2"])
+    assert args.jobs == 1
+
+
 def test_jobs_share_out_the_whole_budget(monkeypatch, capsys):
     # the workers run in threads of this process here; the budgets they get
     # must add up to --budget, the remainder spread one proposal each

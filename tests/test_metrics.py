@@ -44,6 +44,8 @@ from carnot_bcp.exact_linalg import min_norm_right_inverse
 from carnot_bcp.scalars import rat_pow
 from carnot_bcp.structure import MorphismMatrix, validate_morphism
 
+from bch_oracle import fraction_bch
+
 F = Fraction
 
 
@@ -354,7 +356,7 @@ def test_compare_is_exact_sign_at_the_displacement(kind, data):
     v = d.value(p, q)
     rho = max(F(v).limit_denominator(16), F(1, 16)) * \
         data.draw(st.sampled_from([F(7, 8), F(1), F(9, 8)]))
-    x = cb.multiply(tuple(-c for c in p), q, d.group)  # p^-1 q
+    x = fraction_bch(tuple(-c for c in p), q, d.group)  # p^-1 q
     try:
         want = d.compare_from_identity(x, rho)
     except ExactnessError:
@@ -398,8 +400,8 @@ def fraction_sign(d, x, rho):
         s1, s2 = fraction_sign(d1, x1, rho), fraction_sign(d2, x2, rho)
         return 1 if s1 > 0 or s2 > 0 else (0 if s1 == 0 or s2 == 0 else -1)
     assert d.kind == "lp_combo" and d.r == 1
-    ex1 = d1.exact_value(tuple(F(0) for _ in x1), x1)
-    rem = rho - ex1
+    # the first leg is the Euclidean line, whose value is |x| / R
+    rem = rho - abs(F(x1[0])) / d1.R
     if rem <= 0:
         return 1 if rem < 0 or any(x2) else 0
     return fraction_sign(d2, x2, rem)
@@ -434,7 +436,7 @@ def test_integer_compare_matches_the_fraction_oracle(kind, data):
     # as near and as (non-)square while the coordinates grow to 2^(+-700 w)
     lam = F(2) ** data.draw(st.sampled_from([0, 0, 700, -700]))
     p, q, rho = cb.dilate(p, lam, g), cb.dilate(q, lam, g), lam * rho
-    x = cb.multiply(cb.inverse(p, g), q, g)
+    x = fraction_bch(cb.inverse(p, g), q, g)
     try:
         want = fraction_sign(d, x, rho)
     except ValueError as exc:     # ExactnessError included
@@ -459,7 +461,7 @@ def test_integer_compare_decides_ties_at_any_scale():
             p = tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) * lam
                       for _ in range(3))
             q = cb.multiply(p, cb.dilate(u, lam, g), g)
-            x = cb.multiply(cb.inverse(p, g), q, g)
+            x = fraction_bch(cb.inverse(p, g), q, g)
             for rho, want in ((lam, 0), (lam * (1 - F(1, 2 ** 3000)), 1),
                               (lam * (1 + F(1, 2 ** 3000)), -1)):
                 assert d.compare(p, q, rho) == fraction_sign(d, x, rho) == want
@@ -496,6 +498,12 @@ CAPABILITY_KINDS = {
     "power_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), 2), True),
     "power_3_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(3, 2)), False),
     "power_1_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(1, 2)), False),
+    # weights 5/4 and 9/4 of the base become 5/2 and 9/2: the HS rule holds
+    # on the power group for t = 2, and no t = 3/2 power of 2 is rational
+    "power_2_weights_5_4": (lambda: power_distance(
+        HSDistance(cb.heisenberg_nonstandard_group(F(5, 4))), 2), True),
+    "power_3_2_weights_5_4": (lambda: power_distance(
+        HSDistance(cb.heisenberg_nonstandard_group(F(5, 4))), F(3, 2)), False),
     "product_max": (lambda: product_max_distance(euclidean_line(), snowflake_line(2)), True),
     "lp_1": (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1), True),
     "lp_2": (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 2), False),
@@ -529,10 +537,10 @@ def test_a_kind_that_is_not_exact_capable_fails_at_some_rational_radius(kind):
 @pytest.mark.parametrize("kind", sorted(CAPABILITY_KINDS))
 def test_the_search_mode_is_the_distance_capability(kind):
     from carnot_bcp.besicovitch import search_family, verify_family
-    d = CAPABILITY_KINDS[kind][0]()
-    res = search_family(d, 2000, strategy="annealed", seed=0)
+    make, capable = CAPABILITY_KINDS[kind]
+    res = search_family(make(), 2000, strategy="annealed", seed=0)
     assert res.cardinality >= 1
-    assert res.family.mode == ("exact" if d.exact_capable else "margin")
+    assert res.family.mode == ("exact" if capable else "margin")
     assert verify_family(res.family).valid
 
 
