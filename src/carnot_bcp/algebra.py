@@ -131,6 +131,15 @@ class StructureConstants:
         return L, tuple((i, j, tuple((k, int(c * L)) for k, c in terms))
                         for (i, j), terms in self.bracket.items())
 
+    @cached_property
+    def float_bracket(self):
+        """The bracket table with float coefficients, for ``multiply`` of
+        float points: a Fraction c times a float x is float(c) * x, so the
+        float table gives the same bits without the Fraction dispatch.
+        Built once per algebra."""
+        return tuple(((i, j), tuple((k, float(c)) for k, c in terms))
+                     for (i, j), terms in self.bracket.items())
+
     def layers(self):
         """Map weight -> tuple of basis indices (the layer decomposition)."""
         out = {}
@@ -184,8 +193,13 @@ def bracket(a, b, alg: StructureConstants):
     """[a, b]: bilinear extension of the structure constants. Exact on rationals."""
     if len(a) != alg.dim or len(b) != alg.dim:
         raise AlgebraError("vector length does not match algebra dimension")
-    out = [0 * (a[0] + b[0])] * alg.dim
-    for (i, j), terms in alg.bracket.items():
+    return _bracket_items(a, b, alg.bracket.items())
+
+
+def _bracket_items(a, b, items):
+    """[a, b] for the entries ((i, j), ((k, c_ijk), ...)) of a bracket table."""
+    out = [0 * (a[0] + b[0])] * len(a)
+    for (i, j), terms in items:
         coef = a[i] * b[j] - a[j] * b[i]
         if coef == 0:
             continue
@@ -319,7 +333,8 @@ def multiply(p, q, group: GradedGroup):
     Rational points (``int`` or ``Fraction`` coordinates) multiply exactly,
     through the integer BCH of ``displacement``, and come back as Fractions.
     Other points sum the series term by term, with Fraction scalars if any
-    coordinate is rational, so the terms built from those stay exact.
+    coordinate is rational, so the terms built from those stay exact; points
+    of floats only take the float copy of the structure constants.
     """
     if all_exact(p) and all_exact(q):
         nums, den = displacement(inverse(p, group), q, group)
@@ -328,16 +343,21 @@ def multiply(p, q, group: GradedGroup):
         raise UnsupportedStepError(
             f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
     alg = group.algebra
-    # a float times Fraction(1, 2) or Fraction(1, 12) rounds as times 0.5 or 1 / 12
-    half, twelfth = ((0.5, 1 / 12) if all(isinstance(x, float) for x in (*p, *q))
-                     else (Fraction(1, 2), Fraction(1, 12)))
+    if len(p) != alg.dim or len(q) != alg.dim:
+        raise AlgebraError("vector length does not match algebra dimension")
+    # a float times a Fraction rounds as times its float: 0.5, 1 / 12 and
+    # the float structure constants
+    if all(isinstance(x, float) for x in (*p, *q)):
+        half, twelfth, items = 0.5, 1 / 12, alg.float_bracket
+    else:
+        half, twelfth, items = Fraction(1, 2), Fraction(1, 12), alg.bracket.items()
     out = [x + y for x, y in zip(p, q)]
-    pq = bracket(p, q, alg)
+    pq = _bracket_items(p, q, items)
     if any(pq):
         out = [x + half * y for x, y in zip(out, pq)]
     if group.step >= 3:
-        ppq = bracket(p, pq, alg)
-        qqp = bracket(q, tuple(-y for y in pq), alg)
+        ppq = _bracket_items(p, pq, items)
+        qqp = _bracket_items(q, tuple(-y for y in pq), items)
         corr = [x + y for x, y in zip(ppq, qqp)]
         if any(corr):
             out = [x + twelfth * y for x, y in zip(out, corr)]

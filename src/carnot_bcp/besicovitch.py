@@ -285,11 +285,11 @@ def _greedy_extend(d, centers, radii, cand, cand_r):
     One conflict filter for every ball: the live candidates start as those
     of positive radius, and each ball, first the family's in order, then
     each candidate as it is kept, drops every live x with
-    d(c, x) <= max(r, r_x) (1 + guard) in one ``value_batch`` call.  The
-    first live candidate is kept next, so a candidate is kept exactly when it
-    passes the family and every candidate kept before it.  The float test
-    only proposes: ``_repair`` decides both conditions of each kept ball
-    exactly."""
+    d(c, x) <= max(r, r_x) (1 + guard) in one ``exceeds_batch`` call, a ball
+    membership test that needs no distance values.  The first live candidate
+    is kept next, so a candidate is kept exactly when it passes the family
+    and every candidate kept before it.  The float test only proposes:
+    ``_repair`` decides both conditions of each kept ball exactly."""
     # a relative guard above MARGIN_EPSILON, so that few float balls fail the
     # exact or margin check of repair
     guard = 1e-6
@@ -302,8 +302,9 @@ def _greedy_extend(d, centers, radii, cand, cand_r):
             live = live[1:]
             continue
         x = cand[live]
-        dist = d.value_batch(np.broadcast_to(centers[i], x.shape), x)
-        live = live[dist > np.maximum(radii[i], cand_r[live]) * (1.0 + guard)]
+        far = d.exceeds_batch(np.broadcast_to(centers[i], x.shape), x,
+                              np.maximum(radii[i], cand_r[live]) * (1.0 + guard))
+        live = live[far]
         i += 1
 
 

@@ -266,7 +266,8 @@ def cmd_report(args):
         elif key in ("action",):
             argv.insert(1, str(val))
         else:
-            argv.extend([flag, str(val)])
+            # one word, so that a value such as "-1,2,3" is not read as a flag
+            argv.append(f"{flag}={val}")
     parser = build_parser()
     # argparse exits on a bad flag; a bad config key is a configuration error
     try:
@@ -360,10 +361,22 @@ def build_parser():
     return parser
 
 
+def _join_points(argv):
+    """``--p``/``--q`` joined with the next word into one, so that argparse
+    reads a point such as ``-1,2,3`` as the value, not as a flag."""
+    out, rest = [], list(argv)
+    while rest:
+        word = rest.pop(0)
+        if word in ("--p", "--q") and rest:
+            word = f"{word}={rest.pop(0)}"
+        out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -118,6 +118,12 @@ class QuasiDistance:
         Q = np.asarray(Q, dtype=float)
         return self.value_from_identity_batch(multiply_batch(-P, Q, self.group))
 
+    def exceeds_batch(self, P, Q, t) -> np.ndarray:
+        """Rowwise d(p_i, q_i) > t_i as a bool array, for positive t (an
+        array, or one float for every row).  Here from the values, so a NaN
+        value exceeds nothing; a kind may decide membership without them."""
+        return self.value_batch(P, Q) > t
+
     def compare(self, p, q, rho) -> int:
         """Exact sign of d(p, q) - rho, or raise ExactnessError: the sign of
         d(e, p^-1 q) - rho for the displacement formed in integers."""
@@ -299,8 +305,9 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     q.  For q > 2 one Newton step in lam follows, since u^(-q/2) magnifies
     the rounding of u.  Rows near the ends of the float range, where the
     powers of u would overflow or the squares underflow, are dilated from
-    their coordinates to a lam of order one first.  A row whose coordinates
-    are all zero has lam = 0; a row whose squared sum is not finite raises
+    their coordinates to a lam of order one first; so is a row of finite
+    coordinates whose squares overflow.  A row whose coordinates are all
+    zero has lam = 0; a row with a NaN or infinite coordinate raises
     SolverError.
     """
     if plan is None:
@@ -323,7 +330,7 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     if total.min() >= lo and total.max() <= hi:
         lam[:] = plan.solve_rows(S, R2, method)
         return lam
-    if not np.isfinite(total).all():
+    if not np.isfinite(X).all():
         raise SolverError("nonfinite coordinates")
     inner = (total >= lo) & (total <= hi)
     if inner.any():
@@ -359,9 +366,14 @@ class HSDistance(QuasiDistance):
         self._exact_terms = [(w, (2 * w).numerator, (2 * w).denominator)
                              for w in self._plan.weights]
         self._R2 = (self.R.numerator ** 2, self.R.denominator ** 2)
+        # the float ball test of exceeds_batch: -w_i per coordinate, and R^2
+        self._neg_w = -np.array([float(w) for w in group.weights])
+        self._R2_float = float(self.R) ** 2
 
     def value_from_identity(self, x):
-        """The batch solve for one point, in plain floats with no numpy."""
+        """The batch solve for one point, in plain floats with no numpy.  A
+        NaN or infinite coordinate raises SolverError; a finite point whose
+        squares overflow is rescaled, as on the batch path."""
         plan = self._plan
         if len(x) != len(plan.term_of):
             raise AlgebraError("vector length does not match algebra dimension")
@@ -370,7 +382,7 @@ class HSDistance(QuasiDistance):
             v = float(v)
             S[k] += v * v
         total = sum(S)
-        if not math.isfinite(total):
+        if not math.isfinite(total) and not all(math.isfinite(v) for v in x):
             raise SolverError("nonfinite coordinates")
         R = float(self.R)
         R2 = R * R
@@ -383,6 +395,20 @@ class HSDistance(QuasiDistance):
 
     def value_from_identity_batch(self, X):
         return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)
+
+    def exceeds_batch(self, P, Q, t):
+        """d(p_i, q_i) > t_i with no root solve: d(e, x) <= t exactly when
+        delta_(1/t) x lies in the Euclidean ball of radius R, the test that
+        ``_sign`` makes in integers.  Each coordinate is scaled by t^(-w_i)
+        before it is squared, so radii far below 1 stay in range; a square
+        that overflows is a point far outside, and exceeds."""
+        X = multiply_batch(-np.asarray(P, dtype=float), np.asarray(Q, dtype=float),
+                           self.group)
+        Y = X * np.asarray(t, dtype=float)[..., None] ** self._neg_w
+        s = (Y * Y).sum(axis=1)
+        if not np.isfinite(s).all() and not np.isfinite(X).all():
+            raise SolverError("nonfinite coordinates")
+        return s > self._R2_float
 
     def _sign(self, nums, den, rho):
         """With x = N / den, rho = u / v and R = a / b, the sign of

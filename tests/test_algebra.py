@@ -238,6 +238,36 @@ def test_inverse_step3_random():
         assert cb.multiply(p, cb.inverse(p, g), g) == g.identity()
 
 
+def fraction_constant_multiply(p, q, g):
+    """The float BCH series summed with the Fraction structure constants of
+    ``bracket``, as ``multiply`` summed it before its float table."""
+    pq = cb.bracket(p, q, g.algebra)
+    out = [x + y for x, y in zip(p, q)]
+    if any(pq):
+        out = [x + 0.5 * y for x, y in zip(out, pq)]
+    if g.step >= 3:
+        corr = [x + y for x, y in zip(cb.bracket(p, pq, g.algebra),
+                                      cb.bracket(q, tuple(-y for y in pq), g.algebra))]
+        if any(corr):
+            out = [x + (1 / 12) * y for x, y in zip(out, corr)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)
+def test_float_multiply_keeps_the_fraction_constant_bits(g):
+    # the float copy of the structure constants gives the same bits, signed
+    # zeros included, at scales from 2^-500 to 2^500
+    rng = np.random.default_rng(13)
+    points = [tuple(float(x) for x in rng.standard_normal(g.dim) * 2.0 ** e)
+              for e in (-500, -20, 0, 0, 0, 20, 500) for _ in range(6)]
+    points += [(0.0,) * g.dim, (-0.0,) * g.dim]
+    for p in points:
+        for q in points[::2]:
+            got = cb.multiply(p, q, g)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in fraction_constant_multiply(p, q, g)]
+
+
 @pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)
 def test_displacement_is_the_bch_product_of_the_inverse(g):
     # integers over one denominator, equal to multiply(inverse(p), q) in

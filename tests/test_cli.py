@@ -294,6 +294,23 @@ def test_report_runs_config(tmp_path, capsys):
     assert code == 0 and out["bcp_admissible"] is False
 
 
+def test_a_point_with_a_negative_first_coordinate_parses(tmp_path, capsys):
+    # "-1,2,3" after --p was read as a flag: both forms exited 64 with
+    # "expected one argument", and only "--p=-1,2,3" worked
+    flags = ["dist", "--group", "heisenberg", "--kind", "hs"]
+    assert main([*flags, "--p=-1,2,3", "--q=0,0,-1/2"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main([*flags, "--p", "-1,2,3", "--q", "0,0,-1/2"]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    cfg = {"subcommand": "dist", "group": "heisenberg", "kind": "hs",
+           "p": "-1,2,3", "q": "0,0,-1/2"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["report", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    assert want["value"] > 0
+
+
 def test_config_error_exit_64(tmp_path):
     assert main(["classify", "--group", "no_such_group"]) == 64
     assert main(["dist", "--group", "heisenberg", "--kind", "hs",

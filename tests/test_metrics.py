@@ -153,9 +153,10 @@ NONFINITE_DISTANCES = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
 def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
-    # a zero row is the identity (distance 0); a row whose squared sum is
-    # not finite is an error on the scalar and the batch paths alike, not a
-    # distance of 0 (or NaN) that would count the point as covered
+    # a zero row is the identity (distance 0); a row with a NaN or infinite
+    # coordinate is an error on the scalar and the batch paths alike, not a
+    # distance of 0 (or NaN) that would count the point as covered.  A finite
+    # row whose squares overflow, which cc_h1 rejects, has an HS distance
     d = NONFINITE_DISTANCES[kind]()
     X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.5, -1.0, 0.25]])
     evaluate = {
@@ -167,8 +168,23 @@ def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
     vals = evaluate(X)
     assert vals[1] == 0.0 and np.all(vals[[0, 2]] > 0)
     X[2, 1] = bad
+    if kind == "hs" and math.isfinite(bad):
+        # weight 2: lam^4 = 1e400 to within the other terms
+        assert evaluate(X)[2] == pytest.approx(1e100, rel=1e-12)
+        return
     with pytest.raises(SolverError):
         evaluate(X)
+
+
+def test_hs_finite_rows_whose_squares_overflow_are_solved():
+    # (1e155)^2 is infinite; these rows raised "nonfinite coordinates"
+    d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+    rows = [(1e200, 0.0, 0.0), (0.0, 0.0, 1e200), (1e155, -1e155, 1.0), (1e300, 0.0, 1e300)]
+    want = [1e200, 1e200 ** (1 / 3), 1e155, 1e300]
+    batch = d.value_from_identity_batch(np.array(rows))
+    for x, lam, lam_b in zip(rows, want, batch):
+        assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
+        assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 # points one coordinate short or long: numpy broadcast a one-entry row and
@@ -183,6 +199,8 @@ WRONG_LENGTH = {
     "value_batch": lambda g, x: HSDistance(g).value_batch(np.zeros((2, g.dim)), [x, x]),
     "compare_from_identity": lambda g, x: HSDistance(g).compare_from_identity(
         tuple(map(F, x)), F(1)),
+    "exceeds_batch": lambda g, x: HSDistance(g).exceeds_batch(np.zeros((2, g.dim)), [x, x],
+                                                              np.ones(2)),
 }
 
 
@@ -272,6 +290,89 @@ def test_hs_plan_work_does_not_grow_with_degree():
         x = [F(v) for v in x]
         assert hs_sign(d, x, F(lam) * (1 - eps)) == 1
         assert hs_sign(d, x, F(lam) * (1 + eps)) == -1
+
+
+# the ball test of exceeds_batch on the groups of the search: one and two
+# non-integer weight steps, step 3, and several coordinates per layer
+EXCEEDS_GROUPS = {
+    "nonstd_2": lambda: cb.heisenberg_nonstandard_group(2),
+    "nonstd_3_2": lambda: cb.heisenberg_nonstandard_group(F(3, 2)),
+    "step3_rank3": cb.step3_rank3_group,
+    "free_step2_3": lambda: cb.free_step2_group(3),
+}
+
+
+def float_rows(data, m, n):
+    """m rows of n coordinates, each 0 or of size 1e-3 to 2."""
+    coord = st.floats(-2, 2).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+    return np.array(data.draw(st.lists(
+        st.lists(coord, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+@pytest.mark.parametrize("name", sorted(EXCEEDS_GROUPS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exceeds_batch_is_the_value_test_off_the_boundary(name, data):
+    # rows at every scale of t from 1e-20 to 1e3, each dilated so that its
+    # distance is within a factor 4 of t, and some pushed to within 1e-6 of it
+    g = EXCEEDS_GROUPS[name]()
+    d = HSDistance(g, data.draw(st.sampled_from([F(1), F(1, 2), F(7, 3)])))
+    m = data.draw(st.integers(1, 16))
+    P, Q = float_rows(data, m, g.dim), float_rows(data, m, g.dim)
+    t = 10.0 ** np.array(data.draw(st.lists(st.floats(-20, 3), min_size=m, max_size=m)))
+    v = d.value_batch(P, Q)
+    ratio = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.25, 4), st.floats(1 - 1e-6, 1 + 1e-6)), min_size=m, max_size=m)))
+    scale = np.where(v > 0, t * ratio / np.where(v > 0, v, 1), t)
+    P, Q = dilate_batch(P, scale, g), dilate_batch(Q, scale, g)
+    v = d.value_batch(P, Q)
+    got = d.exceeds_batch(P, Q, t)
+    assert got.dtype == bool and got.shape == (m,)
+    off = np.abs(v - t) > 1e-9 * t
+    assert np.array_equal(got[off], (v > t)[off])
+
+
+@pytest.mark.parametrize("name", sorted(EXCEEDS_GROUPS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_exceeds_batch_agrees_with_the_exact_compare(name, data):
+    # rational points and radii: the float ball test is the sign of the
+    # exact comparison wherever the distance is not within 1e-9 of t
+    g = EXCEEDS_GROUPS[name]()
+    d = HSDistance(g, data.draw(st.sampled_from([F(1), F(1, 2), F(7, 3)])))
+    m = data.draw(st.integers(1, 6))
+    point = st.lists(st.fractions(-3, 3, max_denominator=40), min_size=g.dim, max_size=g.dim)
+    P = [tuple(data.draw(point)) for _ in range(m)]
+    Q = [tuple(data.draw(point)) for _ in range(m)]
+    t = [data.draw(st.fractions(F(1, 100), 100, max_denominator=100)) for _ in range(m)]
+    signs = np.array([d.compare(p, q, r) for p, q, r in zip(P, Q, t)])
+    Pf, Qf, tf = (np.array(x, dtype=float) for x in (P, Q, t))
+    got = d.exceeds_batch(Pf, Qf, tf)
+    off = np.abs(d.value_batch(Pf, Qf) - tf) > 1e-9 * tf
+    assert np.array_equal(got[off], (signs > 0)[off])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
+def test_exceeds_batch_rejects_nonfinite_coordinates(bad):
+    # as the value paths do; a finite row whose squares overflow exceeds
+    d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
+    Q = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+    assert d.exceeds_batch(np.zeros_like(Q), Q, np.ones(3)).tolist() == [True, False, True]
+    Q[1, 2] = bad
+    with pytest.raises(SolverError, match="nonfinite coordinates"):
+        d.exceeds_batch(np.zeros_like(Q), Q, np.ones(3))
+
+
+def test_exceeds_batch_of_the_other_kinds_is_the_value_test():
+    rng = np.random.default_rng(5)
+    for d in (CCHeisenbergDistance(1.0),
+              power_distance(HSDistance(cb.heisenberg_group(1), F(1)), F(2)),
+              skewed_quotient("minors")):
+        n = d.group.dim
+        P, Q = rng.standard_normal((50, n)), rng.standard_normal((50, n))
+        t = np.exp(rng.uniform(-2, 2, 50))
+        assert np.array_equal(d.exceeds_batch(P, Q, t), d.value_batch(P, Q) > t)
 
 
 def test_hs_membership_examples():
