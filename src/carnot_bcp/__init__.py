@@ -50,7 +50,6 @@ from .metrics import (
     HSDistance,
     LpComboDistance,
     ProductMaxDistance,
-    PowerDistance,
     QuasiDistance,
     QuotientDistance,
     UnitBallDistance,

@@ -60,8 +60,8 @@ def _build_distance(args, group):
     if kind == "cc_h1":
         return metrics.CCHeisenbergDistance(a=float(args.scale))
     if kind == "power":
-        base = metrics.HSDistance(group, parse_scalar(args.R))
-        return metrics.PowerDistance(base, parse_scalar(args.t))
+        return metrics.power_distance(metrics.HSDistance(group, parse_scalar(args.R)),
+                                      parse_scalar(args.t))
     if kind == "snowflake_product_max":
         return metrics.product_max_distance(
             metrics.euclidean_line(), metrics.snowflake_line(parse_scalar(args.t)))

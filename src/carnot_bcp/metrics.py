@@ -11,9 +11,10 @@ from the identity of the displacement p^-1 q.  The workhorse kinds:
   sum_w s_w u^(a_w) = R^2 (s_w the squared norm of the weight-w coordinates),
   solved in closed form for one weight or two weights w, 2w and otherwise by
   Newton from an upper bracket; ball membership is decided exactly in
-  rational arithmetic whenever the data permit.
+  rational arithmetic whenever the data permit.  A power d^(1/t) of an HS
+  distance (a snowflake, ``power_distance``) is the HS distance of the same R
+  on the t-power of the group.
 * ``UnitBallDistance`` -- gauge of an arbitrary star-interval unit-ball oracle.
-* ``PowerDistance``  -- d^(1/t) on the t-power of the group (snowflakes).
 * ``ProductMaxDistance`` / ``LpComboDistance`` -- product combinations.
 * ``QuotientDistance`` -- distance induced by an HS distance on the image of
   a surjective graded morphism: minimum of the upstairs distance over the
@@ -29,8 +30,8 @@ forms the displacement p^-1 q with ``algebra.displacement`` as integer
 numerators over one positive denominator and hands (nums, den, rho) to the
 kind's ``_sign``, the only exact method a kind defines.  ``_sign`` decides the
 sign with integers only: HS cross-multiplies its power sum against R^2, and
-the other kinds map the numerators (quotient), the radius (power) or split
-them (products) before calling their component's ``_sign``.  The public
+the other kinds map the numerators (quotient) or split them (products)
+before calling their component's ``_sign``.  The public
 ``compare_from_identity(x, rho)`` is the same hook for a point given by
 rational coordinates, which it puts over one denominator; a float coordinate
 is an ``ExactnessError``.  Every distance lives on a group, and no kind
@@ -61,7 +62,7 @@ from .algebra import (
     product_group,
 )
 from .exact_linalg import min_norm_right_inverse, rref
-from .scalars import all_exact, int_power, over_common_denominator, rat_pow
+from .scalars import all_exact, int_power, over_common_denominator
 from .structure import MorphismMatrix, validate_morphism
 
 TWO_PI = 2.0 * math.pi
@@ -258,17 +259,16 @@ class _HSPlan:
                 return self.polish_step(lam, S, R2) if self.polish else lam
         raise SolverError("HS root solve did not converge")
 
-    def rescaled(self, X, R, maximum):
+    def rescaled(self, X, R):
         """The rows dilated by 1/lam_lo before anything is squared, for
         lam_lo = max_i (|x_i| / R)^(1/w_i), formed without a square that
         could under- or overflow.  Returns lam_lo and the coefficients c_w = s_w lam_lo^(-2w)
         / R^2 of sum_w c_w u^(a_w) = 1, each at most the number of coordinates
         of weight w and one of them at least 1, so the root (lam / lam_lo)^(-2/q)
-        lies in (0, 1].  X holds one coordinate (float or (m,) array) per
-        dimension; maximum is builtin max or np.maximum.reduce."""
+        lies in (0, 1].  X holds one (m,) array of coordinates per dimension."""
         rho = [abs(x) ** (2.0 / self.two_w[k]) / R ** (2.0 / self.two_w[k])
                for x, k in zip(X, self.term_of)]
-        lam_lo = maximum(rho)
+        lam_lo = np.maximum.reduce(rho)
         C = [0.0] * len(self.exps)
         for r, k in zip(rho, self.term_of):
             C[k] = C[k] + (r / lam_lo) ** self.two_w[k]
@@ -308,7 +308,8 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     their coordinates to a lam of order one first; so is a row of finite
     coordinates whose squares overflow.  A row whose coordinates are all
     zero has lam = 0; a row with a NaN or infinite coordinate raises
-    SolverError.
+    SolverError; a row whose lam leaves the float range, as it can for a
+    weight below 1, has lam = 0 or inf.
     """
     if plan is None:
         plan = _HSPlan(weights)
@@ -339,8 +340,13 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     # 1e-162 is 0, and such a row is rescaled, not taken for the identity
     outer = ~inner & X.any(axis=1)
     if outer.any():
-        lam_lo, C = plan.rescaled(X[outer].T, R, np.maximum.reduce)
-        lam[outer] = lam_lo * plan.solve_rows(C, 1.0, method)
+        # for a weight below 1, lam_lo can round to 0 or overflow, and lam,
+        # at most K^(1/(2 w_min)) lam_lo, then rounds the same way
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_lo, C = plan.rescaled(X[outer].T, R)
+        fin = (lam_lo > 0) & (lam_lo < np.inf)
+        lam_lo[fin] *= plan.solve_rows([c[fin] for c in C], 1.0, method)
+        lam[outer] = lam_lo
     return lam
 
 
@@ -371,9 +377,10 @@ class HSDistance(QuasiDistance):
         self._R2_float = float(self.R) ** 2
 
     def value_from_identity(self, x):
-        """The batch solve for one point, in plain floats with no numpy.  A
-        NaN or infinite coordinate raises SolverError; a finite point whose
-        squares overflow is rescaled, as on the batch path."""
+        """The batch solve for one point: in plain floats with no numpy when
+        its squared sum is in the batch's common range, and by the batch
+        solve itself otherwise, which decides a zero, a non-finite and a
+        rescaled point for both paths."""
         plan = self._plan
         if len(x) != len(plan.term_of):
             raise AlgebraError("vector length does not match algebra dimension")
@@ -382,16 +389,13 @@ class HSDistance(QuasiDistance):
             v = float(v)
             S[k] += v * v
         total = sum(S)
-        if not math.isfinite(total) and not all(math.isfinite(v) for v in x):
-            raise SolverError("nonfinite coordinates")
         R = float(self.R)
         R2 = R * R
         if plan.t_lo * R2 <= total <= plan.t_hi * R2:
             return plan.solve_point(S, R2)
-        if not any(x):
-            return 0.0
-        lam_lo, C = plan.rescaled([float(v) for v in x], R, max)
-        return lam_lo * plan.solve_point(C, 1.0)
+        # numpy's warnings there are on squares and powers the solve handles
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.value_from_identity_batch([x])[0])
 
     def value_from_identity_batch(self, X):
         return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)
@@ -589,39 +593,13 @@ def punctured_disk_ball() -> UnitBallDistance:
 # powers (snowflakes), products, lp-combinations
 # ---------------------------------------------------------------------------
 
-class PowerDistance(QuasiDistance):
-    """d^(1/t): homogeneous on the t-power of the underlying group."""
-
-    kind = "power"
-
-    def __init__(self, base: QuasiDistance, t):
-        self.base = base
-        self.t = Fraction(t)
-        if self.t <= 0:
-            raise ValueError("power exponent must be positive")
-        super().__init__(power_group(base.group, self.t))
-        # rho^t is rational for every rational rho only for an integer t; an
-        # HS base then needs (rho^t)^(2w) rational, the HS rule on the power
-        # group's weights t w, which a capable base satisfies and more meet
-        self.exact_capable = self.t.denominator == 1 and (base.exact_capable or (
-            isinstance(base, HSDistance)
-            and all((2 * w).denominator == 1 for w in self.group.weights)))
-
-    def value_from_identity(self, x):
-        return self.base.value_from_identity(x) ** (1.0 / float(self.t))
-
-    def value_from_identity_batch(self, X):
-        return self.base.value_from_identity_batch(X) ** (1.0 / float(self.t))
-
-    def _sign(self, nums, den, rho):
-        rt = rat_pow(Fraction(rho), self.t)
-        if rt is None:
-            raise ExactnessError(f"radius {rho} has no exact power {self.t}")
-        return self.base._sign(nums, den, rt)
-
-
-def power_distance(d: QuasiDistance, t) -> PowerDistance:
-    return PowerDistance(d, t)
+def power_distance(d: HSDistance, t) -> HSDistance:
+    """d^(1/t) for an HS distance d: the HS distance of the same R on the
+    t-power of its group, since lam solves sum_i x_i^2 lam^(-2 w_i) = R^2
+    exactly when lam^(1/t) solves sum_i x_i^2 mu^(-2 t w_i) = R^2."""
+    if not isinstance(d, HSDistance):
+        raise ValueError("powers are built over an HS distance")
+    return HSDistance(power_group(d.group, t), d.R)
 
 
 def euclidean_line() -> HSDistance:
@@ -629,9 +607,9 @@ def euclidean_line() -> HSDistance:
     return HSDistance(abelian_group([1]))
 
 
-def snowflake_line(s=Fraction(2)) -> PowerDistance:
+def snowflake_line(s=Fraction(2)) -> HSDistance:
     """The line with |x - y|^(1/s)."""
-    return PowerDistance(euclidean_line(), s)
+    return power_distance(euclidean_line(), s)
 
 
 class _CombinedDistance(QuasiDistance):
@@ -966,11 +944,17 @@ class CCHeisenbergDistance(QuasiDistance):
         if len(x) != 3:
             raise AlgebraError("vector length does not match algebra dimension")
         x, y, z = (float(v) for v in x)
-        # as for HS: a point whose squared planar norm or height is not finite
-        # is an error, not a distance that NaN comparisons would call covered
-        if not math.isfinite(x * x + y * y + abs(z)):
+        # as for HS: a NaN or infinite coordinate is an error, not a distance
+        # that NaN comparisons would call covered
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise SolverError("nonfinite coordinates")
-        return cc_distance_h1_from_identity(x, y, z, self.a)
+        v = cc_distance_h1_from_identity(x, y, z, self.a)
+        if math.isfinite(v):
+            return v
+        # a square or a product overflowed at a finite point; by homogeneity
+        # d(x, y, z) = s d(x / s, y / s, z / s^2)
+        s = max(abs(x), abs(y), math.sqrt(abs(z)))
+        return s * cc_distance_h1_from_identity(x / s, y / s, z / s / s, self.a)
 
 
 def cc_distance_h1(p, q, a=1.0) -> float:

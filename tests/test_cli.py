@@ -159,7 +159,8 @@ def test_besicovitch_search(capsys):
 @pytest.mark.parametrize("flags", [
     ["--group", "heisenberg", "--kind", "cc_h1"],
     ["--group", "abelian", "--weights", "1", "--kind", "snowflake_product_lp", "--r", "2"],
-    ["--group", "heisenberg", "--kind", "power", "--t", "3/2"],
+    # weights 3/2, 15/8, 27/8: the HS rule on the power group fails
+    ["--group", "heisenberg_nonstandard", "--alpha", "5/4", "--kind", "power", "--t", "3/2"],
 ], ids=["cc_h1", "lp_r2", "power_t3_2"])
 def test_a_search_without_exact_comparisons_gives_a_margin_family(flags, capsys):
     # cc_h1 exited 64 asking for exact=False; the other two returned an
@@ -168,6 +169,26 @@ def test_a_search_without_exact_comparisons_gives_a_margin_family(flags, capsys)
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["cardinality"] >= 1
     assert out["family"]["mode"] == "margin"
+
+
+def test_a_power_of_exponent_3_2_on_heisenberg_gives_an_exact_family(tmp_path, capsys):
+    # weights 3/2, 3/2, 3 have every 2w an integer: the power is the HS
+    # distance on the power group, and exact-capable
+    flags = ["--group", "heisenberg", "--kind", "power", "--t", "3/2"]
+    out = tmp_path / "search.json"
+    assert main(["besicovitch", "search", *flags, "--budget", "2000", "--seed", "0",
+                 "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["cardinality"] >= 1 and res["family"]["mode"] == "exact"
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(res["family"]))
+    capsys.readouterr()
+    assert main(["besicovitch", "verify", *flags, "--family", str(fam)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["valid"] and got["mode"] == "exact"
+    assert got["cardinality"] == res["cardinality"]
+    assert main(["dist", *flags, "--p", "0,0,0", "--q", "1,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "hs"
 
 
 def test_the_mode_is_no_flag_and_no_config_key(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
     # a zero row is the identity (distance 0); a row with a NaN or infinite
     # coordinate is an error on the scalar and the batch paths alike, not a
     # distance of 0 (or NaN) that would count the point as covered.  A finite
-    # row whose squares overflow, which cc_h1 rejects, has an HS distance
+    # row whose squares overflow has a distance on both kinds
     d = NONFINITE_DISTANCES[kind]()
     X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.5, -1.0, 0.25]])
     evaluate = {
@@ -168,9 +168,11 @@ def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
     vals = evaluate(X)
     assert vals[1] == 0.0 and np.all(vals[[0, 2]] > 0)
     X[2, 1] = bad
-    if kind == "hs" and math.isfinite(bad):
-        # weight 2: lam^4 = 1e400 to within the other terms
-        assert evaluate(X)[2] == pytest.approx(1e100, rel=1e-12)
+    if math.isfinite(bad):
+        # HS, weight 2: lam^4 = 1e400 to within the other terms; cc_h1, a
+        # horizontal displacement of 1e200 and a height far below its square
+        want = 1e100 if kind == "hs" else 1e200
+        assert evaluate(X)[2] == pytest.approx(want, rel=1e-12)
         return
     with pytest.raises(SolverError):
         evaluate(X)
@@ -185,6 +187,32 @@ def test_hs_finite_rows_whose_squares_overflow_are_solved():
     for x, lam, lam_b in zip(rows, want, batch):
         assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
         assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowing squares
+def test_hs_weights_below_one_round_a_value_beyond_the_float_range():
+    # weights 1/2, 1/2, 1: lam = x^2 for a first-layer point, which rounds
+    # to 0 or overflows; the rescaled solve returned NaN for both
+    d = HSDistance(cb.power_group(cb.heisenberg_group(1), F(1, 2)), F(1))
+    rows = [(1e-200, 0.0, 0.0), (1e200, 0.0, 0.0), (1e-200, 1e-200, 1e-300), (1e100, 0.0, 0.0)]
+    want = [0.0, math.inf, 1e-300, 1e200]
+    batch = d.value_from_identity_batch(np.array(rows))
+    for x, lam, lam_b in zip(rows, want, batch):
+        assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
+        assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+def test_cc_finite_points_whose_squares_overflow_are_solved():
+    # through d(x, y, z) = s d(x / s, y / s, z / s^2); the first raised
+    # "nonfinite coordinates" and the second overflowed to inf in pi |z|
+    d = CCHeisenbergDistance(1.0)
+    assert d.value_from_identity((1e200, 0.0, 0.0)) == pytest.approx(1e200, rel=1e-15)
+    assert d.value_from_identity((0.0, 0.0, 1e308)) == \
+        pytest.approx(2.0 * math.sqrt(math.pi) * 1e154, rel=1e-15)
+    # a point on an arc whose squares are finite, and its dilate by 1e5
+    x = (3e149, -4e149, 5e297)
+    assert d.value_from_identity(cb.dilate(x, 1e5, cb.heisenberg_group(1))) == \
+        pytest.approx(1e5 * d.value_from_identity(x), rel=1e-14)
 
 
 # points one coordinate short or long: numpy broadcast a one-entry row and
@@ -367,7 +395,8 @@ def test_exceeds_batch_rejects_nonfinite_coordinates(bad):
 def test_exceeds_batch_of_the_other_kinds_is_the_value_test():
     rng = np.random.default_rng(5)
     for d in (CCHeisenbergDistance(1.0),
-              power_distance(HSDistance(cb.heisenberg_group(1), F(1)), F(2)),
+              product_max_distance(HSDistance(cb.heisenberg_group(1), F(1)),
+                                   euclidean_line()),
               skewed_quotient("minors")):
         n = d.group.dim
         P, Q = rng.standard_normal((50, n)), rng.standard_normal((50, n))
@@ -487,11 +516,6 @@ def fraction_sign(d, x, rho):
                 raise ExactnessError(f"radius {rho} has no exact power for weight {wi}")
             s += F(xi) ** 2 / pw
         return (s > d.R ** 2) - (s < d.R ** 2)
-    if d.kind == "power":
-        rt = rat_pow(rho, d.t)
-        if rt is None:
-            raise ExactnessError(f"radius {rho} has no exact power {d.t}")
-        return fraction_sign(d.base, x, rt)
     if d.kind == "quotient":
         M = min_norm_right_inverse(d.morphism.entries)
         return fraction_sign(d.dhat, [sum(m * v for m, v in zip(row, x)) for row in M], rho)
@@ -509,7 +533,7 @@ def fraction_sign(d, x, rho):
 
 
 # the exact kinds, plus a step-3 group, weights whose 2w is not an integer
-# (a radius must be a perfect square) and a power that needs a square root
+# (a radius must be a perfect square) and a power of exponent 3/2
 ORACLE_KINDS = dict(
     EXACT_KINDS,
     hs_step3=lambda: HSDistance(cb.step3_rank3_group(), F(3, 2)),
@@ -596,11 +620,13 @@ CAPABILITY_KINDS = {
     "hs": (lambda: HSDistance(cb.heisenberg_nonstandard_group(2), F(1)), True),
     "hs_weights_5_4": (lambda: HSDistance(cb.heisenberg_nonstandard_group(F(5, 4)), F(1)),
                        False),
+    # a power is the HS distance on the power group, so the HS rule decides:
+    # weights 3/2, 3/2, 3 for t = 3/2 and 1/2, 1/2, 1 for t = 1/2 are capable,
+    # weights 5/4 and 9/4 become 5/2 and 9/2 for t = 2 but 15/8 and 27/8 for
+    # t = 3/2
     "power_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), 2), True),
-    "power_3_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(3, 2)), False),
-    "power_1_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(1, 2)), False),
-    # weights 5/4 and 9/4 of the base become 5/2 and 9/2: the HS rule holds
-    # on the power group for t = 2, and no t = 3/2 power of 2 is rational
+    "power_3_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(3, 2)), True),
+    "power_1_2": (lambda: power_distance(HSDistance(cb.heisenberg_group(1)), F(1, 2)), True),
     "power_2_weights_5_4": (lambda: power_distance(
         HSDistance(cb.heisenberg_nonstandard_group(F(5, 4))), 2), True),
     "power_3_2_weights_5_4": (lambda: power_distance(
@@ -724,6 +750,63 @@ def test_power_ball_rescaling():
     assert d.compare((F(0),), (F(4),), F(2)) == 0
     assert d.compare((F(0),), (F(4),), F(3, 2)) == 1
     assert d.compare((F(0),), (F(4),), F(5, 2)) == -1
+
+
+# HS bases of the powers; the last has weights 1, 5/4, 9/4, a base that is
+# not exact-capable
+POWER_BASES = {
+    "heisenberg": lambda: HSDistance(cb.heisenberg_group(1), F(1)),
+    "line": euclidean_line,
+    "nonstandard_5_4": lambda: HSDistance(cb.heisenberg_nonstandard_group(F(5, 4)), F(2, 3)),
+}
+
+
+@pytest.mark.parametrize("t", [F(1, 2), F(3, 2), F(2), F(3)], ids=str)
+@pytest.mark.parametrize("base", sorted(POWER_BASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_power_is_the_power_of_its_base(base, t, data):
+    # the definition that power_distance replaced is the oracle: the value
+    # d^(1/t), and the ball of radius rho, which is the base's ball of
+    # radius rho^t.  The values agree to 4 ulps plus |ln v| ulps: each side
+    # raises to a fractional exponent (1/t here, 1/(2w) or -q/2 in the
+    # solve), whose rounding costs up to |ln v| 2^-53 relative
+    def close(got, want):
+        ulps = 4 + np.abs(np.log(np.where(want > 0, want, 1.0)))
+        return np.all(np.abs(got - want) <= ulps * np.spacing(want))
+
+    d = POWER_BASES[base]()
+    dp = power_distance(d, t)
+    assert dp.group.weights == tuple(t * w for w in d.group.weights) and dp.R == d.R
+    n, m = d.group.dim, data.draw(st.integers(1, 6))
+    scale = 2.0 ** data.draw(st.integers(-40, 40))
+    P, Q = (np.array(data.draw(st.lists(st.lists(st.floats(-8, 8), min_size=n, max_size=n),
+                                        min_size=m, max_size=m))) * scale
+            for _ in range(2))
+    assert close(dp.value_batch(P, Q), d.value_batch(P, Q) ** (1.0 / float(t)))
+    for p, q in zip(P, Q):
+        assert close(dp.value(p, q), d.value(p, q) ** (1.0 / float(t)))
+    # a radius rho = r^k near dp(p, q), k the denominator of t, so that
+    # rho^t = r^j for the numerator j of t is rational
+    p, q = (tuple(data.draw(st.lists(small_rationals, min_size=n, max_size=n)))
+            for _ in range(2))
+    j, k = t.as_integer_ratio()
+    r = max(F(dp.value(p, q) ** (1.0 / k)).limit_denominator(64), F(1, 64)) * \
+        data.draw(st.sampled_from([F(7, 8), F(1), F(9, 8)]))
+    try:
+        want = d.compare(p, q, r ** j)
+    except ExactnessError:
+        with pytest.raises(ExactnessError):
+            dp.compare(p, q, r ** k)
+        return
+    assert dp.compare(p, q, r ** k) == want
+
+
+def test_a_power_needs_an_hs_base():
+    with pytest.raises(ValueError, match="HS distance"):
+        power_distance(CCHeisenbergDistance(), 2)
+    with pytest.raises(ValueError, match="power exponent must be positive"):
+        power_distance(euclidean_line(), 0)
 
 
 def test_product_max_examples():
@@ -883,8 +966,10 @@ def test_quotient_compare_needs_rational_coordinates():
 
 def test_quotient_requires_an_hs_distance_on_a_graded_morphism():
     f32 = cb.free_step2_group(3)
+    # the HS unit ball of radius 1/2, but as an oracle gauge
+    ball = UnitBallDistance(f32, lambda x: sum(v * v for v in x) <= 0.25, 0.5)
     with pytest.raises(ValueError, match="HS distance"):
-        quotient_distance(power_distance(HSDistance(f32, F(1, 2)), 2), f32_to_h1())
+        quotient_distance(ball, f32_to_h1())
     with pytest.raises(ValueError, match="source"):
         quotient_distance(HSDistance(cb.heisenberg_group(1)), f32_to_h1())
     m = f32_to_h1()
