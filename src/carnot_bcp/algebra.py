@@ -18,10 +18,13 @@ exact; batch variants operate on float numpy arrays for search workloads.
 The inputs alone choose the backend: ``multiply`` and ``dilate`` are exact
 when every coordinate (and the factor of ``dilate``) is rational, which for
 ``dilate`` needs the factor's power of every weight to be rational, and float
-when any of them is a float.  The exact product has one implementation:
-``displacement`` forms p^-1 q in integers over one denominator, from the
-structure constants scaled to integers once per algebra, and ``multiply``
-of rational points is ``displacement(inverse(p), q)`` read as Fractions.
+when any of them is a float, reading every coordinate as a float.  Each
+number type has one table of structure constants, built once per algebra:
+the exact product is ``displacement``, p^-1 q in integers over one
+denominator from the integer table ``scaled_bracket``, and ``multiply`` of
+rational points is ``displacement(inverse(p), q)`` read as Fractions; the
+float products read ``float_bracket`` and ``float_weights``, and the scalar
+and batch ones sum the same terms in the same order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -124,21 +127,25 @@ class StructureConstants:
     @cached_property
     def scaled_bracket(self):
         """(L, table): L is the lcm of the denominators of the structure
-        constants and table lists (i, j, ((k, L c_ijk), ...)) with integer
+        constants and table lists ((i, j), ((k, L c_ijk), ...)) with integer
         coefficients, so [a, b] = [a, b]_L / L for the bracket [., .]_L of
         the table.  Built once per algebra."""
         L = math.lcm(*(c.denominator for terms in self.bracket.values() for _k, c in terms))
-        return L, tuple((i, j, tuple((k, int(c * L)) for k, c in terms))
+        return L, tuple(((i, j), tuple((k, int(c * L)) for k, c in terms))
                         for (i, j), terms in self.bracket.items())
 
     @cached_property
     def float_bracket(self):
-        """The bracket table with float coefficients, for ``multiply`` of
-        float points: a Fraction c times a float x is float(c) * x, so the
-        float table gives the same bits without the Fraction dispatch.
-        Built once per algebra."""
+        """The bracket table with float coefficients, for the float products:
+        a Fraction c times a float x is float(c) * x, so the float table gives
+        the same bits without the Fraction dispatch.  Built once per algebra."""
         return tuple(((i, j), tuple((k, float(c)) for k, c in terms))
                      for (i, j), terms in self.bracket.items())
+
+    @cached_property
+    def float_weights(self):
+        """The weights as floats, for the float dilations and solvers."""
+        return tuple(float(w) for w in self.weights)
 
     def layers(self):
         """Map weight -> tuple of basis indices (the layer decomposition)."""
@@ -152,7 +159,7 @@ class StructureConstants:
         """a -> {b: terms of [X_a, X_b]} for the nonzero brackets of the
         integer table of ``scaled_bracket``, in both orientations."""
         rows = {}
-        for i, j, terms in self.scaled_bracket[1]:
+        for (i, j), terms in self.scaled_bracket[1]:
             rows.setdefault(i, {})[j] = terms
             rows.setdefault(j, {})[i] = tuple((k, -c) for k, c in terms)
         return rows
@@ -197,7 +204,9 @@ def bracket(a, b, alg: StructureConstants):
 
 
 def _bracket_items(a, b, items):
-    """[a, b] for the entries ((i, j), ((k, c_ijk), ...)) of a bracket table."""
+    """[a, b] for the entries ((i, j), ((k, c_ijk), ...)) of a bracket table:
+    ``bracket`` on Fractions, ``float_bracket`` on floats and the integer
+    table of ``scaled_bracket`` on integers."""
     out = [0 * (a[0] + b[0])] * len(a)
     for (i, j), terms in items:
         coef = a[i] * b[j] - a[j] * b[i]
@@ -206,17 +215,6 @@ def _bracket_items(a, b, items):
         for k, c in terms:
             out[k] = out[k] + c * coef
     return tuple(out)
-
-
-def _bracket_int(a, b, table):
-    """[a, b]_L of integer vectors, for the table of ``scaled_bracket``."""
-    out = [0] * len(a)
-    for i, j, terms in table:
-        coef = a[i] * b[j] - a[j] * b[i]
-        if coef:
-            for k, c in terms:
-                out[k] += c * coef
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def _jacobi_violations(alg):
     target m of a nonzero [X_b, X_c]."""
     row = alg._bracket_rows
     triples = {tuple(sorted((a, b, c)))
-               for b, c, terms in alg.scaled_bracket[1] for m, _c in terms
+               for (b, c), terms in alg.scaled_bracket[1] for m, _c in terms
                for a in row.get(m, ()) if a != b and a != c}
     out = []
     for i, j, k in sorted(triples):
@@ -327,9 +325,9 @@ def multiply(p, q, group: GradedGroup):
 
     Rational points (``int`` or ``Fraction`` coordinates) multiply exactly,
     through the integer BCH of ``displacement``, and come back as Fractions.
-    Other points sum the series term by term, with Fraction scalars if any
-    coordinate is rational, so the terms built from those stay exact; points
-    of floats only take the float copy of the structure constants.
+    Otherwise every coordinate is read as a float, and the series is summed
+    term by term on ``float_bracket`` in the order and with the scalars of
+    ``multiply_batch``, so the two give the same floats.
     """
     if all_exact(p) and all_exact(q):
         nums, den = displacement(inverse(p, group), q, group)
@@ -340,22 +338,19 @@ def multiply(p, q, group: GradedGroup):
     alg = group.algebra
     if len(p) != alg.dim or len(q) != alg.dim:
         raise AlgebraError("vector length does not match algebra dimension")
-    # a float times a Fraction rounds as times its float: 0.5, 1 / 12 and
-    # the float structure constants
-    if all(isinstance(x, float) for x in (*p, *q)):
-        half, twelfth, items = 0.5, 1 / 12, alg.float_bracket
-    else:
-        half, twelfth, items = Fraction(1, 2), Fraction(1, 12), alg.bracket.items()
+    p = tuple(float(x) for x in p)
+    q = tuple(float(x) for x in q)
+    items = alg.float_bracket
     out = [x + y for x, y in zip(p, q)]
     pq = _bracket_items(p, q, items)
     if any(pq):
-        out = [x + half * y for x, y in zip(out, pq)]
+        out = [x + 0.5 * y for x, y in zip(out, pq)]
     if group.step >= 3:
         ppq = _bracket_items(p, pq, items)
         qqp = _bracket_items(q, tuple(-y for y in pq), items)
         corr = [x + y for x, y in zip(ppq, qqp)]
         if any(corr):
-            out = [x + twelfth * y for x, y in zip(out, corr)]
+            out = [x + (1 / 12) * y for x, y in zip(out, corr)]
     return tuple(out)
 
 
@@ -389,21 +384,18 @@ def displacement(p, q, group: GradedGroup):
     L, table = group.algebra.scaled_bracket
     if not table:
         return diff, ab
-    B = _bracket_int(P, Q, table)
+    B = _bracket_items(P, Q, table)
     k = 2 * L
     if group.step < 3:
         return [k * x - y for x, y in zip(diff, B)], k * ab
-    C = _bracket_int([b * x + a * y for x, y in zip(P, Q)], B, table)
+    C = _bracket_items([b * x + a * y for x, y in zip(P, Q)], B, table)
     k2 = 3 * k * ab
     k1 = k2 * k
     return [k1 * x - k2 * y + z for x, y, z in zip(diff, B, C)], k1 * ab
 
 
 def inverse(p, group: GradedGroup):
-    """Group inverse: exp(v)^(-1) = exp(-v), exact."""
-    if group.step > MAX_SUPPORTED_STEP:
-        raise UnsupportedStepError(
-            f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
+    """Group inverse: exp(v)^(-1) = exp(-v) at every step, exact."""
     return tuple(-x for x in p)
 
 
@@ -431,7 +423,7 @@ def dilate(p, lam, group: GradedGroup):
     lamf = float(lam)
     if lamf <= 0:
         raise AlgebraError("dilation factor must be positive")
-    return tuple(float(x) * lamf ** float(wi) for x, wi in zip(p, w))
+    return tuple(float(x) * lamf ** wi for x, wi in zip(p, group.algebra.float_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +433,16 @@ def dilate(p, lam, group: GradedGroup):
 def bracket_batch(A, B, alg: StructureConstants):
     """Rowwise bracket of float arrays of shape (m, n)."""
     out = np.zeros_like(A)
-    for (i, j), terms in alg.bracket.items():
+    for (i, j), terms in alg.float_bracket:
         coef = A[:, i] * B[:, j] - A[:, j] * B[:, i]
         for k, c in terms:
-            out[:, k] += float(c) * coef
+            out[:, k] += c * coef
     return out
 
 
 def multiply_batch(P, Q, group: GradedGroup):
-    """Rowwise BCH product on float arrays of shape (m, n)."""
+    """Rowwise BCH product on float arrays of shape (m, n); row i is the
+    float ``multiply`` of P[i] and Q[i]."""
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError("unsupported step")
     P = np.asarray(P, dtype=float)
@@ -462,7 +455,7 @@ def multiply_batch(P, Q, group: GradedGroup):
     pq = bracket_batch(P, Q, alg)
     out = out + 0.5 * pq
     if group.step >= 3:
-        out = out + (bracket_batch(P, pq, alg) + bracket_batch(Q, -pq, alg)) / 12.0
+        out = out + (1 / 12) * (bracket_batch(P, pq, alg) + bracket_batch(Q, -pq, alg))
     return out
 
 
@@ -472,7 +465,7 @@ def dilate_batch(P, lam, group: GradedGroup):
     if P.shape[-1:] != (group.dim,):
         raise AlgebraError("vector length does not match algebra dimension")
     lam = np.asarray(lam, dtype=float)
-    w = np.array([float(x) for x in group.weights])
+    w = np.array(group.algebra.float_weights)
     if lam.ndim == 0:
         return P * lam ** w
     return P * lam[:, None] ** w[None, :]

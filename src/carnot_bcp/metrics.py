@@ -197,10 +197,13 @@ class _HSPlan:
         self.root_powers = [1.0 / a for a in self.exps]
         self.two_w = [2.0 * float(w) for w in self.weights]
         self.lam_power = -float(q) / 2
+        self.closed_power = 0.5 / float(self.weights[0])
         self.step_tol = max(_NEWTON_TOL / float(q), _NEWTON_STEP_FLOOR)
         # lam = u^(-q/2) magnifies the rounding of u q/2 times; above q = 2
-        # one Newton step in lam itself removes that
-        self.polish = q > 2
+        # one Newton step in lam itself removes that, as it removes the error
+        # y e |ln base| of a power whose float exponent y(1 + e) is not y
+        self.polish = q > 2 or Fraction(self.lam_power) != -q / 2
+        self.polish_closed = Fraction(self.closed_power) != 1 / (2 * self.weights[0])
         # rows with squared sum in [t_lo R^2, t_hi R^2] are solved as they
         # are.  Newton starts from u0 = 1/r, r = max_w (s_w / R^2)^(1/a_w),
         # and on [u*, u0] every term has s_w u^(a_w) <= R^2, so no power of u
@@ -216,11 +219,12 @@ class _HSPlan:
     def closed_form(self, S, R2, sqrt):
         """lam for one weight, or for two weights w and 2w (a quadratic in
         lam^(-2w)); S holds floats or arrays, sqrt is math.sqrt or np.sqrt."""
-        w0 = float(self.weights[0])
         if len(S) == 1:
-            return (S[0] / R2) ** (0.5 / w0)
-        s1, s2 = S
-        return ((s1 + sqrt(s1 * s1 + 4.0 * R2 * s2)) / (2.0 * R2)) ** (0.5 / w0)
+            lam = (S[0] / R2) ** self.closed_power
+        else:
+            s1, s2 = S
+            lam = ((s1 + sqrt(s1 * s1 + 4.0 * R2 * s2)) / (2.0 * R2)) ** self.closed_power
+        return self.polish_step(lam, S, R2) if self.polish_closed else lam
 
     def newton_step(self, u, S, R2):
         """One Newton step on f; u and S hold floats or arrays.  f and f'
@@ -302,8 +306,9 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     stays above the root: the tangent at u > u* lies below f, so it crosses
     zero in [u*, u).  The iterates therefore decrease monotonically to u*,
     quadratically once close, in a number of steps that does not grow with
-    q.  For q > 2 one Newton step in lam follows, since u^(-q/2) magnifies
-    the rounding of u.  Rows near the ends of the float range, where the
+    q.  One Newton step in lam follows for q > 2, where u^(-q/2) magnifies
+    the rounding of u, and for a root exponent that float cannot hold
+    exactly.  Rows near the ends of the float range, where the
     powers of u would overflow or the squares underflow, are dilated from
     their coordinates to a lam of order one first; so is a row of finite
     coordinates whose squares overflow.  A row whose coordinates are all
@@ -322,9 +327,11 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     lam = np.zeros(len(X))
     if not len(X):
         return lam
-    S = [X[:, ix] ** 2 if isinstance(ix, int) else (X[:, ix] ** 2).sum(axis=1)
-         for ix in plan.index]
-    total = sum(S[1:], S[0])
+    # a finite row whose squares overflow is rescaled below
+    with np.errstate(over="ignore"):
+        S = [X[:, ix] ** 2 if isinstance(ix, int) else (X[:, ix] ** 2).sum(axis=1)
+             for ix in plan.index]
+        total = sum(S[1:], S[0])
     R2 = R * R
     lo, hi = plan.t_lo * R2, plan.t_hi * R2
     # one test for the common case, which a NaN or infinite sum fails too
@@ -372,9 +379,10 @@ class HSDistance(QuasiDistance):
         self._exact_terms = [(w, (2 * w).numerator, (2 * w).denominator)
                              for w in self._plan.weights]
         self._R2 = (self.R.numerator ** 2, self.R.denominator ** 2)
-        # the float ball test of exceeds_batch: -w_i per coordinate, and R^2
-        self._neg_w = -np.array([float(w) for w in group.weights])
-        self._R2_float = float(self.R) ** 2
+        # R for the solves, and the ball test of exceeds_batch: -w_i and R^2
+        self._R_float = float(self.R)
+        self._neg_w = -np.array(group.algebra.float_weights)
+        self._R2_float = self._R_float ** 2
 
     def value_from_identity(self, x):
         """The batch solve for one point: in plain floats with no numpy when
@@ -389,16 +397,13 @@ class HSDistance(QuasiDistance):
             v = float(v)
             S[k] += v * v
         total = sum(S)
-        R = float(self.R)
-        R2 = R * R
+        R2 = self._R_float * self._R_float
         if plan.t_lo * R2 <= total <= plan.t_hi * R2:
             return plan.solve_point(S, R2)
-        # numpy's warnings there are on squares and powers the solve handles
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.value_from_identity_batch([x])[0])
+        return float(self.value_from_identity_batch([x])[0])
 
     def value_from_identity_batch(self, X):
-        return _hs_lambda_batch(X, self.weights, float(self.R), self._plan)
+        return _hs_lambda_batch(X, self.weights, self._R_float, self._plan)
 
     def exceeds_batch(self, P, Q, t):
         """d(p_i, q_i) > t_i with no root solve: d(e, x) <= t exactly when
@@ -409,7 +414,8 @@ class HSDistance(QuasiDistance):
         X = multiply_batch(-np.asarray(P, dtype=float), np.asarray(Q, dtype=float),
                            self.group)
         Y = X * np.asarray(t, dtype=float)[..., None] ** self._neg_w
-        s = (Y * Y).sum(axis=1)
+        with np.errstate(over="ignore"):
+            s = (Y * Y).sum(axis=1)
         if not np.isfinite(s).all() and not np.isfinite(X).all():
             raise SolverError("nonfinite coordinates")
         return s > self._R2_float

@@ -1,6 +1,7 @@
 """Group arithmetic: exactness of the BCH product, dilations, built-ins."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -493,6 +494,26 @@ def test_multiply_batch_matches_exact():
     for i in range(0, 50, 10):
         exact = cb.multiply(tuple(P[i]), tuple(Q[i]), g)
         assert np.allclose(batch[i], [float(x) for x in exact], rtol=1e-12)
+
+
+@pytest.mark.parametrize("g", all_builtin_groups() + [
+    cb.product_group(cb.step3_rank3_group(), cb.heisenberg_group(1))], ids=lambda g: g.name)
+def test_multiply_batch_is_the_float_multiply_row_for_row(g):
+    # the same terms in the same order give the same floats, at scales from
+    # 2^-500 to 2^500: == takes -0.0 for 0.0, and a step-3 term that
+    # overflows, as the true one does at 2^500, is NaN on both sides.  A
+    # rational coordinate among floats is read as its float
+    rng = np.random.default_rng(14)
+    scales = 2.0 ** np.repeat([-500, -20, 0, 20, 500], 40)[:, None]
+    P = rng.standard_normal((200, g.dim)) * scales
+    Q = rng.standard_normal((200, g.dim)) * scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = multiply_batch(P, Q, g)
+    for p, q, row in zip(P, Q, batch):
+        got = cb.multiply(tuple(p), tuple(q), g)
+        assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(row, got))
+        mixed = cb.multiply((F(p[0]), *p[1:]), tuple(q), g)
+        assert [x.hex() for x in mixed] == [x.hex() for x in got]
 
 
 # ---------------------------------------------------------------------------

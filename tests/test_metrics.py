@@ -187,9 +187,10 @@ def test_hs_finite_rows_whose_squares_overflow_are_solved():
     for x, lam, lam_b in zip(rows, want, batch):
         assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
         assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
+    # far outside every ball of radius 1, with no warning on the squares
+    assert d.exceeds_batch(np.zeros((4, 3)), np.array(rows), 1.0).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowing squares
 def test_hs_weights_below_one_round_a_value_beyond_the_float_range():
     # weights 1/2, 1/2, 1: lam = x^2 for a first-layer point, which rounds
     # to 0 or overflows; the rescaled solve returned NaN for both
@@ -200,6 +201,94 @@ def test_hs_weights_below_one_round_a_value_beyond_the_float_range():
     for x, lam, lam_b in zip(rows, want, batch):
         assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
         assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+# fractional root exponents: 1/(2w) = 1/3 in the closed forms of the weight
+# 3/2 and of the weights 3/2, 3, and -q/2 = -1/3 in the Newton solve of the
+# weights 3/2, 3, 9/2
+POLISHED_ROOTS = {
+    "snowflake_line_3_2": lambda: snowflake_line(F(3, 2)),
+    "heisenberg_power_3_2": lambda: power_distance(HSDistance(cb.heisenberg_group(1)),
+                                                   F(3, 2)),
+    "nonstandard_power_3_2": lambda: power_distance(
+        HSDistance(cb.heisenberg_nonstandard_group(2), F(2, 3)), F(3, 2)),
+}
+
+
+def hs_root(x, d):
+    """lam with sum x_i^2 lam^(-2 w_i) = R^2 by bisection to 60 digits, for
+    integers 2 w_i; a Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        S = [decimal.Decimal(v) ** 2 for v in x]
+        exps = [int(2 * w) for w in d.weights]
+        R2 = decimal.Decimal(d.R.numerator) ** 2 / decimal.Decimal(d.R.denominator) ** 2
+
+        def outside(lam):
+            return sum(s / lam ** e for s, e in zip(S, exps)) > R2
+
+        lo = hi = decimal.Decimal(1)
+        while outside(hi):
+            hi *= 2
+        while not outside(lo):
+            lo /= 2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+        return hi
+
+
+@pytest.mark.parametrize("name", sorted(POLISHED_ROOTS))
+def test_hs_fractional_root_exponents_are_polished(name):
+    # a float exponent y(1 + e) for the rational y costs y e |ln base|
+    # relative, 9 to 15 ulps at values e^(+-45) before the Newton step in lam
+    # that now follows; scalar and batch stay within 2 ulps
+    d = POLISHED_ROOTS[name]()
+    rng = np.random.default_rng(21)
+    w = np.array([float(v) for v in d.weights])
+    X = rng.standard_normal((150, d.group.dim)) * np.exp(rng.uniform(-30, 30, (150, 1))) ** w
+    batch = d.value_from_identity_batch(X)
+    for x, lam_b in zip(X, batch):
+        want = hs_root(x, d)
+        ulp = decimal.Decimal(math.ulp(float(want)))
+        for got in (d.value_from_identity(tuple(x)), lam_b):
+            assert abs(decimal.Decimal(float(got)) - want) <= 2 * ulp
+
+
+def test_float_paths_convert_no_fraction(monkeypatch):
+    # the weights, structure constants and R are floats once per algebra or
+    # distance; after a warm-up, the float paths convert no Fraction
+    g = cb.power_group(cb.step3_rank3_group(), F(3, 2))
+    d = HSDistance(g, F(2, 3))
+    rng = np.random.default_rng(22)
+    X, Y = rng.standard_normal((2, 8, g.dim))
+    x, y = tuple(X[0]), tuple(Y[0])
+    t = np.full(8, 0.7)
+
+    def run():
+        cb.dilate(x, 1.5, g)
+        dilate_batch(X, 1.5, g)
+        dilate_batch(X, t, g)
+        cb.multiply(x, y, g)
+        multiply_batch(X, Y, g)
+        d.value(x, y)
+        d.value_from_identity(x)
+        d.value_from_identity((1e200,) + x[1:])
+        d.value_from_identity_batch(X)
+        d.value_batch(X, Y)
+        d.exceeds_batch(X, Y, t)
+
+    run()
+    calls = []
+    to_float = Fraction.__float__
+
+    def counted(self):
+        calls.append(self)
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counted)
+    run()
+    assert calls == []
 
 
 def test_cc_finite_points_whose_squares_overflow_are_solved():
