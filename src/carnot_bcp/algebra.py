@@ -200,14 +200,16 @@ def bracket(a, b, alg: StructureConstants):
     """[a, b]: bilinear extension of the structure constants. Exact on rationals."""
     if len(a) != alg.dim or len(b) != alg.dim:
         raise AlgebraError("vector length does not match algebra dimension")
-    return _bracket_items(a, b, alg.bracket.items())
+    return _bracket_items(a, b, alg.bracket.items(), Fraction(0))
 
 
-def _bracket_items(a, b, items):
-    """[a, b] for the entries ((i, j), ((k, c_ijk), ...)) of a bracket table:
-    ``bracket`` on Fractions, ``float_bracket`` on floats and the integer
-    table of ``scaled_bracket`` on integers."""
-    out = [0 * (a[0] + b[0])] * len(a)
+def _bracket_items(a, b, items, zero):
+    """[a, b] for the entries ((i, j), ((k, c_ijk), ...)) of a bracket table,
+    with ``zero`` in the coordinates no entry reaches: ``bracket`` on
+    Fractions, ``float_bracket`` on floats and the integer table of
+    ``scaled_bracket`` on integers, each with the zero of its type.  A zero
+    derived from the inputs would be NaN at an infinite float coordinate."""
+    out = [zero] * len(a)
     for (i, j), terms in items:
         coef = a[i] * b[j] - a[j] * b[i]
         if coef == 0:
@@ -342,12 +344,12 @@ def multiply(p, q, group: GradedGroup):
     q = tuple(float(x) for x in q)
     items = alg.float_bracket
     out = [x + y for x, y in zip(p, q)]
-    pq = _bracket_items(p, q, items)
+    pq = _bracket_items(p, q, items, 0.0)
     if any(pq):
         out = [x + 0.5 * y for x, y in zip(out, pq)]
     if group.step >= 3:
-        ppq = _bracket_items(p, pq, items)
-        qqp = _bracket_items(q, tuple(-y for y in pq), items)
+        ppq = _bracket_items(p, pq, items, 0.0)
+        qqp = _bracket_items(q, tuple(-y for y in pq), items, 0.0)
         corr = [x + y for x, y in zip(ppq, qqp)]
         if any(corr):
             out = [x + (1 / 12) * y for x, y in zip(out, corr)]
@@ -384,11 +386,11 @@ def displacement(p, q, group: GradedGroup):
     L, table = group.algebra.scaled_bracket
     if not table:
         return diff, ab
-    B = _bracket_items(P, Q, table)
+    B = _bracket_items(P, Q, table, 0)
     k = 2 * L
     if group.step < 3:
         return [k * x - y for x, y in zip(diff, B)], k * ab
-    C = _bracket_items([b * x + a * y for x, y in zip(P, Q)], B, table)
+    C = _bracket_items([b * x + a * y for x, y in zip(P, Q)], B, table, 0)
     k2 = 3 * k * ab
     k1 = k2 * k
     return [k1 * x - k2 * y + z for x, y, z in zip(diff, B, C)], k1 * ab

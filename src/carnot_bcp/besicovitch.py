@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import dilate, dilate_batch
-from .metrics import ExactnessError, QuasiDistance, default_sampler
+from .metrics import ExactnessError, QuasiDistance, default_sampler, shell_points
 from .scalars import all_exact, fmt_scalar, is_exact, rat_pow, to_fractions
 
 EXACT = "exact"
@@ -237,9 +237,14 @@ _RESTART_INTERVAL = 4096
 
 
 def _proposal_batches(d: QuasiDistance, strategy, rng):
-    """Endless stream of (_BATCH, n) arrays; a pure function of the rng state."""
-    group = d.group
-    n = group.dim
+    """Endless stream of (points, radii): a (_BATCH, n) array of proposed
+    centers and the (_BATCH,) distance of each from the identity, which is
+    the dilation factor that made it from a unit-sphere point: a shell
+    factor, or ratio^l on a chain.  A row whose projection onto the sphere
+    failed has radius 0, so the search never keeps it.  A pure function of
+    the rng state; each batch costs a fixed number of batch solves and
+    dilations, whatever its chains."""
+    n = d.group.dim
     base = default_sampler(d, shell=_SHELL)
     n_shell = _BATCH - _BATCH // 4 - _BATCH // 4
     n_chain = _BATCH // 4
@@ -249,63 +254,76 @@ def _proposal_batches(d: QuasiDistance, strategy, rng):
             yield base(rng, _BATCH)
             continue
         # annealed: shells + dilation-orbit chains + orthant-restricted shells
-        parts = [base(rng, n_shell)]
-        starts, factors = [], []
-        while len(factors) < n_chain:
-            seed_dir = _orthant_seed(rng, n)
-            lam = d.value_from_identity(tuple(seed_dir))
-            if lam <= 0 or not math.isfinite(lam):
-                continue
-            p0 = dilate(tuple(seed_dir), 1.0 / lam, group)
-            # chain ratio: the escape margin of shrinking dilates only beats
-            # the second-order terms once the ratio is fairly small
-            base_exp = rng.uniform(3.0, 9.0)
-            ratio = 2.0 ** -base_exp
-            count = int(rng.integers(3, 9))
-            starts.extend([p0] * count)
-            factors.extend(ratio ** l for l in range(count))
-        parts.append(dilate_batch(starts[:n_chain], factors[:n_chain], group))
+        shell, shell_r = base(rng, n_shell)
+        chain, chain_r = _chains(d, rng, n_chain)
         orth = rng.standard_normal((n_orth, n))
         if n == 3:
             orth[:, 0] = 0.15 * np.abs(orth[:, 0])
             orth[:, 1] = -np.abs(orth[:, 1])
             orth[:, 2] = -np.abs(orth[:, 2])
-        lam = d.value_from_identity_batch(orth)
-        lam[lam == 0] = 1.0
-        orth = dilate_batch(orth, 1.0 / lam, group)
-        shells = np.exp(rng.uniform(math.log(_SHELL[0]), math.log(_SHELL[1]),
-                                    size=len(orth)))
-        parts.append(dilate_batch(orth, shells, group))
-        yield np.concatenate([p for p in parts if len(p)], axis=0)[:_BATCH]
+        orth, orth_r = shell_points(d, orth, rng, _SHELL)
+        yield np.concatenate([shell, chain, orth]), np.concatenate([shell_r, chain_r, orth_r])
+
+
+def _chains(d, rng, rows):
+    """``rows`` points on shrinking dilation chains delta_(ratio^l)(p0),
+    l = 0..count-1, from orthant seeds projected onto the unit sphere, and
+    their radii ratio^l.  Each seed draws its direction, ratio and count in
+    turn; the seeds of a round are projected in one batch solve, and a seed
+    whose projection fails adds no rows, so another round draws more."""
+    group = d.group
+    starts, factors = [], []
+    while len(factors) < rows:
+        seeds, chains = [], []
+        drawn = len(factors)
+        while drawn < rows:
+            seeds.append(_orthant_seed(rng, group.dim))
+            # chain ratio: the escape margin of shrinking dilates only beats
+            # the second-order terms once the ratio is fairly small
+            ratio = 2.0 ** -rng.uniform(3.0, 9.0)
+            chains.append([ratio ** l for l in range(int(rng.integers(3, 9)))])
+            drawn += len(chains[-1])
+        lam = d.value_from_identity_batch(seeds)
+        ok = (lam > 0) & np.isfinite(lam)
+        p0 = dilate_batch(np.asarray(seeds)[ok], 1.0 / lam[ok], group)
+        kept = [c for c, good in zip(chains, ok) if good]
+        starts.append(np.repeat(p0, [len(c) for c in kept], axis=0))
+        factors += [f for c in kept for f in c]
+    factors = np.array(factors[:rows])
+    return dilate_batch(np.concatenate(starts)[:rows], factors, group), factors
 
 
 def _greedy_extend(d, centers, radii, cand, cand_r):
     """Greedily add candidates to the running family (float phase).
 
-    One conflict filter for every ball: the live candidates start as those
-    of positive radius, and each ball, first the family's in order, then
-    each candidate as it is kept, drops every live x with
-    d(c, x) <= max(r, r_x) (1 + guard) in one ``exceeds_batch`` call, a ball
-    membership test that needs no distance values.  The first live candidate
-    is kept next, so a candidate is kept exactly when it passes the family
-    and every candidate kept before it.  The float test only proposes:
-    ``_repair`` decides both conditions of each kept ball exactly."""
+    A live candidate x of radius r_x conflicts with a ball (c, r) when
+    d(c, x) <= max(r, r_x) (1 + guard), an ``exceeds_batch`` membership test
+    that needs no distance values.  The live candidates start as those of
+    positive radius that conflict with none of the family's balls, all
+    tested in one call of k * m rows; then the first live candidate is kept
+    and drops the live ones it conflicts with, one call per kept ball.  So
+    a candidate is kept exactly when it passes the family and every
+    candidate kept before it.  The float test only proposes: ``_repair``
+    decides both conditions of each kept ball exactly."""
     # a relative guard above MARGIN_EPSILON, so that few float balls fail the
     # exact or margin check of repair
     guard = 1e-6
     live = np.flatnonzero(cand_r > 0)
-    i = 0
+    if centers and len(live):
+        k, m = len(centers), len(live)
+        t = np.maximum(np.array(radii)[:, None], cand_r[live]) * (1.0 + guard)
+        far = d.exceeds_batch(np.repeat(centers, m, axis=0), np.tile(cand[live], (k, 1)),
+                              t.ravel())
+        live = live[far.reshape(k, m).all(axis=0)]
     while len(live):
-        if i == len(centers):
-            centers.append(tuple(cand[live[0]]))
-            radii.append(float(cand_r[live[0]]))
-            live = live[1:]
-            continue
-        x = cand[live]
-        far = d.exceeds_batch(np.broadcast_to(centers[i], x.shape), x,
-                              np.maximum(radii[i], cand_r[live]) * (1.0 + guard))
-        live = live[far]
-        i += 1
+        c, r = cand[live[0]], cand_r[live[0]]
+        centers.append(tuple(c))
+        radii.append(float(r))
+        live = live[1:]
+        if len(live):
+            far = d.exceeds_batch(np.broadcast_to(c, (len(live), len(c))), cand[live],
+                                  np.maximum(r, cand_r[live]) * (1.0 + guard))
+            live = live[far]
 
 
 def _repair(d, centers, radii):
@@ -359,13 +377,11 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
     used = 0
     since_restart = 0
     while used < budget:
-        cand = next(stream)
+        cand, cand_r = next(stream)
         take = min(len(cand), budget - used)
-        cand = np.asarray(cand[:take], dtype=float)
         used += take
         since_restart += take
-        cand_r = d.value_from_identity_batch(cand)
-        _greedy_extend(d, centers, radii, cand, cand_r)
+        _greedy_extend(d, centers, radii, cand[:take], cand_r[:take])
         restart = strategy == "annealed" and since_restart >= _RESTART_INTERVAL
         # repair only shrinks a family, so a float cardinality that cannot
         # beat the best needs no exact pass

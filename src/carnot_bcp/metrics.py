@@ -980,24 +980,32 @@ def boundary_sample(d: QuasiDistance, u) -> tuple:
 
 
 def default_sampler(d: QuasiDistance, shell=(0.05, 1.0)):
-    """Gaussian directions pushed to the unit sphere, then spread over dilation
-    shells with log-uniform factors; returns f(rng, m) -> (m, n) float array."""
-    group = d.group
-    n = group.dim
-    lo, hi = shell
+    """Gaussian directions pushed to the Euclidean and then the d unit sphere,
+    spread over dilation shells by ``shell_points``; returns
+    f(rng, m) -> (points, radii), (m, n) and (m,) float arrays."""
+    n = d.group.dim
 
     def sample(rng, m):
         V = rng.standard_normal((m, n))
         norms = np.linalg.norm(V, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        V = V / norms
-        lam = d.value_from_identity_batch(V)
-        lam[lam == 0] = 1.0
-        V = dilate_batch(V, 1.0 / lam, group)
-        shells = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m))
-        return dilate_batch(V, shells, group)
+        return shell_points(d, V / norms, rng, shell)
 
     return sample
+
+
+def shell_points(d: QuasiDistance, V, rng, shell):
+    """The rows of V projected onto the unit sphere of d, then dilated by
+    log-uniform factors in ``shell`` drawn from rng: (points, radii), where a
+    radius is its row's factor, the point's distance from the identity.  A
+    row whose projection fails (a zero row, or a distance that is zero or
+    not finite) gets radius 0, whatever its point."""
+    lam = d.value_from_identity_batch(V)
+    ok = (lam > 0) & np.isfinite(lam)
+    V = dilate_batch(V, 1.0 / np.where(ok, lam, 1.0), d.group)
+    lo, hi = shell
+    shells = np.exp(rng.uniform(math.log(lo), math.log(hi), size=len(V)))
+    return dilate_batch(V, shells, d.group), np.where(ok, shells, 0.0)
 
 
 def estimate_quasi_triangle_constant(d: QuasiDistance, sample_count: int,
@@ -1007,23 +1015,21 @@ def estimate_quasi_triangle_constant(d: QuasiDistance, sample_count: int,
     The larger of two estimates from ``default_sampler`` points: independent
     triples, and the sharper configuration (e, u, u*v) with u, v on dilation
     spheres, where the denominator d(e,u) + d(u, u*v) is the two sphere
-    radii exactly.
+    radii exactly: the sampler's radii.
     """
     rng = np.random.default_rng(seed)
     sampler = default_sampler(d)
     best = 0.0
-    P = sampler(rng, sample_count)
-    M = sampler(rng, sample_count)
-    Q = sampler(rng, sample_count)
+    P, _ = sampler(rng, sample_count)
+    M, _ = sampler(rng, sample_count)
+    Q, _ = sampler(rng, sample_count)
     num = d.value_batch(P, Q)
     den = d.value_batch(P, M) + d.value_batch(M, Q)
     ok = den > 0
     if np.any(ok):
         best = float(np.max(num[ok] / den[ok]))
-    U = sampler(rng, sample_count)
-    V = sampler(rng, sample_count)
-    ru = d.value_from_identity_batch(U)
-    rv = d.value_from_identity_batch(V)
+    U, ru = sampler(rng, sample_count)
+    V, rv = sampler(rng, sample_count)
     W = multiply_batch(U, V, d.group)
     num = d.value_from_identity_batch(W)
     den = ru + rv

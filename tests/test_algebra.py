@@ -501,19 +501,26 @@ def test_multiply_batch_matches_exact():
 def test_multiply_batch_is_the_float_multiply_row_for_row(g):
     # the same terms in the same order give the same floats, at scales from
     # 2^-500 to 2^500: == takes -0.0 for 0.0, and a step-3 term that
-    # overflows, as the true one does at 2^500, is NaN on both sides.  A
+    # overflows, as the true one does at 2^500, is NaN on both sides.  Rows
+    # that hold +-inf in one coordinate of either factor agree as well.  A
     # rational coordinate among floats is read as its float
     rng = np.random.default_rng(14)
     scales = 2.0 ** np.repeat([-500, -20, 0, 20, 500], 40)[:, None]
     P = rng.standard_normal((200, g.dim)) * scales
     Q = rng.standard_normal((200, g.dim)) * scales
+    infinite = rng.standard_normal((4 * g.dim, g.dim))
+    for r in range(4 * g.dim):
+        infinite[r, r % g.dim] = math.inf if r % 2 else -math.inf
+    P = np.concatenate([P, infinite[:2 * g.dim], rng.standard_normal((2 * g.dim, g.dim))])
+    Q = np.concatenate([Q, rng.standard_normal((2 * g.dim, g.dim)), infinite[2 * g.dim:]])
     with np.errstate(over="ignore", invalid="ignore"):
         batch = multiply_batch(P, Q, g)
     for p, q, row in zip(P, Q, batch):
         got = cb.multiply(tuple(p), tuple(q), g)
         assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(row, got))
-        mixed = cb.multiply((F(p[0]), *p[1:]), tuple(q), g)
-        assert [x.hex() for x in mixed] == [x.hex() for x in got]
+        if math.isfinite(p[0]):
+            mixed = cb.multiply((F(p[0]), *p[1:]), tuple(q), g)
+            assert [x.hex() for x in mixed] == [x.hex() for x in got]
 
 
 # ---------------------------------------------------------------------------

@@ -204,14 +204,100 @@ def test_greedy_extend_keeps_what_the_pairwise_rule_keeps(strategy):
     added = []
     # the first batch extends the empty family, the later ones a non-empty one
     for _ in range(6):
-        cand = next(stream)
-        cand_r = d.value_from_identity_batch(cand)
+        cand, cand_r = next(stream)
         expected = _pairwise_greedy(d, centers, radii, cand, cand_r)
         n = len(centers)
         besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
         assert (centers[n:], radii[n:]) == expected
         added.append(len(centers) - n)
     assert added[0] > 0 and sum(added[1:]) > 0
+
+
+@pytest.mark.parametrize("make_d", [
+    nonstd_h1_distance,
+    lambda: CCHeisenbergDistance(1.0),
+    lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1),
+    lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 2),
+    lambda: product_max_distance(euclidean_line(), snowflake_line(2)),
+], ids=["hs", "cc_h1", "lp_r1", "lp_r2", "product_max"])
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_stream_radii_are_the_distances_of_the_proposals(make_d, strategy):
+    d = make_d()
+    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(3))
+    for _ in range(3):
+        cand, cand_r = next(stream)
+        assert cand.shape == (besicovitch._BATCH, d.group.dim) and cand_r.shape == (len(cand),)
+        np.testing.assert_allclose(cand_r, d.value_from_identity_batch(cand), rtol=1e-12)
+
+
+class FailingProjection(HSDistance):
+    """The HS distance of heisenberg_nonstandard(2), except that its batch
+    solve answers 0, inf or NaN on every row with a positive first
+    coordinate: projections onto the unit sphere that fail."""
+
+    def __init__(self):
+        super().__init__(cb.heisenberg_nonstandard_group(2), F(1))
+
+    def value_from_identity_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        lam = super().value_from_identity_batch(X)
+        bad = X[:, 0] > 0
+        lam[bad] = np.resize([0.0, np.inf, np.nan], bad.sum())
+        return lam
+
+
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_a_failed_projection_has_radius_zero_and_is_never_kept(strategy):
+    d = FailingProjection()
+    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(5))
+    centers, radii = [], []
+    for _ in range(4):
+        cand, cand_r = next(stream)
+        # a failed row keeps its direction, dilated by positive factors
+        failed = cand[:, 0] > 0
+        assert failed.any() and (cand_r[failed] == 0).all() and (cand_r[~failed] > 0).all()
+        if strategy == "annealed":
+            # a chain seed that fails adds no rows
+            chain = slice(besicovitch._BATCH // 2, 3 * besicovitch._BATCH // 4)
+            assert not failed[chain].any()
+        besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
+    assert centers and all(c[0] <= 0 for c in centers)
+    # a zero direction cannot be projected either
+    rng = np.random.default_rng(0)
+    V = np.concatenate([np.zeros((1, 3)), rng.standard_normal((3, 3))])
+    V[:, 0] = -np.abs(V[:, 0])
+    points, r = cb.metrics.shell_points(d, V, rng, (0.5, 1.0))
+    assert r[0] == 0 and (r[1:] > 0).all() and not points[0].any()
+
+
+def _counting(monkeypatch, obj, name, counts):
+    fn = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(obj, name, counted)
+
+
+@pytest.mark.parametrize("strategy, solves", [("random", 1), ("annealed", 3)])
+def test_the_float_phase_makes_a_fixed_number_of_batch_calls(monkeypatch, strategy, solves):
+    d = nonstd_h1_distance()
+    counts = {}
+    for name in ("value_from_identity", "value_from_identity_batch", "exceeds_batch"):
+        _counting(monkeypatch, d, name, counts)
+    for module in (besicovitch, cb.metrics):
+        _counting(monkeypatch, module, "dilate", counts)
+    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(2))
+    centers, radii = [], []
+    for _ in range(8):
+        counts.clear()
+        cand, cand_r = next(stream)
+        assert counts == {"value_from_identity_batch": solves}
+        counts.clear()
+        n = len(centers)
+        besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
+        assert counts.get("exceeds_batch", 0) <= 1 + len(centers) - n
+    assert len(centers) > 1
 
 
 def test_radius_for_center_exact_membership():
