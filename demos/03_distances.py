@@ -10,12 +10,9 @@ import carnot_bcp as cb
 from carnot_bcp.metrics import (
     CCHeisenbergDistance,
     HSDistance,
-    boundary_sample,
     disk_union_segment_ball,
     estimate_quasi_triangle_constant,
     euclidean_line,
-    hs_membership,
-    lee_naor_comparison,
     lp_combination_distance,
     product_max_distance,
     punctured_disk_ball,
@@ -31,9 +28,10 @@ h1 = cb.heisenberg_group(1)
 d1 = HSDistance(h1, F(1))
 print("d(0, (0,0,1)) on heisenberg(1), R=1:", d1.value((0, 0, 0), (0, 0, 1)))
 
-# Ball membership is decided in exact rational arithmetic when possible:
-res = hs_membership((F(0), F(0), F(1)), h1.identity(), F(1), d1)
-print("membership of (0,0,1) in the unit ball:", res.label, f"({res.backend})")
+# Ball membership is decided in exact rational arithmetic: compare returns the
+# sign of d(p, q) - rho, so 0 puts (0,0,1) on the unit sphere.
+print("sign of d(0, (0,0,1)) - 1, exact:",
+      d1.compare(h1.identity(), (F(0), F(0), F(1)), 1))
 
 # The quasi-triangle constant is measured, never assumed: small R behaves
 # like a metric, large R does not.
@@ -73,14 +71,3 @@ print("\ncc distance to exp(Z): ", dcc.value((0, 0, 0), (0, 0, 1)),
       " (the full circle: 2 sqrt(pi) =", 2 * math.sqrt(math.pi), ")")
 print("cc distance to exp(3X):", dcc.value((0, 0, 0), (3, 0, 0)), " (a segment)")
 
-# boundary sampling: rescale any point onto the unit sphere of the distance
-b = boundary_sample(d1, (0.4, -1.2, 0.7))
-print("\nboundary sample Euclidean norm:", sum(x * x for x in b))
-
-# --- the negative-type gauge comparison ---------------------------------------
-rep = lee_naor_comparison(samples=2000)
-print("\nquartic-gauge comparison at R=2:")
-print("  homogeneous closed form reproduces d_2 to:", rep["closed_form_rel_dev"])
-print("  printed quartic gauge matches d_2:", rep["quartic_gauge_matches"],
-      f"(max rel dev {rep['quartic_gauge_rel_dev']:.3f})")
-print("  " + rep["note"])

@@ -23,7 +23,6 @@ from carnot_bcp.certificates import (
     lemma_sweep,
     rational_sphere_points,
     region_classify,
-    sphere_packing_estimate,
 )
 from carnot_bcp.metrics import HSDistance
 
@@ -60,8 +59,3 @@ for lemma in ("away", "near2a", "inbetween"):
     print(f"sweep '{lemma}': {rep.accepted} hypothesis-satisfying samples, "
           f"{len(rep.violations)} violations, max form value {rep.max_a_form:.3e}")
 
-# the pigeonhole endgame needs a packing count: vectors pairwise separated by
-# more than delta/2 in angle
-n, note = sphere_packing_estimate(2, delta / 2, samples=4096)
-print(f"\npacking estimate in the plane at separation {delta/2:.4f}: {n} "
-      f"vectors -> family bound 3N^2 = {note['bound_3N2']} ({note['note']})")

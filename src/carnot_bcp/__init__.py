@@ -31,7 +31,6 @@ from .algebra import (
     multiply,
     power_group,
     product_group,
-    save_group,
     step3_rank3_group,
     validate_algebra,
 )
@@ -53,15 +52,10 @@ from .metrics import (
     QuasiDistance,
     QuotientDistance,
     UnitBallDistance,
-    boundary_sample,
-    cc_distance_h1,
     disk_union_segment_ball,
     estimate_quasi_triangle_constant,
     euclidean_line,
-    hs_distance,
-    hs_membership,
     lp_combination_distance,
-    packing_count,
     power_distance,
     product_max_distance,
     punctured_disk_ball,
@@ -88,10 +82,8 @@ from .certificates import (
     a_form,
     admissible_epsilon,
     calibrate_delta,
-    layer_angle,
     lemma_sweep,
     region_classify,
-    sphere_packing_estimate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

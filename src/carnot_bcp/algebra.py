@@ -652,9 +652,3 @@ def group_from_json(data) -> GradedGroup:
 def load_group(path) -> GradedGroup:
     with open(path, "r", encoding="utf-8") as fh:
         return group_from_json(json.load(fh))
-
-
-def save_group(group: GradedGroup, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json(group), fh, indent=2, sort_keys=True)
-        fh.write("\n")

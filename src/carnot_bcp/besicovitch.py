@@ -369,6 +369,8 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
     """
     if strategy not in ("random", "annealed"):
         raise ValueError("strategy must be 'random' or 'annealed'")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, not {budget}")
     rng = np.random.default_rng(seed)
     stream = _proposal_batches(d, strategy, rng)
     centers, radii = [], []
@@ -775,6 +777,9 @@ def countable_space_two_ball_audit(n: int = 200, grid: int = 64) -> dict:
     num * i * (grid + 1) > (i - 1) * g * den in int64.  It reports the counts,
     or the first failing pair.
     """
+    if grid < 1:
+        # an empty grid checks no radius, so its "ok" would prove nothing
+        raise ValueError(f"grid must be at least 1, not {grid}")
     idx = np.arange(1, n + 1, dtype=np.int64)
     g = np.arange(1, grid + 1, dtype=np.int64)[None, None, :]
     pairs_checked = 0

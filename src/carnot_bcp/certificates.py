@@ -14,9 +14,7 @@ lemma's scalar inequality exists.  This module:
   rational square-root enclosures (``admissible_epsilon``);
 * calibrates the angle threshold delta empirically (``calibrate_delta``);
 * runs hypothesis-constrained random sweeps asserting the lemma conclusions
-  (``lemma_sweep``);
-* produces greedy lower bounds for the sphere-packing count that feeds the
-  final pigeonhole cardinality bound (``sphere_packing_estimate``).
+  (``lemma_sweep``).
 """
 
 from __future__ import annotations
@@ -136,25 +134,6 @@ def region_classify_batch(P, params: RegionParams) -> np.ndarray:
     out[lhs > float(params.a_prime) ** 2 * nv2 * nv2] = STEEP
     out[lhs <= float(params.a) ** 2 * nv2 * nv2] = SHALLOW
     return out
-
-
-def layer_angle(p, q, r: int):
-    """Angles in [0, pi] between the first-layer parts and second-layer parts.
-
-    Zero projections get angle 0 by convention.  Both angles are invariant
-    under simultaneous dilation of p and q.
-    """
-    def ang(u, v):
-        nu = math.sqrt(sum(float(x) ** 2 for x in u))
-        nv = math.sqrt(sum(float(x) ** 2 for x in v))
-        if nu == 0 or nv == 0:
-            return 0.0
-        c = sum(float(a) * float(b) for a, b in zip(u, v)) / (nu * nv)
-        return math.acos(min(1.0, max(-1.0, c)))
-
-    vp, wp = _split(p, r)
-    vq, wq = _split(q, r)
-    return ang(vp, vq), ang(wp, wq)
 
 
 # ---------------------------------------------------------------------------
@@ -510,77 +489,3 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                               "cross_check": "displacement gauge",
                               "epsilon_max_certified":
                               fmt_scalar(eps_max) if eps_max else None})
-
-
-# ---------------------------------------------------------------------------
-# sphere packing lower bounds
-# ---------------------------------------------------------------------------
-
-def _repulsion_packing(dim, k, cos_sep, rng):
-    """Try to place k unit vectors pairwise below cos_sep by soft repulsion.
-
-    The inverse temperature anneals upward so the late gradient concentrates
-    on the currently worst pairs, driving the configuration toward the
-    max-min-angle optimum (equidistributed for small k)."""
-    V = rng.standard_normal((k, dim))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    iters = 1200
-    for t in range(iters):
-        beta = 8.0 * (1024.0 / 8.0) ** (t / (iters - 1))
-        eta = 0.15 * (0.02 / 0.15) ** (t / (iters - 1))
-        G = V @ V.T
-        np.fill_diagonal(G, -1.0)
-        W = np.exp(beta * (G - G.max()))
-        np.fill_diagonal(W, 0.0)
-        grad = W @ V
-        norms = np.linalg.norm(grad, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        V = V - eta * grad / norms
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-    G = V @ V.T
-    np.fill_diagonal(G, -1.0)
-    return bool(G.max() < cos_sep)
-
-
-def sphere_packing_estimate(dim: int, angular_sep: float, samples: int = 8192):
-    """Lower bound on the number of unit vectors pairwise separated by more
-    than the given angle: greedy selection over random directions of seed 0,
-    refined by a repulsion pass that tries to place one more vector than the
-    greedy count, repeatedly.
-
-    The reported 3 * N^2 value uses this count, which is a heuristic lower
-    bound on the true packing number, not a certified constant.
-    """
-    if dim < 1 or not 0 < angular_sep < math.pi:
-        raise ValueError("need dim >= 1 and separation in (0, pi)")
-    if dim == 1:
-        count = 2 if angular_sep < math.pi else 1
-        return count, {"bound_3N2": 3 * count * count,
-                       "note": "exhaustive on the two signs"}
-    rng = np.random.default_rng(0)
-    V = rng.standard_normal((samples, dim))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    cos_sep = math.cos(angular_sep)
-    chosen = np.empty((0, dim))
-    for v in V:
-        if len(chosen) == 0 or float((chosen @ v).max()) < cos_sep:
-            chosen = np.vstack([chosen, v])
-    count = len(chosen)
-    # deterministic tight configurations: equi-spaced circle (k points at
-    # angle 2 pi / k), regular simplex, cross-polytope
-    k_circle = int(math.floor(2.0 * math.pi / angular_sep))
-    while 2.0 * math.pi / k_circle <= angular_sep:
-        k_circle -= 1
-    count = max(count, k_circle)
-    if math.acos(-1.0 / dim) > angular_sep:
-        count = max(count, dim + 1)
-    if math.pi / 2 > angular_sep:
-        count = max(count, 2 * dim)
-    # repulsion pays off only for small tight configurations; for large
-    # counts the greedy estimate is already the story
-    while count < 64 and any(_repulsion_packing(dim, count + 1, cos_sep, rng)
-                             for _ in range(4)):
-        count += 1
-    return count, {"bound_3N2": 3 * count * count,
-                   "note": "greedy+repulsion heuristic lower bound on the "
-                           "packing number"}

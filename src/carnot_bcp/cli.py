@@ -188,6 +188,8 @@ def cmd_besicovitch(args):
         return EXIT_OK
     if args.action == "search":
         jobs = args.jobs
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, not {jobs}")
         seeds = [args.seed + 10_000 * w for w in range(jobs)] if jobs > 1 else [args.seed]
         results = []
         if jobs > 1:

@@ -41,7 +41,6 @@ overrides ``compare`` or ``compare_from_identity``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -459,53 +458,6 @@ class HSDistance(QuasiDistance):
     # the base method, bound here as well because perfbench/tracer.py wraps
     # HSDistance.__dict__["compare"]
     compare = QuasiDistance.compare
-
-
-def hs_distance(p, q, R, group: GradedGroup) -> float:
-    """Euclidean-unit-ball quasi-distance between two points (float backend)."""
-    return HSDistance(group, R).value(p, q)
-
-
-@dataclass
-class MembershipResult:
-    label: str            # inside | boundary | outside
-    backend: str          # exact | float
-    margin: float         # float-mode slack, 0.0 in exact mode
-
-    def to_json(self):
-        return {"label": self.label, "backend": self.backend, "margin": self.margin}
-
-
-def hs_membership(q, center, radius, dist: QuasiDistance) -> MembershipResult:
-    """Trichotomy q vs closed ball B(center, radius), exact when possible."""
-    try:
-        sgn = dist.compare(center, q, radius)
-        label = "outside" if sgn > 0 else ("boundary" if sgn == 0 else "inside")
-        return MembershipResult(label, "exact", 0.0)
-    except ExactnessError:
-        v = dist.value(center, q)
-        r = float(radius)
-        margin = v - r
-        label = "outside" if margin > 0 else ("boundary" if margin == 0 else "inside")
-        return MembershipResult(label, "float", margin)
-
-
-def hs_heisenberg_closed_form(p, q, R, group: GradedGroup) -> float:
-    """Independent closed form of the HS distance on Heisenberg groups.
-
-    For weights (1,...,1,2) the defining equation is a quadratic in lambda^2:
-    with A the squared Euclidean norm of the first-layer displacement and z
-    the last coordinate, d^2 = (A + sqrt(A^2 + 4 R^2 z^2)) / (2 R^2).
-    Used as an oracle against the generic root finder.
-    """
-    x = multiply(tuple(-float(v) for v in p), tuple(float(v) for v in q), group)
-    A = sum(v * v for v in x[:-1])
-    z = x[-1]
-    R = float(R)
-    if A == 0 and z == 0:
-        return 0.0
-    lam2 = (A + math.sqrt(A * A + 4.0 * R * R * z * z)) / (2.0 * R * R)
-    return math.sqrt(lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +895,11 @@ class CCHeisenbergDistance(QuasiDistance):
     def __init__(self, a=1.0):
         super().__init__(heisenberg_group(1))
         self.a = float(a)
-        if self.a <= 0:
+        # not 0 < a also catches NaN
+        if not 0 < self.a:
             raise ValueError("scale must be positive")
+        if self.a == math.inf:
+            raise ValueError("scale must be finite")
 
     def value_from_identity(self, x):
         if len(x) != 3:
@@ -963,21 +918,9 @@ class CCHeisenbergDistance(QuasiDistance):
         return s * cc_distance_h1_from_identity(x / s, y / s, z / s / s, self.a)
 
 
-def cc_distance_h1(p, q, a=1.0) -> float:
-    return CCHeisenbergDistance(a).value(p, q)
-
-
 # ---------------------------------------------------------------------------
 # generic utilities
 # ---------------------------------------------------------------------------
-
-def boundary_sample(d: QuasiDistance, u) -> tuple:
-    """Rescale u by a dilation onto the unit sphere of d (float backend)."""
-    lam = d.value(d.identity(), u)
-    if lam <= 0:
-        raise ValueError("cannot project the identity to the unit sphere")
-    return dilate(tuple(float(v) for v in u), 1.0 / lam, d.group)
-
 
 def default_sampler(d: QuasiDistance, shell=(0.05, 1.0)):
     """Gaussian directions pushed to the Euclidean and then the d unit sphere,
@@ -1037,62 +980,3 @@ def estimate_quasi_triangle_constant(d: QuasiDistance, sample_count: int,
     if np.any(ok):
         best = max(best, float(np.max(num[ok] / den[ok])))
     return best
-
-
-def packing_count(d: QuasiDistance, center, radius, lam, candidates) -> int:
-    """Greedy maximal set of the candidate points in B(center, lam * radius)
-    pairwise at least ``radius`` apart."""
-    r = float(radius)
-    ball_r = float(lam) * r
-    chosen = []
-    c = tuple(float(v) for v in center)
-    for row in np.asarray(candidates, dtype=float):
-        pt = tuple(row)
-        if d.value(c, pt) > ball_r:
-            continue
-        if all(d.value(pt, other) >= r for other in chosen):
-            chosen.append(pt)
-    return len(chosen)
-
-
-# ---------------------------------------------------------------------------
-# negative-type gauge on Heisenberg groups (derived-oracle comparison)
-# ---------------------------------------------------------------------------
-
-def lee_naor_comparison(samples=2000) -> dict:
-    """Compare the HS distance at R=2 on the first Heisenberg group against
-    the quartic gauge and against the homogeneous closed form, on random
-    points of seed 0.
-
-    The quartic gauge (A^2 + sqrt(A^2 + 16 z^2))^(1/4), A = sum x^2 + y^2, is
-    shipped as printed; its addends scale with different powers under the
-    dilations, so it is no constant multiple of any homogeneous distance.
-
-    Reports (a) the maximum relative deviation of d_2 from 8^(-1/4) times the
-    quartic gauge (expected to be large: the printed gauge is inhomogeneous),
-    and (b) the maximum relative deviation of d_2^2 from
-    (A + sqrt(A^2 + 16 z^2)) / 8 (expected at solver tolerance).
-    """
-    group = heisenberg_group(1)
-    d2 = HSDistance(group, Fraction(2))
-    rng = np.random.default_rng(0)
-    P = rng.standard_normal((samples, group.dim)) * \
-        np.exp(rng.uniform(-3, 3, size=(samples, 1)))
-    e = np.zeros((samples, group.dim))
-    vals = d2.value_batch(e, P)
-    A = (P[:, :-1] ** 2).sum(axis=1)
-    z = P[:, -1]
-    closed_sq = (A + np.sqrt(A * A + 16.0 * z * z)) / 8.0
-    gauge = (A * A + np.sqrt(A * A + 16.0 * z * z)) ** 0.25
-    scaled = 8.0 ** -0.25 * gauge
-    ok = vals > 0
-    dev_closed = float(np.max(np.abs(vals[ok] ** 2 - closed_sq[ok]) / closed_sq[ok]))
-    dev_gauge = float(np.max(np.abs(vals[ok] - scaled[ok]) / vals[ok]))
-    return {
-        "closed_form_rel_dev": dev_closed,
-        "quartic_gauge_rel_dev": dev_gauge,
-        "quartic_gauge_matches": bool(dev_gauge <= 1e-6),
-        "note": ("the quartic gauge as printed is not one-homogeneous under the "
-                 "group dilations; only the homogeneous closed form reproduces "
-                 "the R=2 Euclidean-ball distance"),
-    }

@@ -337,6 +337,15 @@ def test_search_monotone_in_budget():
     assert cards == sorted(cards)
 
 
+def test_a_negative_budget_is_an_error_and_zero_is_an_empty_search():
+    # a negative budget drew nothing and returned an empty exact family
+    d = euclidean_line()
+    with pytest.raises(ValueError, match="budget"):
+        search_family(d, -1)
+    res = search_family(d, 0)
+    assert res.cardinality == 0 and res.proposals_used == 0
+
+
 def test_search_soundness_reverification():
     d = nonstd_h1_distance()
     res = search_family(d, 8000, strategy="annealed", seed=1)
@@ -664,6 +673,10 @@ def test_countable_space_audits():
     assert countable_space_ball_audit(2000)
     rep = countable_space_two_ball_audit(100, grid=16)
     assert rep["ok"] and rep["radius_choices_checked"] == 99 * 16
+    # an empty grid checks no radius, so it cannot report "ok"
+    for grid in (0, -1):
+        with pytest.raises(ValueError, match="grid"):
+            countable_space_two_ball_audit(5, grid=grid)
 
 
 def test_countable_space_audits_read_the_table(monkeypatch):

@@ -16,12 +16,10 @@ from carnot_bcp.certificates import (
     a_form_batch,
     admissible_epsilon,
     calibrate_delta,
-    layer_angle,
     lemma_sweep,
     rational_sphere_points,
     region_classify,
     region_classify_batch,
-    sphere_packing_estimate,
 )
 from carnot_bcp.metrics import HSDistance
 
@@ -170,42 +168,6 @@ def test_region_norm_bounds_exact_rational():
 
 
 # ---------------------------------------------------------------------------
-# angles
-# ---------------------------------------------------------------------------
-
-def test_layer_angle_zero_on_dilates():
-    g = cb.free_step2_group(2)
-    p = (1.0, 0.5, 0.25)
-    q = cb.dilate(p, 3.0, g)
-    av, aw = layer_angle(p, q, 2)
-    # arccos rounding fuzz near angle 0 is about 1e-8
-    assert av == pytest.approx(0.0, abs=1e-7)
-    assert aw == pytest.approx(0.0, abs=1e-7)
-
-
-def test_layer_angle_antipodal():
-    av, aw = layer_angle((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0), 2)
-    assert av == pytest.approx(math.pi) and aw == pytest.approx(math.pi)
-
-
-def test_layer_angle_dilation_invariance():
-    g = cb.free_step2_group(3)
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        p = tuple(rng.standard_normal(6))
-        q = tuple(rng.standard_normal(6))
-        av0, aw0 = layer_angle(p, q, 3)
-        lam = float(np.exp(rng.uniform(-3, 3)))
-        av1, aw1 = layer_angle(cb.dilate(p, lam, g), cb.dilate(q, lam, g), 3)
-        assert abs(av0 - av1) <= 1e-12 and abs(aw0 - aw1) <= 1e-12
-
-
-def test_layer_angle_zero_projection_convention():
-    av, aw = layer_angle((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), 2)
-    assert av == 0.0
-
-
-# ---------------------------------------------------------------------------
 # admissible epsilon: the scalar inequalities behind the three lemmas
 # ---------------------------------------------------------------------------
 
@@ -302,27 +264,3 @@ def test_rational_sphere_points_exact():
         pts = rational_sphere_points(dim, R, 25, rng)
         for p in pts:
             assert sum(x * x for x in p) == R * R
-
-
-# ---------------------------------------------------------------------------
-# sphere packing
-# ---------------------------------------------------------------------------
-
-def test_packing_dim1():
-    n, note = sphere_packing_estimate(1, math.pi / 3)
-    assert n == 2 and note["bound_3N2"] == 12
-
-
-def test_packing_dim2_near_three():
-    n, note = sphere_packing_estimate(2, 2 * math.pi / 3 - 1e-6, samples=4096)
-    assert n == 3
-
-
-def test_packing_bound_cross_check():
-    # a verified family larger than 3N^2 for the same angular budget would be
-    # contradictory; confirm the search stays below the replayed bound
-    from carnot_bcp.besicovitch import search_family
-    d = HSDistance(cb.free_step2_group(2), F(1))
-    res = search_family(d, 4000, strategy="annealed", seed=0)
-    n, note = sphere_packing_estimate(2, 0.5, samples=4096)
-    assert res.cardinality <= note["bound_3N2"]

@@ -36,7 +36,7 @@ def test_classify_standard(capsys):
 def test_classify_from_file(tmp_path, capsys):
     import carnot_bcp as cb
     path = tmp_path / "g.json"
-    cb.save_group(cb.heisenberg_nonstandard_group(2), path)
+    path.write_text(json.dumps(cb.group_to_json(cb.heisenberg_nonstandard_group(2))))
     code = main(["classify", "--group", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["bcp_admissible"] is False
@@ -500,3 +500,28 @@ def test_missing_group_parameter_is_named(tag, param, capsys):
     # --n has a default, so only these three parameters can be missing
     assert main(["classify", "--group", tag]) == 64
     assert f"'{param}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_a_nonfinite_cc_scale_is_a_configuration_error(scale):
+    # nan printed "value": NaN and inf printed "value": 0.0, both with exit 0
+    proc = run_cli(["dist", "--group", "heisenberg", "--kind", "cc_h1", "--scale", scale,
+                    "--p", "0,0,0", "--q", "1,0,0"], timeout=60)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("configuration error: ") and proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [["--budget", "-5"], ["--jobs", "0"], ["--jobs", "-2"]])
+def test_a_negative_budget_or_no_job_is_a_configuration_error(flags, capsys):
+    # --budget -5 printed an empty exact family, and --jobs 0 or -2 ran one job
+    assert main(["besicovitch", "search", *LINE_FLAGS, "--budget", "100", *flags]) == 64
+    out = capsys.readouterr()
+    assert out.err.startswith("configuration error: ") and out.out == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_an_empty_two_ball_grid_is_a_configuration_error(grid, capsys):
+    # the audit checked no radius and reported "ok": true
+    assert main(["countable-space", "--n", "5", "--grid", grid]) == 64
+    out = capsys.readouterr()
+    assert out.err.startswith("configuration error: ") and out.out == ""

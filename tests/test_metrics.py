@@ -23,17 +23,10 @@ from carnot_bcp.metrics import (
     OracleError,
     SolverError,
     UnitBallDistance,
-    boundary_sample,
-    cc_distance_h1,
     disk_union_segment_ball,
     estimate_quasi_triangle_constant,
     euclidean_line,
-    hs_distance,
-    hs_heisenberg_closed_form,
-    hs_membership,
-    lee_naor_comparison,
     lp_combination_distance,
-    packing_count,
     power_distance,
     product_max_distance,
     punctured_disk_ball,
@@ -45,6 +38,7 @@ from carnot_bcp.scalars import rat_pow
 from carnot_bcp.structure import MorphismMatrix, validate_morphism
 
 from bch_oracle import fraction_bch
+from hs_oracle import hs_heisenberg_closed_form
 
 F = Fraction
 
@@ -79,7 +73,7 @@ def skewed_quotient(name):
 
 def test_hs_euclidean_on_abelian():
     g = cb.abelian_group([1, 1, 1])
-    assert hs_distance((0, 0, 0), (3, 4, 0), 1, g) == pytest.approx(5.0, rel=1e-12)
+    assert HSDistance(g, 1).value((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_hs_boundary_value_one():
@@ -498,10 +492,10 @@ def test_hs_membership_examples():
     d = HSDistance(g, F(1))
     e = g.identity()
     q = (F(0), F(0), F(1))
-    assert hs_membership(q, e, F(1), d).label == "boundary"
-    assert hs_membership(q, e, F(1, 2), d).label == "outside"
-    assert hs_membership((F(0), F(0), F(1, 2)), e, F(1), d).label == "inside"
-    assert hs_membership(q, e, F(1), d).backend == "exact"
+    # the sign of d(e, q) - r: 0 on the sphere, 1 outside, -1 inside
+    assert d.compare(e, q, F(1)) == 0
+    assert d.compare(e, q, F(1, 2)) == 1
+    assert d.compare(e, (F(0), F(0), F(1, 2)), F(1)) == -1
 
 
 def test_hs_membership_dilation_equivariance():
@@ -513,17 +507,9 @@ def test_hs_membership_dilation_equivariance():
         q = tuple(F(int(rng.integers(-4, 5)), 4) for _ in range(3))
         r = F(int(rng.integers(1, 5)), 2)
         lam = F(2)
-        before = hs_membership(q, c, r, d).label
-        after = hs_membership(cb.dilate(q, lam, g), cb.dilate(c, lam, g),
-                              lam * r, d).label
+        before = d.compare(c, q, r)
+        after = d.compare(cb.dilate(c, lam, g), cb.dilate(q, lam, g), lam * r)
         assert before == after
-
-
-def test_hs_membership_float_fallback():
-    d = CCHeisenbergDistance(1.0)
-    res = hs_membership((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1.0, d)
-    assert res.backend == "float" and res.label == "outside"
-    assert res.margin == pytest.approx(2 * math.sqrt(math.pi) - 1.0, rel=1e-9)
 
 
 def test_hs_exact_compare_requires_power():
@@ -1109,14 +1095,15 @@ def test_quotient_distances_need_only_numpy():
 # ---------------------------------------------------------------------------
 
 def test_cc_horizontal_segment():
-    assert cc_distance_h1((0, 0, 0), (3, 0, 0)) == pytest.approx(3.0, rel=1e-12)
-    assert cc_distance_h1((0, 0, 0), (0.3, -0.4, 0)) == pytest.approx(0.5, rel=1e-12)
+    d = CCHeisenbergDistance()
+    assert d.value((0, 0, 0), (3, 0, 0)) == pytest.approx(3.0, rel=1e-12)
+    assert d.value((0, 0, 0), (0.3, -0.4, 0)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_cc_vertical_full_circle():
-    assert cc_distance_h1((0, 0, 0), (0, 0, 1)) == pytest.approx(
+    assert CCHeisenbergDistance().value((0, 0, 0), (0, 0, 1)) == pytest.approx(
         2.0 * math.sqrt(math.pi), rel=1e-9)
-    assert cc_distance_h1((0, 0, 0), (0, 0, 1), a=2.0) == pytest.approx(
+    assert CCHeisenbergDistance(2.0).value((0, 0, 0), (0, 0, 1)) == pytest.approx(
         math.sqrt(math.pi), rel=1e-9)
 
 
@@ -1149,45 +1136,13 @@ def test_cc_near_axis_continuity():
     z = 1.0
     want = 2.0 * math.sqrt(math.pi * z)
     for rho in (1e-4, 1e-6, 1e-8):
-        got = cc_distance_h1((0, 0, 0), (rho, 0, z))
+        got = CCHeisenbergDistance().value((0, 0, 0), (rho, 0, z))
         assert got == pytest.approx(want - rho, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
 # generic utilities
 # ---------------------------------------------------------------------------
-
-def test_boundary_sample_euclidean():
-    g = cb.abelian_group([1, 1])
-    d = HSDistance(g, F(1))
-    b = boundary_sample(d, (3.0, 4.0))
-    assert b == pytest.approx((0.6, 0.8), rel=1e-12)
-
-
-def test_boundary_sample_hs_norm():
-    g = cb.heisenberg_nonstandard_group(2)
-    d = HSDistance(g, F(1))
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        u = tuple(rng.standard_normal(3) * 3)
-        b = boundary_sample(d, u)
-        assert sum(x * x for x in b) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_boundary_sample_idempotent():
-    g = cb.heisenberg_group(1)
-    d = HSDistance(g, F(1))
-    b = boundary_sample(d, (0.5, -1.0, 2.0))
-    b2 = boundary_sample(d, b)
-    assert np.allclose(b, b2, atol=1e-9)
-
-
-def test_boundary_sample_identity_rejected():
-    g = cb.heisenberg_group(1)
-    d = HSDistance(g, F(1))
-    with pytest.raises(ValueError):
-        boundary_sample(d, g.identity())
-
 
 def test_triangle_constant_metric_spaces():
     h1 = cb.heisenberg_group(1)
@@ -1200,13 +1155,6 @@ def test_triangle_constant_metric_spaces():
 def test_triangle_constant_large_R_exceeds_one():
     d = HSDistance(cb.heisenberg_group(1), F(10))
     assert estimate_quasi_triangle_constant(d, 2000, seed=0) > 1.1
-
-
-def test_packing_count_line():
-    d = euclidean_line()
-    r = 0.5
-    cands = [(x,) for x in np.arange(-1.0, 1.0001, r / 4)]
-    assert packing_count(d, (0.0,), r, 2.0, candidates=cands) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1268,10 +1216,3 @@ def test_boundedness_shadow_on_dilation_orbits():
         coords.append(max(abs(x) for x in pk))
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 and coords[-1] < 1e-2
-
-
-def test_lee_naor_report_flags_gauge():
-    rep = lee_naor_comparison(samples=1000)
-    assert rep["closed_form_rel_dev"] <= 1e-10
-    assert rep["quartic_gauge_matches"] is False
-    assert rep["quartic_gauge_rel_dev"] > 0.1
