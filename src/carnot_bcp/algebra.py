@@ -462,7 +462,13 @@ def multiply_batch(P, Q, group: GradedGroup):
 
 
 def dilate_batch(P, lam, group: GradedGroup):
-    """Rowwise dilation; lam is a scalar or an (m,) array."""
+    """Rowwise dilation; lam is a scalar or an (m,) array.
+
+    Row i is ``dilate(P[i], lam[i])`` up to rounding, but not bit for bit as
+    the batch product is the scalar one: lam^w comes from numpy's vectorized
+    power here and from the C library's pow in ``dilate``, and the two round
+    differently, a few ulps apart at most.
+    """
     P = np.asarray(P, dtype=float)
     if P.shape[-1:] != (group.dim,):
         raise AlgebraError("vector length does not match algebra dimension")

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import dilate, dilate_batch
-from .metrics import ExactnessError, QuasiDistance, default_sampler, shell_points
+from .algebra import dilate
+from .metrics import ExactnessError, QuasiDistance, project
 from .scalars import all_exact, fmt_scalar, is_exact, rat_pow, to_fractions
 
 EXACT = "exact"
@@ -229,10 +229,10 @@ def _orthant_seed(rng, dim):
     return v
 
 
-# proposals per batch, the range of their log-uniform dilation shells, and
-# the annealed search's restart period in proposals
+# proposals per batch, the log range of their log-uniform dilation shells,
+# and the annealed search's restart period in proposals
 _BATCH = 256
-_SHELL = (0.02, 1.0)
+_LOG_SHELL = (math.log(0.02), math.log(1.0))
 _RESTART_INTERVAL = 4096
 
 
@@ -240,57 +240,47 @@ def _proposal_batches(d: QuasiDistance, strategy, rng):
     """Endless stream of (points, radii): a (_BATCH, n) array of proposed
     centers and the (_BATCH,) distance of each from the identity, which is
     the dilation factor that made it from a unit-sphere point: a shell
-    factor, or ratio^l on a chain.  A row whose projection onto the sphere
-    failed has radius 0, so the search never keeps it.  A pure function of
-    the rng state; each batch costs a fixed number of batch solves and
-    dilations, whatever its chains."""
+    factor, or ratio^l on a chain.  A batch draws every row and factor
+    first (shells; then, annealed, chain seeds and orthant rows), and one
+    ``project`` call solves and dilates them all, so each batch costs one
+    batch solve and two dilations whatever its chains; a row whose
+    projection failed has radius 0, so the search never keeps it.  A pure
+    function of the rng state."""
     n = d.group.dim
-    base = default_sampler(d, shell=_SHELL)
-    n_shell = _BATCH - _BATCH // 4 - _BATCH // 4
-    n_chain = _BATCH // 4
-    n_orth = _BATCH // 4
+    quarter = _BATCH // 4 if strategy == "annealed" else 0
     while True:
-        if strategy == "random":
-            yield base(rng, _BATCH)
-            continue
-        # annealed: shells + dilation-orbit chains + orthant-restricted shells
-        shell, shell_r = base(rng, n_shell)
-        chain, chain_r = _chains(d, rng, n_chain)
-        orth = rng.standard_normal((n_orth, n))
-        if n == 3:
-            orth[:, 0] = 0.15 * np.abs(orth[:, 0])
-            orth[:, 1] = -np.abs(orth[:, 1])
-            orth[:, 2] = -np.abs(orth[:, 2])
-        orth, orth_r = shell_points(d, orth, rng, _SHELL)
-        yield np.concatenate([shell, chain, orth]), np.concatenate([shell_r, chain_r, orth_r])
+        V = rng.standard_normal((_BATCH - 2 * quarter, n))
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        rows, factors = [V / norms], [np.exp(rng.uniform(*_LOG_SHELL, size=len(V)))]
+        if quarter:
+            # annealed: + dilation-orbit chains + orthant-restricted shells
+            chain, ratios = _chains(rng, n, quarter)
+            orth = rng.standard_normal((quarter, n))
+            if n == 3:
+                orth[:, 0] = 0.15 * np.abs(orth[:, 0])
+                orth[:, 1] = -np.abs(orth[:, 1])
+                orth[:, 2] = -np.abs(orth[:, 2])
+            rows += [chain, orth]
+            factors += [ratios, np.exp(rng.uniform(*_LOG_SHELL, size=quarter))]
+        yield project(d, np.concatenate(rows), np.concatenate(factors))
 
 
-def _chains(d, rng, rows):
-    """``rows`` points on shrinking dilation chains delta_(ratio^l)(p0),
-    l = 0..count-1, from orthant seeds projected onto the unit sphere, and
-    their radii ratio^l.  Each seed draws its direction, ratio and count in
-    turn; the seeds of a round are projected in one batch solve, and a seed
-    whose projection fails adds no rows, so another round draws more."""
-    group = d.group
-    starts, factors = [], []
+def _chains(rng, dim, rows):
+    """``rows`` rows of shrinking dilation chains delta_(ratio^l)(p0),
+    l = 0..count-1, before projection: each orthant seed once per link, and
+    the factors ratio^l.  Each seed draws its direction, ratio and count in
+    turn until the chains fill ``rows``; the last chain is cut short."""
+    seeds, factors = [], []
     while len(factors) < rows:
-        seeds, chains = [], []
-        drawn = len(factors)
-        while drawn < rows:
-            seeds.append(_orthant_seed(rng, group.dim))
-            # chain ratio: the escape margin of shrinking dilates only beats
-            # the second-order terms once the ratio is fairly small
-            ratio = 2.0 ** -rng.uniform(3.0, 9.0)
-            chains.append([ratio ** l for l in range(int(rng.integers(3, 9)))])
-            drawn += len(chains[-1])
-        lam = d.value_from_identity_batch(seeds)
-        ok = (lam > 0) & np.isfinite(lam)
-        p0 = dilate_batch(np.asarray(seeds)[ok], 1.0 / lam[ok], group)
-        kept = [c for c, good in zip(chains, ok) if good]
-        starts.append(np.repeat(p0, [len(c) for c in kept], axis=0))
-        factors += [f for c in kept for f in c]
-    factors = np.array(factors[:rows])
-    return dilate_batch(np.concatenate(starts)[:rows], factors, group), factors
+        seed = _orthant_seed(rng, dim)
+        # chain ratio: the escape margin of shrinking dilates only beats
+        # the second-order terms once the ratio is fairly small
+        ratio = 2.0 ** -rng.uniform(3.0, 9.0)
+        chain = [ratio ** l for l in range(int(rng.integers(3, 9)))]
+        seeds += [seed] * len(chain)
+        factors += chain
+    return np.array(seeds[:rows]), np.array(factors[:rows])
 
 
 def _greedy_extend(d, centers, radii, cand, cand_r):

@@ -190,8 +190,10 @@ def cmd_besicovitch(args):
         jobs = args.jobs
         if jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, not {jobs}")
-        seeds = [args.seed + 10_000 * w for w in range(jobs)] if jobs > 1 else [args.seed]
-        results = []
+        # checked before the split, which would name a worker's share
+        if args.budget < 0:
+            raise ConfigError(f"--budget must be at least 0, not {args.budget}")
+        seeds = [args.seed + 10_000 * w for w in range(jobs)]
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             # the remainder goes one proposal each to the first workers

@@ -571,7 +571,9 @@ def snowflake_line(s=Fraction(2)) -> HSDistance:
 
 
 class _CombinedDistance(QuasiDistance):
-    """Shared plumbing for componentwise combinations on a product group."""
+    """Shared plumbing for componentwise combinations on a product group: a
+    kind defines ``combine(v1, v2)``, the value from the values of the two
+    components (floats, or arrays rowwise), and its exact ``_sign``."""
 
     def __init__(self, d1: QuasiDistance, d2: QuasiDistance):
         self.components = (d1, d2)
@@ -595,21 +597,22 @@ class _CombinedDistance(QuasiDistance):
             raise AlgebraError("vector length does not match algebra dimension")
         return X[:, list(self.slice1)], X[:, list(self.slice2)]
 
+    def value_from_identity(self, x):
+        (x1, x2), (d1, d2) = self.split(x), self.components
+        return float(self.combine(d1.value_from_identity(x1), d2.value_from_identity(x2)))
+
+    def value_from_identity_batch(self, X):
+        (X1, X2), (d1, d2) = self.split_batch(X), self.components
+        return self.combine(d1.value_from_identity_batch(X1), d2.value_from_identity_batch(X2))
+
 
 class ProductMaxDistance(_CombinedDistance):
     """max(d1, d2) on the direct product; preserves the weak covering property."""
 
     kind = "product_max"
 
-    def value_from_identity(self, x):
-        x1, x2 = self.split(x)
-        return max(self.components[0].value_from_identity(x1),
-                   self.components[1].value_from_identity(x2))
-
-    def value_from_identity_batch(self, X):
-        X1, X2 = self.split_batch(X)
-        return np.maximum(self.components[0].value_from_identity_batch(X1),
-                          self.components[1].value_from_identity_batch(X2))
+    def combine(self, v1, v2):
+        return np.maximum(v1, v2)
 
     def _sign(self, nums, den, rho):
         n1, n2 = self.split(nums)
@@ -648,18 +651,8 @@ class LpComboDistance(_CombinedDistance):
         self.exact_capable = self.r == 1 and self.exact_capable and (
             _is_line(d1) or _is_line(d2))
 
-    def value_from_identity(self, x):
-        x1, x2 = self.split(x)
+    def combine(self, v1, v2):
         rf = float(self.r)
-        v1 = self.components[0].value_from_identity(x1)
-        v2 = self.components[1].value_from_identity(x2)
-        return (v1 ** rf + v2 ** rf) ** (1.0 / rf)
-
-    def value_from_identity_batch(self, X):
-        X1, X2 = self.split_batch(X)
-        rf = float(self.r)
-        v1 = self.components[0].value_from_identity_batch(X1)
-        v2 = self.components[1].value_from_identity_batch(X2)
         return (v1 ** rf + v2 ** rf) ** (1.0 / rf)
 
     def _sign(self, nums, den, rho):
@@ -922,57 +915,49 @@ class CCHeisenbergDistance(QuasiDistance):
 # generic utilities
 # ---------------------------------------------------------------------------
 
-def default_sampler(d: QuasiDistance, shell=(0.05, 1.0)):
-    """Gaussian directions pushed to the Euclidean and then the d unit sphere,
-    spread over dilation shells by ``shell_points``; returns
-    f(rng, m) -> (points, radii), (m, n) and (m,) float arrays."""
-    n = d.group.dim
-
-    def sample(rng, m):
-        V = rng.standard_normal((m, n))
-        norms = np.linalg.norm(V, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return shell_points(d, V / norms, rng, shell)
-
-    return sample
-
-
-def shell_points(d: QuasiDistance, V, rng, shell):
+def project(d: QuasiDistance, V, factors):
     """The rows of V projected onto the unit sphere of d, then dilated by
-    log-uniform factors in ``shell`` drawn from rng: (points, radii), where a
-    radius is its row's factor, the point's distance from the identity.  A
-    row whose projection fails (a zero row, or a distance that is zero or
-    not finite) gets radius 0, whatever its point."""
+    ``factors``: (points, radii), where a radius is its row's factor, the
+    point's distance from the identity.  One batch solve and two batch
+    dilations, whatever the rows.  A row whose projection fails (a zero row,
+    or a distance that is zero or not finite) gets radius 0, whatever its
+    point."""
     lam = d.value_from_identity_batch(V)
     ok = (lam > 0) & np.isfinite(lam)
     V = dilate_batch(V, 1.0 / np.where(ok, lam, 1.0), d.group)
-    lo, hi = shell
-    shells = np.exp(rng.uniform(math.log(lo), math.log(hi), size=len(V)))
-    return dilate_batch(V, shells, d.group), np.where(ok, shells, 0.0)
+    return dilate_batch(V, factors, d.group), np.where(ok, factors, 0.0)
 
 
 def estimate_quasi_triangle_constant(d: QuasiDistance, sample_count: int,
                                      seed=0) -> float:
     """Empirical quasi-triangle constant: max d(p,q) / (d(p,m) + d(m,q)).
 
-    The larger of two estimates from ``default_sampler`` points: independent
-    triples, and the sharper configuration (e, u, u*v) with u, v on dilation
-    spheres, where the denominator d(e,u) + d(u, u*v) is the two sphere
-    radii exactly: the sampler's radii.
+    The larger of two estimates from sampled points, Gaussian directions
+    projected onto dilation spheres of log-uniform radius in [0.05, 1]:
+    independent triples, and the sharper configuration (e, u, u*v) with u, v
+    on dilation spheres, where the denominator d(e,u) + d(u, u*v) is the two
+    sphere radii exactly: the radii of ``project``.
     """
     rng = np.random.default_rng(seed)
-    sampler = default_sampler(d)
+
+    def sample():
+        V = rng.standard_normal((sample_count, d.group.dim))
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        radii = np.exp(rng.uniform(math.log(0.05), math.log(1.0), size=sample_count))
+        return project(d, V / norms, radii)
+
     best = 0.0
-    P, _ = sampler(rng, sample_count)
-    M, _ = sampler(rng, sample_count)
-    Q, _ = sampler(rng, sample_count)
+    P, _ = sample()
+    M, _ = sample()
+    Q, _ = sample()
     num = d.value_batch(P, Q)
     den = d.value_batch(P, M) + d.value_batch(M, Q)
     ok = den > 0
     if np.any(ok):
         best = float(np.max(num[ok] / den[ok]))
-    U, ru = sampler(rng, sample_count)
-    V, rv = sampler(rng, sample_count)
+    U, ru = sample()
+    V, rv = sample()
     W = multiply_batch(U, V, d.group)
     num = d.value_from_identity_batch(W)
     den = ru + rv

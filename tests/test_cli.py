@@ -519,6 +519,20 @@ def test_a_negative_budget_or_no_job_is_a_configuration_error(flags, capsys):
     assert out.err.startswith("configuration error: ") and out.out == ""
 
 
+def test_a_negative_budget_is_rejected_before_any_worker_starts(monkeypatch, capsys):
+    # --budget -5 --jobs 2 started two workers, then named a share: "not -2"
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["besicovitch", "search", *LINE_FLAGS, "--budget", "-5", "--jobs", "2"]) == 64
+    out = capsys.readouterr()
+    assert out.err.startswith("configuration error: ") and "-5" in out.err
+    assert "-2" not in out.err and out.out == ""
+
+
 @pytest.mark.parametrize("grid", ["0", "-1"])
 def test_an_empty_two_ball_grid_is_a_configuration_error(grid, capsys):
     # the audit checked no radius and reported "ok": true
