@@ -358,7 +358,9 @@ def multiply(p, q, group: GradedGroup):
 
 def displacement(p, q, group: GradedGroup):
     """p^-1 q as (numerators, denominator): a list of integers over one
-    positive integer, exact for rational (or float) coordinates.
+    positive integer, exact for rational (or float) coordinates.  Either
+    point may be given as the ``ExactPoint`` of ``over_common_denominator``,
+    which is then read without converting it again.
 
     With p = P / a and q = Q / b over the least common denominator of each
     point, and [., .]_L the bracket of ``scaled_bracket`` (so [x, y] =
@@ -376,11 +378,11 @@ def displacement(p, q, group: GradedGroup):
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError(
             f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
-    n = group.dim
-    if len(p) != n or len(q) != n:
-        raise AlgebraError("vector length does not match algebra dimension")
     P, a = over_common_denominator(p)
     Q, b = over_common_denominator(q)
+    # on the numerators: an ExactPoint has length 2 whatever its dimension
+    if len(P) != group.dim or len(Q) != group.dim:
+        raise AlgebraError("vector length does not match algebra dimension")
     diff = [a * y - b * x for x, y in zip(P, Q)]
     ab = a * b
     L, table = group.algebra.scaled_bracket

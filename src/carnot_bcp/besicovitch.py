@@ -28,7 +28,8 @@ import numpy as np
 
 from .algebra import dilate
 from .metrics import ExactnessError, QuasiDistance, project
-from .scalars import all_exact, fmt_scalar, is_exact, rat_pow, to_fractions
+from .scalars import (all_exact, fmt_scalar, is_exact, over_common_denominator, rat_pow,
+                      to_fractions)
 
 EXACT = "exact"
 # the least slack of every margin-mode condition, far above the 1e-10 ..
@@ -136,17 +137,20 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
     """
     n = len(family)
     exact = family.mode == EXACT
+    # exact mode converts each point once, for all of its comparisons
+    convert = over_common_denominator if exact else tuple
+    centers = [convert(c) for c in family.centers]
+    witness = convert(family.witness)
     conditions = [(i, None) for i in range(n)]
     conditions += [(i, j) for i in range(n) for j in range(n) if i != j]
     violations, slacks = [], []
     for i, j in conditions:
         inside = j is None
         ball = i if inside else j
-        point = family.witness if inside else family.centers[i]
+        point = witness if inside else centers[i]
         where = {"ball": i} if inside else {"pair": [i, j]}
         try:
-            s, least = _slack(family, family.centers[ball], point,
-                              family.radii[ball], inside)
+            s, least = _slack(family, centers[ball], point, family.radii[ball], inside)
         except ExactnessError as exc:
             violations.append({"kind": "exactness", **where, "detail": str(exc)})
             continue
@@ -181,9 +185,11 @@ def radius_for_center(d: QuasiDistance, center):
         raise ExactnessError("exact radius needs rational center coordinates")
     if val <= 0:
         raise ValueError("center coincides with the identity")
+    # converted once for every radius tried
+    c, e = over_common_denominator(center), over_common_denominator(e)
 
     def ok(r):
-        return d.compare(center, e, r) <= 0
+        return d.compare(c, e, r) <= 0
 
     base = Fraction(val)
     if ok(base):
@@ -325,12 +331,15 @@ def _repair(d, centers, radii):
     exact = d.exact_capable
     witness = (Fraction(0) if exact else 0.0,) * d.group.dim
     fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin")
+    # exact mode converts each point once, for all of its comparisons
+    convert = over_common_denominator if exact else tuple
+    w = convert(witness)
 
     def holds(center, point, radius, inside):
         s, least = _slack(fam, center, point, radius, inside)
         return s >= least
 
-    kept = []
+    kept = []       # (center, its converted form, radius)
     for c, r in zip(centers, radii):
         if exact:
             c = to_fractions(c)
@@ -340,10 +349,11 @@ def _repair(d, centers, radii):
                 continue
         else:
             c, r = tuple(c), float(r) + 2.0 * MARGIN_EPSILON
-        if holds(c, witness, r, True) and all(
-                holds(c2, c, r2, False) and holds(c, c2, r, False) for c2, r2 in kept):
-            kept.append((c, r))
-    return BesicovitchFamily(tuple(c for c, _ in kept), tuple(r for _, r in kept),
+        x = convert(c)
+        if holds(x, w, r, True) and all(
+                holds(x2, x, r2, False) and holds(x, x2, r, False) for _, x2, r2 in kept):
+            kept.append((c, x, r))
+    return BesicovitchFamily(tuple(c for c, _, _ in kept), tuple(r for _, _, r in kept),
                              witness, d, mode=fam.mode)
 
 
@@ -468,6 +478,8 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     pf = tuple(map(float, p0))
     radii = [ratio ** (l * k) for l in range(count)]
     centers = [p0]
+    # the centers compared exactly so far, each converted once
+    points = [over_common_denominator(p0)] if exact else []
     margins = []
     first_fail = None
     for j in range(1, count):
@@ -483,7 +495,8 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
         passed = m > 0
         # only the first failure reaches the result
         if exact and first_fail is None:
-            passed = d.compare(p0, qj, Fraction(1)) > 0
+            points.append(over_common_denominator(qj))
+            passed = d.compare(points[0], points[j], Fraction(1)) > 0
         if not passed and first_fail is None:
             first_fail = j
     if first_fail is not None:
@@ -494,19 +507,20 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
                             mode=EXACT if exact else "margin")
-    cert = _orbit_certificate(fam) if exact else verify_family(fam)
+    cert = _orbit_certificate(fam, points) if exact else verify_family(fam)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
                        margins=margins, certificate=cert)
 
 
-def _orbit_certificate(fam):
+def _orbit_certificate(fam, points):
     """``verify_family(fam)`` for an exact orbit family whose orbit test
     passed, from the witness condition and the i < j reductions of
-    ``dilation_orbit_family``."""
-    d, n, p = fam.distance, len(fam), fam.centers[0]
-    outside = d.compare(p, fam.witness, Fraction(1)) > 0
+    ``dilation_orbit_family``; ``points`` are the ``ExactPoint``s of its
+    centers."""
+    d, n, p = fam.distance, len(fam), points[0]
+    outside = d.compare(p, over_common_denominator(fam.witness), Fraction(1)) > 0
     # the m = j - i whose backward condition d(q_m, p) > r_m fails
-    failing = [m for m in range(1, n) if d.compare(fam.centers[m], p, fam.radii[m]) <= 0]
+    failing = [m for m in range(1, n) if d.compare(points[m], p, fam.radii[m]) <= 0]
     violations = [{"kind": "witness", "ball": l, "detail": "witness outside ball"}
                   for l in range(n) if outside]
     violations += [{"kind": "center_in_ball", "pair": [i, i + m],

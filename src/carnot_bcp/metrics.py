@@ -28,7 +28,10 @@ or the inputs cannot support it; ``value`` always returns a float.  Exact
 comparison goes through one path, in the base class: ``QuasiDistance.compare``
 forms the displacement p^-1 q with ``algebra.displacement`` as integer
 numerators over one positive denominator and hands (nums, den, rho) to the
-kind's ``_sign``, the only exact method a kind defines.  ``_sign`` decides the
+kind's ``_sign``, the only exact method a kind defines.  Either point may
+come as the ``scalars.ExactPoint`` of ``over_common_denominator``; a family
+check converts each of its points once that way, so the n^2 comparisons of
+an n-ball family read n + 1 converted points, not 2 n^2.  ``_sign`` decides the
 sign with integers only: HS cross-multiplies its power sum against R^2, and
 the other kinds map the numerators (quotient) or split them (products)
 before calling their component's ``_sign``.  The public

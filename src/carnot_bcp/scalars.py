@@ -5,7 +5,10 @@ coordinates, comparisons run on integers over a common denominator); searches
 and solvers run in float for speed.  Helpers here convert between the two,
 serialize rationals as ``"p/q"`` strings of any length, and provide the
 handful of exact number-theoretic operations the rest of the package needs
-(rational interval enclosures of square roots, exact rational powers).
+(rational interval enclosures of square roots, exact rational powers).  A
+point put over its common denominator is an ``ExactPoint``; a family check
+converts each of its points once and hands the ``ExactPoint`` to every
+comparison, which takes it as it is.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 # Integers convert to and from decimal text in pieces of this many digits,
 # below the least limit (640 digits) the interpreter may set on one int <-> str
@@ -78,15 +82,29 @@ def all_exact(xs) -> bool:
     return all(is_exact(x) for x in xs)
 
 
+class ExactPoint(NamedTuple):
+    """A point with rational coordinates nums[i] / den: integer numerators
+    over their least common positive denominator, the form exact comparisons
+    read.  It unpacks as ``nums, den``, so ``len`` of it is 2, not the
+    dimension: the dimension is ``len(nums)``."""
+
+    nums: list
+    den: int
+
+
 def over_common_denominator(xs):
     """Exact reals (Fractions, ints, floats: anything ``Fraction`` takes) as
-    (integer numerators, their least common positive denominator)."""
+    an ``ExactPoint`` of integer numerators over their least common positive
+    denominator.  An ``ExactPoint`` is returned as it is, so a point
+    converted once can be handed to any number of exact comparisons."""
+    if isinstance(xs, ExactPoint):
+        return xs
     try:
         ratios = [x.as_integer_ratio() for x in xs]
     except AttributeError:
         ratios = [Fraction(x).as_integer_ratio() for x in xs]
     den = math.lcm(*[d for _n, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
+    return ExactPoint([n * (den // d) for n, d in ratios], den)
 
 
 def to_fractions(xs):

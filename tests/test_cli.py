@@ -76,6 +76,33 @@ def test_besicovitch_verify_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+# a center or the witness of the wrong length, with the weights of the group;
+# on the plane a 3-coordinate point over its common denominator is an
+# ExactPoint of length 2, so only a check on its numerators refuses it
+WRONG_LENGTH = {
+    "long_center": ("1,1", {"centers": [["0.5", "0", "0"], ["0", "0.5"]],
+                            "witness": ["0", "0"]}),
+    "short_center": ("1,1,1", {"centers": [["0.5", "0", "0"], ["0", "0.5"]],
+                               "witness": ["0", "0", "0"]}),
+    "long_witness": ("1,1", {"centers": [["0.5", "0"], ["0", "0.5"]],
+                             "witness": ["0", "0", "0"]}),
+    "short_witness": ("1,1,1", {"centers": [["0.5", "0", "0"], ["0", "0.5", "0"]],
+                                "witness": ["0", "0"]}),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "margin"])
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH))
+def test_verify_refuses_a_point_of_the_wrong_length(name, mode, tmp_path, capsys):
+    weights, fam = WRONG_LENGTH[name]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({**fam, "radii": ["1", "1"], "mode": mode}))
+    code = main(["besicovitch", "verify", "--group", "abelian", "--weights", weights,
+                 "--kind", "hs", "--R", "1", "--family", str(path)])
+    assert code == 64
+    assert "dimension" in capsys.readouterr().err
+
+
 # margin-mode family files on the line that would certify nothing: each of
 # them, unchecked, passes every float comparison and is reported valid
 CERTIFY_NOTHING = {
