@@ -128,6 +128,23 @@ def _slack(family, center, point, radius, inside):
     return slack, family.epsilon
 
 
+def _margin_radius(r):
+    """A margin-mode radius: the float radius plus 2 * MARGIN_EPSILON, so a
+    witness at distance r has slack 2 * MARGIN_EPSILON at every scale."""
+    return float(r) + 2 * MARGIN_EPSILON
+
+
+def _violation(i, j, detail=None, kind=None):
+    """The record of a failed condition: the witness in ball i when j is
+    None, else center i outside ball j.  The detail defaults to the exact
+    mode's wording and the kind to the condition's own."""
+    inside = j is None
+    if detail is None:
+        detail = "witness outside ball" if inside else f"center {i} inside ball {j}"
+    return {"kind": kind or ("witness" if inside else "center_in_ball"),
+            **({"ball": i} if inside else {"pair": [i, j]}), "detail": detail}
+
+
 def verify_family(family: BesicovitchFamily) -> Certificate:
     """Check the two defining conditions of a Besicovitch family.
 
@@ -148,20 +165,15 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
         inside = j is None
         ball = i if inside else j
         point = witness if inside else centers[i]
-        where = {"ball": i} if inside else {"pair": [i, j]}
         try:
             s, least = _slack(family, centers[ball], point, family.radii[ball], inside)
         except ExactnessError as exc:
-            violations.append({"kind": "exactness", **where, "detail": str(exc)})
+            violations.append(_violation(i, j, str(exc), kind="exactness"))
             continue
         slacks.append(s)
         if s < least:
-            if exact:
-                detail = "witness outside ball" if inside else f"center {i} inside ball {j}"
-            else:
-                detail = f"{'witness' if inside else 'exclusion'} slack {s} < {least}"
-            violations.append({"kind": "witness" if inside else "center_in_ball",
-                               **where, "detail": detail})
+            slack = f"{'witness' if inside else 'exclusion'} slack {s} < {least}"
+            violations.append(_violation(i, j, None if exact else slack))
     return Certificate(valid=not violations, cardinality=n, mode=family.mode,
                        violations=violations,
                        min_slack=min(slacks) if slacks and not exact else None)
@@ -327,7 +339,7 @@ def _repair(d, centers, radii):
     ball, in insertion order, is kept only if its conditions against the kept
     balls pass ``_slack``.  Exact mode, on an exact-capable distance,
     rationalizes the center exactly and takes ``radius_for_center``; margin
-    mode inflates the float radius by 2 * MARGIN_EPSILON."""
+    mode takes ``_margin_radius`` of the float radius."""
     exact = d.exact_capable
     witness = (Fraction(0) if exact else 0.0,) * d.group.dim
     fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin")
@@ -348,7 +360,7 @@ def _repair(d, centers, radii):
             except ValueError:      # a center at the identity, or no radius found
                 continue
         else:
-            c, r = tuple(c), float(r) + 2.0 * MARGIN_EPSILON
+            c, r = tuple(c), _margin_radius(r)
         x = convert(c)
         if holds(x, w, r, True) and all(
                 holds(x2, x, r2, False) and holds(x, x2, r, False) for _, x2, r2 in kept):
@@ -401,14 +413,6 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
                         trace=trace, strategy=strategy, seed=seed)
 
 
-def merge_search_results(results) -> SearchResult:
-    """Deterministic merge across workers: best cardinality, ties broken by
-    the lexicographically smallest serialized center list."""
-    def key(res):
-        return (-res.cardinality, str(res.family.to_json()["centers"]))
-    return sorted(results, key=key)[0]
-
-
 # ---------------------------------------------------------------------------
 # dilation-orbit families
 # ---------------------------------------------------------------------------
@@ -459,8 +463,9 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     stands for, in ``verify_family``'s order and wording, and the
     certificate equals ``verify_family``'s.  No symmetry of d is assumed:
     the i < j conditions are checked, not derived from the i > j ones.
-    Margin families are verified in full: their slack ``MARGIN_EPSILON`` is
-    absolute and does not scale with the radii.
+    A margin family takes ``_margin_radius`` of each r_l, as a search does,
+    and is verified in full: its slack ``MARGIN_EPSILON`` is absolute and
+    does not scale with the radii.
     """
     if not (0 < float(rho) < 1):
         raise ValueError("ratio must lie in (0, 1)")
@@ -503,7 +508,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
         return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
                            margins=margins)
     if not exact:
-        radii = [r * (1.0 + 2 * MARGIN_EPSILON) for r in radii]
+        radii = [_margin_radius(r) for r in radii]
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
                             mode=EXACT if exact else "margin")
@@ -521,11 +526,8 @@ def _orbit_certificate(fam, points):
     outside = d.compare(p, over_common_denominator(fam.witness), Fraction(1)) > 0
     # the m = j - i whose backward condition d(q_m, p) > r_m fails
     failing = [m for m in range(1, n) if d.compare(points[m], p, fam.radii[m]) <= 0]
-    violations = [{"kind": "witness", "ball": l, "detail": "witness outside ball"}
-                  for l in range(n) if outside]
-    violations += [{"kind": "center_in_ball", "pair": [i, i + m],
-                    "detail": f"center {i} inside ball {i + m}"}
-                   for i in range(n) for m in failing if i + m < n]
+    violations = [_violation(l, None) for l in range(n) if outside]
+    violations += [_violation(i, i + m) for i in range(n) for m in failing if i + m < n]
     return Certificate(valid=not violations, cardinality=n, mode=EXACT,
                        violations=violations)
 

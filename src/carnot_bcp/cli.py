@@ -187,25 +187,8 @@ def cmd_besicovitch(args):
             return EXIT_REJECTED
         return EXIT_OK
     if args.action == "search":
-        jobs = args.jobs
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, not {jobs}")
-        # checked before the split, which would name a worker's share
-        if args.budget < 0:
-            raise ConfigError(f"--budget must be at least 0, not {args.budget}")
-        seeds = [args.seed + 10_000 * w for w in range(jobs)]
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            # the remainder goes one proposal each to the first workers
-            budgets = [args.budget // jobs + (w < args.budget % jobs) for w in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                futs = [ex.submit(_search_worker, args, s, b)
-                        for s, b in zip(seeds, budgets)]
-                results = [f.result() for f in futs]
-        else:
-            results = [_search_worker(args, seeds[0], args.budget)]
-        best = bz.merge_search_results(results)
-        _emit(best.to_json(), args)
+        res = bz.search_family(d, args.budget, strategy=args.strategy, seed=args.seed)
+        _emit(res.to_json(), args)
         return EXIT_OK
     if args.action == "cover":
         with open(args.points, "r", encoding="utf-8") as fh:
@@ -217,13 +200,6 @@ def cmd_besicovitch(args):
         _emit(rep.to_json(), args)
         return EXIT_OK
     raise ConfigError(f"unknown besicovitch action '{args.action}'")
-
-
-def _search_worker(args, seed, budget):
-    from . import besicovitch as bz
-    group = _build_group(args)
-    d = _build_distance(args, group)
-    return bz.search_family(d, budget, strategy=args.strategy, seed=seed)
 
 
 def cmd_certify_lemmas(args):
@@ -337,7 +313,6 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--strategy", default="annealed", choices=["random", "annealed"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_besicovitch)
 

@@ -22,7 +22,6 @@ from carnot_bcp.besicovitch import (
     countable_space_two_ball_audit,
     dilation_orbit_family,
     greedy_cover,
-    merge_search_results,
     radius_for_center,
     search_family,
     segment_witness_nonbcp,
@@ -380,14 +379,6 @@ def test_search_margin_mode_on_cc():
     assert verify_family(res.family).valid
 
 
-def test_merge_prefers_cardinality_then_lexicographic():
-    d = euclidean_line()
-    r1 = search_family(d, 500, strategy="random", seed=0)
-    r2 = search_family(d, 500, strategy="random", seed=3)
-    best = merge_search_results([r1, r2])
-    assert best.cardinality == max(r1.cardinality, r2.cardinality)
-
-
 # ---------------------------------------------------------------------------
 # dilation-orbit families
 # ---------------------------------------------------------------------------
@@ -546,6 +537,21 @@ def test_orbit_mode_follows_exact_capability():
     assert all(m > 0 for m in res.margins)
     assert res.family.mode == "margin" and res.certificate.mode == "margin"
     assert not any(v["kind"] == "exactness" for v in res.certificate.violations)
+    assert res.certificate.to_json() == verify_family(res.family).to_json()
+
+
+def test_a_margin_orbit_inflates_its_radii_as_a_search_does():
+    # the radii were inflated relatively, r (1 + 2 epsilon), which leaves the
+    # witness a slack of 2 epsilon r, below epsilon once r < 1/2: here 5.0e-8
+    # at ball 1, and the orbit was rejected
+    cc = CCHeisenbergDistance(1.0)
+    v = (0.1, -1.0, 0.5)
+    p = cb.dilate(v, 1 / cc.value_from_identity(v), cc.group)
+    res = dilation_orbit_family(cc, p, F(1, 2), k=2, count=4)
+    assert res.ok and res.family.mode == "margin"
+    assert res.family.radii == tuple(r + 2 * besicovitch.MARGIN_EPSILON
+                                     for r in (1.0, 0.25, 0.0625, 0.015625))
+    assert res.certificate.min_slack == pytest.approx(2e-7, rel=1e-3)
     assert res.certificate.to_json() == verify_family(res.family).to_json()
 
 

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from carnot_bcp.algebra import abelian_group
+from carnot_bcp.besicovitch import search_family
 from carnot_bcp.cli import main
+from carnot_bcp.metrics import HSDistance, euclidean_line, lp_combination_distance, snowflake_line
 
 RUN = [sys.executable, "-m", "carnot_bcp.cli"]
 
@@ -466,42 +469,6 @@ def test_a_nonfinite_dist_coordinate_is_a_configuration_error(kind, where, bad):
     assert proc.stderr.startswith("configuration error: ") and proc.stdout == ""
 
 
-def test_the_search_jobs_do_not_depend_on_the_environment(monkeypatch):
-    # --jobs took its default from CARNOT_BCP_JOBS, so the same argv printed
-    # another report where that variable was set
-    import carnot_bcp.cli as cli
-
-    monkeypatch.setenv("CARNOT_BCP_JOBS", "2")
-    args = cli.build_parser().parse_args(
-        ["besicovitch", "search", "--group", "heisenberg_nonstandard", "--alpha", "2"])
-    assert args.jobs == 1
-
-
-def test_jobs_share_out_the_whole_budget(monkeypatch, capsys):
-    # the workers run in threads of this process here; the budgets they get
-    # must add up to --budget, the remainder spread one proposal each
-    import concurrent.futures
-
-    import carnot_bcp.cli as cli
-
-    budgets = []
-    worker = cli._search_worker
-
-    def recording_worker(args, seed, budget):
-        budgets.append(budget)
-        return worker(args, seed, budget)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        concurrent.futures.ThreadPoolExecutor)
-    monkeypatch.setattr(cli, "_search_worker", recording_worker)
-    code = main(["besicovitch", "search", "--group", "abelian", "--weights", "1",
-                 "--kind", "hs", "--budget", "103", "--jobs", "4",
-                 "--strategy", "random"])
-    assert code == 0
-    assert sorted(budgets) == [25, 26, 26, 26]
-    assert json.loads(capsys.readouterr().out)["proposals_used"] in (25, 26)
-
-
 # flags that build each built-in tag; the registry in algebra is the one list
 BUILTIN_FLAGS = {
     "abelian": ["--weights", "1,2"],
@@ -538,26 +505,47 @@ def test_a_nonfinite_cc_scale_is_a_configuration_error(scale):
     assert proc.stderr.startswith("configuration error: ") and proc.stdout == ""
 
 
-@pytest.mark.parametrize("flags", [["--budget", "-5"], ["--jobs", "0"], ["--jobs", "-2"]])
+@pytest.mark.parametrize("flags", [["--budget", "-5"]])
 def test_a_negative_budget_or_no_job_is_a_configuration_error(flags, capsys):
-    # --budget -5 printed an empty exact family, and --jobs 0 or -2 ran one job
+    # --budget -5 printed an empty exact family; the error names the flag's value
     assert main(["besicovitch", "search", *LINE_FLAGS, "--budget", "100", *flags]) == 64
     out = capsys.readouterr()
     assert out.err.startswith("configuration error: ") and out.out == ""
+    assert "-5" in out.err
 
 
-def test_a_negative_budget_is_rejected_before_any_worker_starts(monkeypatch, capsys):
-    # --budget -5 --jobs 2 started two workers, then named a share: "not -2"
-    import concurrent.futures
+# one exact kind and one margin kind, each with its library distance
+CLI_SEARCHES = {
+    "exact": (["--group", "abelian", "--weights", "1", "--kind", "hs"],
+              lambda: HSDistance(abelian_group([1]), Fraction(1)), 700, 3, "random"),
+    "margin": (["--group", "abelian", "--weights", "1", "--kind", "snowflake_product_lp",
+                "--r", "2"],
+               lambda: lp_combination_distance(euclidean_line(), snowflake_line(Fraction(2)),
+                                               Fraction(2)), 1500, 1, "annealed"),
+}
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert main(["besicovitch", "search", *LINE_FLAGS, "--budget", "-5", "--jobs", "2"]) == 64
-    out = capsys.readouterr()
-    assert out.err.startswith("configuration error: ") and "-5" in out.err
-    assert "-2" not in out.err and out.out == ""
+@pytest.mark.parametrize("name", sorted(CLI_SEARCHES))
+def test_the_cli_search_is_the_library_search(name, capsys):
+    flags, distance, budget, seed, strategy = CLI_SEARCHES[name]
+    assert main(["besicovitch", "search", *flags, "--budget", str(budget),
+                 "--seed", str(seed), "--strategy", strategy]) == 0
+    res = search_family(distance(), budget, strategy=strategy, seed=seed)
+    assert res.family.mode == name
+    assert capsys.readouterr().out == json.dumps(res.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def test_a_search_has_no_jobs_flag_and_no_jobs_config_key(tmp_path, capsys):
+    # --jobs ran several searches of other seeds and kept the best, so a
+    # flag for parallelism changed the answer
+    assert main(["besicovitch", "search", *LINE_FLAGS, "--budget", "100", "--jobs", "2"]) == 64
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"subcommand": "besicovitch", "action": "search",
+                                "group": "abelian", "weights": "1", "budget": 100,
+                                "jobs": 2}))
+    assert main(["report", "--config", str(path)]) == 64
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])
