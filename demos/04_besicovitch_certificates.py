@@ -4,7 +4,8 @@ A family of balls with a common witness where no center lies in another ball
 bounds the weak-covering constant from below.  On the non-standard Heisenberg
 group such families exist at EVERY cardinality; the dilation-orbit construction
 below builds them explicitly and verifies every comparison in exact rational
-arithmetic.
+arithmetic, and two polynomials with a Sturm count certify the orbit for every
+count at once.
 """
 
 import time
@@ -16,6 +17,7 @@ from carnot_bcp.besicovitch import (
     countable_space,
     countable_space_two_ball_audit,
     dilation_orbit_family,
+    orbit_every_count,
     search_family,
     segment_witness_nonbcp,
     verify_family,
@@ -55,6 +57,13 @@ for count in (5, 10, 15):
     cert = verify_family(res.family)
     print(f"orbit family of {count} shrinking balls: exact certificate valid ="
           f" {cert.valid}")
+# every count at once: the orbit test and the backward condition are sign
+# conditions on two integer polynomials F and G in s = r^(1/q), and a Sturm
+# count shows neither has a root in (0, s1] where both are positive
+verdict = orbit_every_count(d, p, F(1, 2), 6)
+print("certified for every count:", verdict["every_count"], "| roots of F and G in"
+      f" (0, {verdict['s1']}]:", verdict["orbit_test"]["roots_in_interval"],
+      verdict["backward"]["roots_in_interval"])
 
 # --- segment witnesses ----------------------------------------------------------
 # If the weak covering property held, a whole segment from each unit-sphere

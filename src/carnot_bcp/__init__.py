@@ -71,6 +71,7 @@ from .besicovitch import (
     countable_space_two_ball_audit,
     dilation_orbit_family,
     greedy_cover,
+    orbit_every_count,
     search_family,
     segment_witness_nonbcp,
     verify_family,

@@ -26,10 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import dilate
-from .metrics import ExactnessError, QuasiDistance, project
-from .scalars import (all_exact, fmt_scalar, is_exact, over_common_denominator, rat_pow,
-                      to_fractions)
+from .algebra import dilate, displacement
+from .metrics import ExactnessError, HSDistance, QuasiDistance, project
+from .polynomials import first_nonpositive_power, interpolate, positive_on, root_count
+from .scalars import (ExactPoint, all_exact, fmt_scalar, is_exact, over_common_denominator,
+                      rat_pow, to_fractions)
 
 EXACT = "exact"
 # the least slack of every margin-mode condition, far above the 1e-10 ..
@@ -466,13 +467,47 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     A margin family takes ``_margin_radius`` of each r_l, as a search does,
     and is verified in full: its slack ``MARGIN_EPSILON`` is absolute and
     does not scale with the radii.
+
+    On an HS distance whose ``_sign`` is HS's own, two polynomials decide
+    the orbit test and the backward condition for every j at once, and
+    then the witness is the one comparison made.  Let q be the lcm of the
+    weight denominators, e_i = q w_i, E = max e_i and s = r^(1/q), so that
+    delta_r scales coordinate i by s^(e_i):
+
+    * x(s) = p^-1 delta_r(p) and y(s) = delta_r(p)^-1 p are polynomials in
+      s: the BCH product is polynomial in both factors, and a bracket of
+      weights a and b lies in weight a + b, so coordinate i has degree at
+      most e_i.  ``displacement`` of p and the dilate N_i s^(e_i) / D puts
+      them over a denominator that does not depend on s.
+    * With R = a / b and that denominator D', d(p, delta_r p) > 1 is
+      |x|^2 > R^2, that is F(s) = b^2 sum_i X_i(s)^2 - a^2 D'^2 > 0 for the
+      numerators X; and d(delta_r p, p) > r is sum_i y_i^2 r^(-2 w_i) > R^2,
+      that is G(s) = b^2 sum_i Y_i(s)^2 s^(2 (E - e_i)) - a^2 D'^2 s^(2 E) > 0
+      for s > 0.  Both are integer polynomials of degree at most 2E, and
+      ``_ball_excess`` of x at rho = 1 and of y at rho = s^q, the ball
+      expression of HS ``_sign``.  So F and G are read at the integer nodes
+      s = 1 .. 2E + 1, interpolated, and checked at s = 2E + 2.
+    * The dilates are at s = s_1^j for j >= 1, with s_1 = (rho^k)^(1/q):
+      rational, since (rho^k)^w is rational for every weight w exactly when
+      rho^k is a perfect q-th power.  So the orbit test at j is
+      F(s_1^j) > 0 and the backward condition at m is G(s_1^m) > 0.
+    * Every s_1^j lies in (0, s_1].  Once its roots at 0 are stripped, a
+      polynomial with no root in (0, s_1], counted by a Sturm chain, keeps
+      one sign there; positive at s_1, it is positive at every s_1^j.
+
+    When both F and G pass, every count passes both conditions; anything
+    else (a root in the interval, a sign that is not positive, another
+    kind, or a subclass that overrides ``_sign``) takes the 2 count - 1
+    comparisons, so the result is the same either way.
+    ``orbit_every_count`` reports the polynomials and the first j at which
+    each fails.
     """
     if not (0 < float(rho) < 1):
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or count < 2:
         raise ValueError("need k >= 1 and count >= 2")
-    exact = (d.exact_capable and all_exact(p) and is_exact(rho)
-             and all(rat_pow(Fraction(rho) ** k, w) is not None for w in d.group.weights))
+    factors = _exact_factors(d, p, rho, k)
+    exact = factors is not None
     if not exact and float(rho) ** ((count - 1) * k) == 0.0:
         raise ValueError(f"count={count}: the smallest radius rho^((count-1) k) "
                          "underflows to 0.0 in float; rational p and rho give exact mode")
@@ -483,27 +518,32 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     pf = tuple(map(float, p0))
     radii = [ratio ** (l * k) for l in range(count)]
     centers = [p0]
-    # the centers compared exactly so far, each converted once
-    points = [over_common_denominator(p0)] if exact else []
     margins = []
-    first_fail = None
     for j in range(1, count):
-        qj = dilate(p0, radii[j], d.group)
+        # an exact dilate is the last one times (rho^k)^(w_i), coordinatewise
+        qj = (tuple(x * f for x, f in zip(centers[-1], factors)) if exact
+              else dilate(p0, radii[j], d.group))
         centers.append(qj)
         # the float margin of an exact dilate is its own rounding, so no
         # float power of rho can underflow to a zero dilation factor
-        m = d.value(pf, tuple(map(float, qj))) - 1.0
-        margins.append(m)
-        # the strict orbit inequality is decided exactly when possible: its
-        # margin shrinks like the dilation factor and quickly drops below
-        # float resolution, while the rational comparison stays rigorous
-        passed = m > 0
-        # only the first failure reaches the result
-        if exact and first_fail is None:
-            points.append(over_common_denominator(qj))
-            passed = d.compare(points[0], points[j], Fraction(1)) > 0
-        if not passed and first_fail is None:
-            first_fail = j
+        margins.append(d.value(pf, tuple(map(float, qj))) - 1.0)
+    first_fail = None
+    if exact:
+        # p0 converted once; the certificate of every count needs nothing else
+        points = [over_common_denominator(p0)]
+        every = _every_count(d, points[0], ratio ** k)
+        if not every:
+            # the strict orbit inequality decided exactly, up to its first
+            # failure: its margin shrinks like the dilation factor and quickly
+            # drops below float resolution, while the rational comparison
+            # stays rigorous
+            for j, qj in enumerate(_exact_dilates(points[0], factors, count), 1):
+                points.append(qj)
+                if d.compare(points[0], qj, Fraction(1)) <= 0:
+                    first_fail = j
+                    break
+    else:
+        first_fail = next((j for j, m in enumerate(margins, 1) if not m > 0), None)
     if first_fail is not None:
         return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
                            margins=margins)
@@ -512,20 +552,127 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
     fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
                             mode=EXACT if exact else "margin")
-    cert = _orbit_certificate(fam, points) if exact else verify_family(fam)
+    if exact:
+        # the m = j - i whose backward condition d(q_m, p) > r_m fails
+        failing = [] if every else [m for m in range(1, count)
+                                    if d.compare(points[m], points[0], radii[m]) <= 0]
+        cert = _orbit_certificate(fam, points[0], failing)
+    else:
+        cert = verify_family(fam)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
                        margins=margins, certificate=cert)
 
 
-def _orbit_certificate(fam, points):
+def _exact_factors(d, p, rho, k):
+    """The exact dilation factors (rho^k)^(w_i) of an orbit, one per
+    coordinate, when it is exact: d exact-capable, p and rho rational, and
+    every factor rational.  None otherwise."""
+    if not (d.exact_capable and all_exact(p) and is_exact(rho)):
+        return None
+    factors = [rat_pow(Fraction(rho) ** k, w) for w in d.group.weights]
+    return None if None in factors else factors
+
+
+def _exact_dilates(p, factors, count):
+    """The ``ExactPoint``s of the dilates q_1 .. q_(count-1) of the
+    ``ExactPoint`` p, born in integers: with the factors f_i = a_i / b_i and
+    B = lcm(b_i), each one's numerators are the last one's times
+    a_i (B / b_i), over the last denominator times B."""
+    scale = math.lcm(*(f.denominator for f in factors))
+    lift = [f.numerator * (scale // f.denominator) for f in factors]
+    nums, den = p
+    for _ in range(1, count):
+        nums, den = [n * m for n, m in zip(nums, lift)], den * scale
+        yield ExactPoint(nums, den)
+
+
+def _sturm_applies(d):
+    """The polynomials read HS ``_sign``'s ball expression, so they stand for
+    ``d.compare`` on an HS distance whose ``_sign`` is not overridden."""
+    return type(d)._sign is HSDistance._sign
+
+
+def _orbit_scale(d, c):
+    """q, the lcm of the weight denominators, and s_1 = c^(1/q) for the
+    orbit ratio c = rho^k, rational when every (rho^k)^w is."""
+    q = math.lcm(*(w.denominator for w in d.group.weights))
+    return q, rat_pow(c, Fraction(1, q))
+
+
+def _orbit_polynomials(d, p, q):
+    """F, then G, of ``dilation_orbit_family`` for an HS distance d and the
+    ``ExactPoint`` p, as integer polynomials in s (lowest degree first), each
+    up to a positive factor.
+
+    At an integer node t the dilate delta_(t^q)(p) has numerators N_i t^(q
+    w_i) over p's denominator, and ``displacement`` gives x = p^-1 delta p
+    and y = (delta p)^-1 p over a denominator that does not depend on t.
+    F(t) is ``_ball_excess`` of x at rho = 1 and G(t) that of y at
+    rho = t^q, with every weight's term kept, so that U = t^(2 q W) at every
+    node.  Both have degree at most 2 q W: they are interpolated from
+    2 q W + 1 nodes and checked at one more."""
+    nums, den = p
+    exps = [int(q * w) for w in d.group.weights]
+    nodes = range(1, 2 * max(exps) + 3)
+    dilates = [ExactPoint([n * t ** e for n, e in zip(nums, exps)], den) for t in nodes]
+    # per weight of the ball expression, the power of t in u^(2w) at rho = t^q
+    lifts = [2 * int(q * w) for w in sorted(set(d.group.weights))]
+
+    def excess(a, b, powers):
+        x, x_den = displacement(a, b, d.group)
+        return d._ball_excess(list(zip(d._square_sums(x), powers)), x_den)
+
+    yield interpolate([excess(p, pt, [1] * len(lifts)) for pt in dilates])
+    yield interpolate([excess(pt, p, [t ** a for a in lifts]) for t, pt in zip(nodes, dilates)])
+
+
+def _every_count(d, p, c):
+    """Whether the orbit test and the backward condition of the orbit of the
+    ``ExactPoint`` p with ratio c = rho^k hold at every j >= 1: F and G are
+    positive on (0, s_1].  False when undecided, or when d is not an HS
+    distance with its own ``_sign``."""
+    if not _sturm_applies(d):
+        return False
+    q, s1 = _orbit_scale(d, c)
+    return all(positive_on(P, s1) for P in _orbit_polynomials(d, p, q))
+
+
+def orbit_every_count(d: QuasiDistance, p, rho, k: int) -> dict:
+    """The conditions of ``dilation_orbit_family`` decided for every count
+    at once, for an exact orbit on an HS distance, as JSON.
+
+    For F and G of the orbit (see ``dilation_orbit_family``) it gives the
+    coefficients, lowest degree first, the number of distinct roots in
+    (0, s_1], and the least j >= 1 at which the polynomial is not positive
+    at s_1^j, or None; and whether the witness lies in the unit ball about
+    p.  A family of count n passes its certificate exactly when the witness
+    is inside and no failing index is below n, so ``every_count`` says
+    whether every count passes."""
+    if not (0 < float(rho) < 1) or k < 1:
+        raise ValueError("need a ratio in (0, 1) and k >= 1")
+    if _exact_factors(d, p, rho, k) is None or not _sturm_applies(d):
+        raise ValueError("every-count verdicts need an exact orbit on an HS distance")
+    p0 = over_common_denominator(to_fractions(p))
+    q, s1 = _orbit_scale(d, Fraction(rho) ** k)
+    inside = d.compare(p0, over_common_denominator(d.identity()), Fraction(1)) <= 0
+    report = {"s1": fmt_scalar(s1), "witness_inside": inside}
+    every = inside
+    for name, poly in zip(("orbit_test", "backward"), _orbit_polynomials(d, p0, q)):
+        fail = first_nonpositive_power(poly, s1)
+        every = every and fail is None
+        report[name] = {"coefficients": [fmt_scalar(c) for c in poly],
+                        "roots_in_interval": root_count(poly, s1), "first_failing_j": fail}
+    report["every_count"] = every
+    return report
+
+
+def _orbit_certificate(fam, p, failing):
     """``verify_family(fam)`` for an exact orbit family whose orbit test
     passed, from the witness condition and the i < j reductions of
-    ``dilation_orbit_family``; ``points`` are the ``ExactPoint``s of its
-    centers."""
-    d, n, p = fam.distance, len(fam), points[0]
+    ``dilation_orbit_family``: p is the ``ExactPoint`` of its first center,
+    and ``failing`` the m whose backward condition d(q_m, p) > r_m fails."""
+    d, n = fam.distance, len(fam)
     outside = d.compare(p, over_common_denominator(fam.witness), Fraction(1)) > 0
-    # the m = j - i whose backward condition d(q_m, p) > r_m fails
-    failing = [m for m in range(1, n) if d.compare(points[m], p, fam.radii[m]) <= 0]
     violations = [_violation(l, None) for l in range(n) if outside]
     violations += [_violation(i, i + m) for i in range(n) for m in failing if i + m < n]
     return Certificate(valid=not violations, cardinality=n, mode=EXACT,
@@ -699,10 +846,6 @@ class FiniteMetricSpace:
                     if self.table[i][j] > self.table[i][k] + self.table[k][j]:
                         issues.append({"kind": "triangle", "triple": [i, j, k]})
         return issues
-
-    def ball(self, i: int, rho) -> list:
-        rho = Fraction(rho)
-        return [j for j in range(len(self.table)) if self.table[i][j] <= rho]
 
 
 def _countable_distance(i, j):

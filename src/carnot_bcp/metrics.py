@@ -32,9 +32,11 @@ kind's ``_sign``, the only exact method a kind defines.  Either point may
 come as the ``scalars.ExactPoint`` of ``over_common_denominator``; a family
 check converts each of its points once that way, so the n^2 comparisons of
 an n-ball family read n + 1 converted points, not 2 n^2.  ``_sign`` decides the
-sign with integers only: HS cross-multiplies its power sum against R^2, and
-the other kinds map the numerators (quotient) or split them (products)
-before calling their component's ``_sign``.  The public
+sign with integers only: HS cross-multiplies its power sum against R^2 in
+``_ball_excess``, which an exact dilation orbit also reads at integer points
+to build the polynomials that certify it for every count, and the other
+kinds map the numerators (quotient) or split them (products) before calling
+their component's ``_sign``.  The public
 ``compare_from_identity(x, rho)`` is the same hook for a point given by
 rational coordinates, which it puts over one denominator; a float coordinate
 is an ``ExactnessError``.  Every distance lives on a group, and no kind
@@ -437,12 +439,8 @@ class HSDistance(QuasiDistance):
         u, v = rho.as_integer_ratio()
         if u <= 0:
             raise ValueError("comparison radius must be positive")
-        S = [0] * len(self._exact_terms)
-        for n, k in zip(nums, self._plan.term_of):
-            if n:
-                S[k] += n * n
         terms = []
-        for s, (w, e, r) in zip(S, self._exact_terms):
+        for s, (w, e, r) in zip(self._square_sums(nums), self._exact_terms):
             if s:
                 if r == 1:
                     up, vp = u ** e, v ** e
@@ -451,12 +449,26 @@ class HSDistance(QuasiDistance):
                     if up is None or vp is None:
                         raise ExactnessError(f"radius {rho} has no exact power for weight {w}")
                 terms.append((s * vp, up))
-        # u >= 1, so the power of the last (heaviest) term is the largest
+        excess = self._ball_excess(terms, den)
+        return (excess > 0) - (excess < 0)
+
+    def _square_sums(self, nums):
+        """S_w, the sum of N_i^2 over the coordinates of weight w, for each
+        weight of the plan."""
+        S = [0] * len(self._exact_terms)
+        for n, k in zip(nums, self._plan.term_of):
+            if n:
+                S[k] += n * n
+        return S
+
+    def _ball_excess(self, terms, den):
+        """b^2 sum_w S_w v^(2w) (U / u^(2w)) - a^2 den^2 U, the integer whose
+        sign ``_sign`` returns, for terms (S_w v^(2w), u^(2w)) in weight
+        order and U the last u^(2w), which each u^(2w) divides.  The
+        dilation orbits evaluate it on integer points of a polynomial."""
         U = terms[-1][1] if terms else 1
         a2, b2 = self._R2
-        lhs = sum(t * (U // up) for t, up in terms) * b2
-        rhs = a2 * den * den * U
-        return (lhs > rhs) - (lhs < rhs)
+        return sum(t * (U // up) for t, up in terms) * b2 - a2 * den * den * U
 
     # the base method, bound here as well because perfbench/tracer.py wraps
     # HSDistance.__dict__["compare"]

@@ -84,9 +84,11 @@ def all_exact(xs) -> bool:
 
 class ExactPoint(NamedTuple):
     """A point with rational coordinates nums[i] / den: integer numerators
-    over their least common positive denominator, the form exact comparisons
-    read.  It unpacks as ``nums, den``, so ``len`` of it is 2, not the
-    dimension: the dimension is ``len(nums)``."""
+    over one positive denominator, the form exact comparisons read.
+    ``over_common_denominator`` makes it over the least common one; the
+    dilates of an exact orbit are made from it in integers, over a common
+    one that need not be least.  It unpacks as ``nums, den``, so ``len`` of
+    it is 2, not the dimension: the dimension is ``len(nums)``."""
 
     nums: list
     den: int

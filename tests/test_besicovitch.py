@@ -671,13 +671,6 @@ def test_countable_space_formula():
     assert cs.validate() == []
 
 
-def test_countable_space_balls():
-    cs = countable_space(12)
-    for i in range(1, 12):
-        r_i = 1 - F(1, i + 1)                  # 1-based index i+1
-        assert cs.ball(i, r_i) == list(range(i + 1))
-
-
 def test_countable_space_audits():
     assert countable_space_triangle_audit(200)
     assert countable_space_ball_audit(2000)
