@@ -420,15 +420,15 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
 
 @dataclass
 class OrbitResult:
+    """A ``dilation_orbit_family`` answer: the family and its certificate
+    once the orbit test passes, else the first j at which it fails."""
     ok: bool
     family: BesicovitchFamily | None
     first_failing_j: int | None
-    margins: list
     certificate: Certificate | None = None
 
     def to_json(self):
         return {"ok": self.ok, "first_failing_j": self.first_failing_j,
-                "margins": self.margins,
                 "family": self.family.to_json() if self.family else None,
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
@@ -439,8 +439,9 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
 
     Works for any distance one-homogeneous under the dilations (so for every
     homogeneous distance and every ratio rho in (0,1)).  The orbit test asks
-    d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode; ``margins`` holds
-    d(p, q_j) - 1 in float.  A family is emitted only when the test passes.
+    d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode and in float in
+    margin mode, and stops at the first j that fails; an exact orbit makes
+    no float evaluation.  A family is emitted only when the test passes.
     The inputs decide the mode, which the family records: exact for an
     exact-capable distance, rational p and rho, and rational dilates, that
     is when every dilation factor rho^(l k) has an exact power for every
@@ -515,18 +516,12 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
         ratio, p0 = Fraction(rho), to_fractions(p)
     else:
         ratio, p0 = float(rho), tuple(map(float, p))
-    pf = tuple(map(float, p0))
     radii = [ratio ** (l * k) for l in range(count)]
     centers = [p0]
-    margins = []
     for j in range(1, count):
         # an exact dilate is the last one times (rho^k)^(w_i), coordinatewise
-        qj = (tuple(x * f for x, f in zip(centers[-1], factors)) if exact
-              else dilate(p0, radii[j], d.group))
-        centers.append(qj)
-        # the float margin of an exact dilate is its own rounding, so no
-        # float power of rho can underflow to a zero dilation factor
-        margins.append(d.value(pf, tuple(map(float, qj))) - 1.0)
+        centers.append(tuple(x * f for x, f in zip(centers[-1], factors)) if exact
+                       else dilate(p0, radii[j], d.group))
     first_fail = None
     if exact:
         # p0 converted once; the certificate of every count needs nothing else
@@ -543,10 +538,10 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
                     first_fail = j
                     break
     else:
-        first_fail = next((j for j, m in enumerate(margins, 1) if not m > 0), None)
+        first_fail = next((j for j, qj in enumerate(centers[1:], 1)
+                           if not d.value(p0, qj) > 1), None)
     if first_fail is not None:
-        return OrbitResult(ok=False, family=None, first_failing_j=first_fail,
-                           margins=margins)
+        return OrbitResult(ok=False, family=None, first_failing_j=first_fail)
     if not exact:
         radii = [_margin_radius(r) for r in radii]
     witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
@@ -559,8 +554,7 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
         cert = _orbit_certificate(fam, points[0], failing)
     else:
         cert = verify_family(fam)
-    return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None,
-                       margins=margins, certificate=cert)
+    return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None, certificate=cert)
 
 
 def _exact_factors(d, p, rho, k):

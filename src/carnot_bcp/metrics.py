@@ -165,6 +165,8 @@ _NEWTON_STEP_FLOOR = 2.0 ** -50
 _NEWTON_MAX_STEPS = 100
 # powers of u that Newton forms stay within 2^(+-_U_EXP_MAX); see _HSPlan.t_lo
 _U_EXP_MAX = 900
+# and lam itself within 2^(+-_LAM_EXP_MAX), which binds only for weights below 1/2
+_LAM_EXP_MAX = 1000
 
 
 class _HSPlan:
@@ -215,9 +217,15 @@ class _HSPlan:
         # stays normal while r^(a_min) <= 2^_U_EXP_MAX.  As the largest s_w
         # is at least 1/K of the sum, these bounds on the sum imply both; the
         # lower t_hi also keeps s1^2 of the two-weight closed form finite.
-        self.t_lo = len(self.exps) * 2.0 ** float(
-            -_U_EXP_MAX * self.weights[0] / self.weights[-1])
-        self.t_hi = 2.0 ** (_U_EXP_MAX / 2)
+        # At the root no term exceeds R^2 and one is at least R^2 / K, so a
+        # sum of t R^2 puts lam between (t / K)^(1/(2 w_min)) and
+        # (K t)^(1/(2 w_min)) (or nearer 1).  Both also stay within
+        # 2^(+-_LAM_EXP_MAX), so that lam neither overflows nor rounds to 0;
+        # this narrows the range only for weights below 1/2.
+        K, lam_room = len(self.exps), 2 * _LAM_EXP_MAX * float(self.weights[0])
+        self.t_lo = K * 2.0 ** max(float(-_U_EXP_MAX * self.weights[0] / self.weights[-1]),
+                                   -lam_room)
+        self.t_hi = 2.0 ** min(_U_EXP_MAX / 2, lam_room - math.log2(K))
         self.closed = len(self.exps) == 1 or self.exps == [1, 2]
 
     def closed_form(self, S, R2, sqrt):
@@ -356,7 +364,8 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
         with np.errstate(over="ignore", invalid="ignore"):
             lam_lo, C = plan.rescaled(X[outer].T, R)
         fin = (lam_lo > 0) & (lam_lo < np.inf)
-        lam_lo[fin] *= plan.solve_rows([c[fin] for c in C], 1.0, method)
+        with np.errstate(over="ignore"):
+            lam_lo[fin] *= plan.solve_rows([c[fin] for c in C], 1.0, method)
         lam[outer] = lam_lo
     return lam
 
@@ -392,7 +401,9 @@ class HSDistance(QuasiDistance):
         """The batch solve for one point: in plain floats with no numpy when
         its squared sum is in the batch's common range, and by the batch
         solve itself otherwise, which decides a zero, a non-finite and a
-        rescaled point for both paths."""
+        rescaled point for both paths.  The common range keeps lam in float
+        range, so a lam beyond it, as weights far below 1 give, is 0 or inf
+        from the batch on both paths."""
         plan = self._plan
         if len(x) != len(plan.term_of):
             raise AlgebraError("vector length does not match algebra dimension")
@@ -654,6 +665,10 @@ class LpComboDistance(_CombinedDistance):
     (the line times a snowflake, the configuration of the covering
     counterexamples): d <= rho exactly when the other leg is at most rho
     minus the line's value.  Any other r has margin certificates only.
+
+    In float, r = 1 is the sum of the two values, and any other r takes
+    them over the larger one, m ((v1 / m)^r + (v2 / m)^r)^(1/r) with
+    m = max(v1, v2), so that no power overflows where the value is finite.
     """
 
     kind = "lp_combo"
@@ -667,8 +682,13 @@ class LpComboDistance(_CombinedDistance):
             _is_line(d1) or _is_line(d2))
 
     def combine(self, v1, v2):
+        if self.r == 1:
+            return v1 + v2
         rf = float(self.r)
-        return (v1 ** rf + v2 ** rf) ** (1.0 / rf)
+        m = np.maximum(v1, v2)
+        # 0 at 0, and inf where a value is inf
+        scale = np.where((m > 0) & (m < np.inf), m, 1.0)
+        return m * ((v1 / scale) ** rf + (v2 / scale) ** rf) ** (1.0 / rf)
 
     def _sign(self, nums, den, rho):
         if self.r != 1:

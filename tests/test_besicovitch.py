@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carnot_bcp as cb
-from carnot_bcp import besicovitch
+from carnot_bcp import besicovitch, metrics
 from carnot_bcp.besicovitch import (
     BesicovitchFamily,
     Certificate,
@@ -389,14 +389,22 @@ def test_orbit_fails_on_euclidean():
     assert not res.ok and res.first_failing_j == 1
 
 
+def float_calls(d):
+    """d with its float ``value`` calls recorded in the returned list."""
+    calls = []
+    d.value = lambda *a: calls.append(a) or type(d).value(d, *a)
+    return calls
+
+
 def test_rejected_orbit_stops_comparing_at_the_first_failure():
     d = HSDistance(cb.abelian_group([1, 1]), F(1))
     calls = []
     d.compare = lambda *a: calls.append(a) or HSDistance.compare(d, *a)
+    floats = float_calls(d)
     res = dilation_orbit_family(d, (F(3, 5), F(4, 5)), F(1, 2), 1, 12)
     assert not res.ok and res.first_failing_j == 1
-    # one exact compare decides the first failure; the float margins stay complete
-    assert len(calls) == 1 and len(res.margins) == 11
+    # one exact compare decides the first failure, and no float distance is taken
+    assert len(calls) == 1 and floats == []
 
 
 def test_orbit_succeeds_on_nonstandard_h1():
@@ -447,6 +455,7 @@ def orbit_distance(kind):
     h = cb.heisenberg_nonstandard_group(2)
     return {"nonstandard": lambda: HSDistance(h, F(1)),
             "heisenberg": lambda: HSDistance(cb.heisenberg_group(1), F(1)),
+            "abelian": lambda: HSDistance(cb.abelian_group([1, 1]), F(1)),
             "product_max": lambda: product_max_distance(HSDistance(h, F(1)),
                                                         HSDistance(h, F(1))),
             "lopsided": lambda: LopsidedHS(h, F(1))}[kind]()
@@ -521,12 +530,16 @@ def test_orbit_mode_follows_exact_dilations():
     # rational although the distance is exact-capable; (1/4)^(3/2) = 1/8 is
     d = HSDistance(cb.heisenberg_nonstandard_group(F(3, 2)), F(1))
     p = (F(3, 5), F(4, 5), F(0))
+    floats = float_calls(d)
     res = dilation_orbit_family(d, p, F(1, 2), k=1, count=4)
     assert res.family is None or res.family.mode == "margin"
-    assert len(res.margins) == 3
+    # the float test decides a margin orbit: it fails at once, after one distance
+    assert res.first_failing_j == 1 and len(floats) == 1
     for rho, k in ((F(1, 4), 1), (F(1, 2), 2)):
+        floats.clear()
         res = dilation_orbit_family(d, p, rho, k=k, count=4)
         assert res.family is None or res.family.mode == "exact"
+        assert floats == []
 
 
 def test_orbit_mode_follows_exact_capability():
@@ -534,10 +547,60 @@ def test_orbit_mode_follows_exact_capability():
     p = (F(3, 100), F(-1, 2), F(4, 5))
     # rational inputs on a float-only distance give a margin family
     res = dilation_orbit_family(cc, p, F(1, 2), k=2, count=4)
-    assert all(m > 0 for m in res.margins)
+    assert res.first_failing_j is None
     assert res.family.mode == "margin" and res.certificate.mode == "margin"
     assert not any(v["kind"] == "exactness" for v in res.certificate.violations)
     assert res.certificate.to_json() == verify_family(res.family).to_json()
+
+
+FLOAT_PATHS = ("value", "value_from_identity", "value_from_identity_batch")
+
+
+def kinds_below(kind):
+    return [kind] + [c for sub in kind.__subclasses__() for c in kinds_below(sub)]
+
+
+def no_float_distance(monkeypatch):
+    """Every float distance evaluation of every kind raises."""
+    def refuse(*a):
+        raise AssertionError("an exact orbit took a float distance")
+    for kind in kinds_below(metrics.QuasiDistance):
+        for name in FLOAT_PATHS:
+            if name in vars(kind):
+                monkeypatch.setattr(kind, name, refuse)
+
+
+@pytest.mark.parametrize("kind, p, rho, k, count, ok, first_fail", [
+    # accepted by the polynomials F and G
+    ("nonstandard", sphere_point(), F(1, 2), 6, 40, True, None),
+    # rejected by its first exact comparison
+    ("abelian", (F(3, 5), F(4, 5)), F(1, 2), 1, 12, False, 1),
+    # accepted through the 2n - 1 comparisons
+    ("product_max", sphere_point() * 2, F(1, 2), 6, 7, True, None),
+])
+def test_an_exact_orbit_makes_no_float_evaluation(monkeypatch, kind, p, rho, k, count,
+                                                  ok, first_fail):
+    d = orbit_distance(kind)
+    expected = dilation_orbit_family(d, p, rho, k, count).to_json()
+    no_float_distance(monkeypatch)
+    with pytest.raises(AssertionError, match="float distance"):
+        d.value(p, p)
+    res = dilation_orbit_family(d, p, rho, k, count)
+    assert res.to_json() == expected
+    assert (res.ok, res.first_failing_j) == (ok, first_fail)
+    assert res.family is None or res.family.mode == "exact"
+
+
+def test_a_margin_orbit_rejected_at_j_makes_j_float_distances():
+    # a float point just inside the unit ball: the float test first fails at j = 4
+    d = nonstd_h1_distance()
+    floats = float_calls(d)
+    p = tuple((1 - 1e-8) * float(x) for x in sphere_point())
+    res = dilation_orbit_family(d, p, 0.5, k=6, count=10)
+    assert not res.ok and res.family is None and res.first_failing_j == 4
+    assert len(floats) == 4
+    assert [q for _, q in floats] == [cb.dilate(p, 0.5 ** (6 * j), d.group)
+                                      for j in range(1, 5)]
 
 
 def test_a_margin_orbit_inflates_its_radii_as_a_search_does():

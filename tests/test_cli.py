@@ -54,6 +54,19 @@ def test_dist_eval(capsys):
     assert out["backend"] == "exact-comparable"
 
 
+@pytest.mark.parametrize("flags, value", [
+    (["--group", "heisenberg", "--kind", "power", "--t", "1/100",
+      "--p", "0,0,0", "--q", "2000,0,0"], math.inf),
+    (["--group", "abelian", "--weights", "1", "--kind", "snowflake_product_lp",
+      "--r-exp", "400", "--p", "0,0", "--q", "1000,0"], 1000.0),
+], ids=["power_t_1_100", "lp_r_400"])
+def test_dist_whose_float_powers_overflow_exits_0(flags, value, capsys):
+    # both died with an OverflowError traceback and exit 1: lam = 2000^100
+    # is beyond the float range, and 1000^400 too though the value is 1000
+    assert main(["dist", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+
+
 def test_dist_eval_cc(capsys):
     code = main(["dist", "--group", "heisenberg", "--n", "1", "--kind", "cc_h1",
                  "--scale", "1", "--p", "0,0,0", "--q", "0,0,1"])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -195,6 +196,27 @@ def test_hs_weights_below_one_round_a_value_beyond_the_float_range():
     for x, lam, lam_b in zip(rows, want, batch):
         assert d.value_from_identity(x) == pytest.approx(lam, rel=1e-12, abs=0)
         assert lam_b == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("base, x, edge", [
+    (lambda: cb.heisenberg_group(1), (2000.0, 0.0, 0.0), (1000.0, 1000.0, 0.0)),
+    (lambda: cb.heisenberg_nonstandard_group(2), (2000.0, 0.0, 5.0), (1000.0, 0.0, 1e9)),
+], ids=["heisenberg", "nonstandard"])
+def test_hs_a_lam_beyond_the_float_range_is_the_same_on_both_paths(base, x, edge):
+    # weights t w with t = 1/100: lam is about 2000^100 at x and below
+    # 10^-370 at x / 10^12, though both squared sums are ordinary floats.
+    # The scalar solve raised OverflowError at x, and the batch gave inf, or
+    # NaN after the lam polish of the Newton route, with numpy warnings.  At
+    # the edge row the rescaled solve's lam_lo is finite and lam is not
+    d = HSDistance(cb.power_group(base(), F(1, 100)), F(1))
+    rows = [x, tuple(v * 1e-12 for v in x), edge, (1.5, 0.3, 0.2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = d.value_from_identity_batch(np.array(rows))
+        scalar = [d.value_from_identity(r) for r in rows]
+        alone = [d.value_from_identity_batch(np.array([r]))[0] for r in rows]
+    assert list(batch) == scalar == alone
+    assert list(batch[:3]) == [math.inf, 0.0, math.inf] and 1e17 < batch[3] < 1e19
 
 
 # fractional root exponents: 1/(2w) = 1/3 in the closed forms of the weight
@@ -898,6 +920,33 @@ def test_lp_combo_printed_example():
     assert d.compare((F(0), F(0)), (F(1), F(1)), F(2)) == 0
     assert d.compare((F(0), F(0)), (F(1), F(1)), F(3)) == -1
     assert d.compare((F(0), F(0)), (F(1), F(1)), F(3, 2)) == 1
+
+
+def test_lp_combo_of_a_large_exponent_is_finite_where_its_value_is():
+    # (1000^400 + sqrt(1000)^400)^(1/400) = 1000 to float precision: the
+    # scalar path raised OverflowError, and the batch gave inf with a warning
+    d = lp_combination_distance(euclidean_line(), snowflake_line(2), 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.value((0, 0), (1000, 0)) == 1000.0
+        assert list(d.value_batch([(0, 0)] * 3, [(1000, 0), (0, 0), (0, 4)])) == \
+            [1000.0, 0.0, 2.0]
+        assert d.value((0, 0), (0, 0)) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1,
+                max_size=8))
+def test_lp_combo_of_exponent_1_is_the_sum_bit_for_bit(rows):
+    # r = 1 stays the plain sum, so the float proposals of an exact r = 1
+    # search do not move
+    d = lp_combination_distance(euclidean_line(), snowflake_line(2), 1)
+    d1, d2 = d.components
+    X = np.array(rows)
+    want = d1.value_from_identity_batch(X[:, :1]) + d2.value_from_identity_batch(X[:, 1:])
+    assert d.value_from_identity_batch(X).tolist() == want.tolist()
+    assert [d.value_from_identity(r) for r in rows] == [
+        d1.value_from_identity(r[:1]) + d2.value_from_identity(r[1:]) for r in rows]
 
 
 def test_max_of_same_distance_on_diagonal():
