@@ -438,7 +438,8 @@ def bracket_batch(A, B, alg: StructureConstants):
     """Rowwise bracket of float arrays of shape (m, n)."""
     out = np.zeros_like(A)
     for (i, j), terms in alg.float_bracket:
-        coef = A[:, i] * B[:, j] - A[:, j] * B[:, i]
+        coef = A[:, i] * B[:, j]
+        coef -= A[:, j] * B[:, i]
         for k, c in terms:
             out[:, k] += c * coef
     return out
@@ -455,11 +456,19 @@ def multiply_batch(P, Q, group: GradedGroup):
     if P.shape[-1:] != (group.dim,) or Q.shape[-1:] != (group.dim,):
         raise AlgebraError("vector length does not match algebra dimension")
     alg = group.algebra
+    # the terms of ``multiply`` in its order, each added into an array this
+    # call owns, so that no sum or scaled copy is allocated
     out = P + Q
     pq = bracket_batch(P, Q, alg)
-    out = out + 0.5 * pq
     if group.step >= 3:
-        out = out + (1 / 12) * (bracket_batch(P, pq, alg) + bracket_batch(Q, -pq, alg))
+        # from the unscaled [P, Q], before pq is halved below
+        corr = bracket_batch(P, pq, alg)
+        corr += bracket_batch(Q, -pq, alg)
+        corr *= 1 / 12
+    pq *= 0.5
+    out += pq
+    if group.step >= 3:
+        out += corr
     return out
 
 

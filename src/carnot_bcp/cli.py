@@ -24,7 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import all_exact, parse_scalar
+from .scalars import all_exact, fmt_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -86,7 +86,9 @@ def _parse_point(text):
 
 
 def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # NaN and the infinities are not JSON (RFC 8259): a payload with one
+    # raises here rather than printing a token no strict parser reads
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -116,7 +118,8 @@ def cmd_dist(args):
     value = d.value(p, q)
     exact = d.exact_capable and all_exact(p) and all_exact(q)
     backend = "exact-comparable" if exact else "float"
-    _emit({"value": value, "backend": backend,
+    # a value beyond the float range is the text "inf", as scalars are written
+    _emit({"value": value if math.isfinite(value) else fmt_scalar(value), "backend": backend,
            "kind": d.kind, "group": group.name}, args)
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from carnot_bcp.algebra import (
     StructureConstants,
     UnsupportedStepError,
     bracket,
+    bracket_batch,
     dilate_batch,
     group_from_json,
     group_to_json,
@@ -497,14 +498,14 @@ def test_multiply_batch_matches_exact():
         assert np.allclose(batch[i], [float(x) for x in exact], rtol=1e-12)
 
 
-@pytest.mark.parametrize("g", all_builtin_groups() + [
-    cb.product_group(cb.step3_rank3_group(), cb.heisenberg_group(1))], ids=lambda g: g.name)
-def test_multiply_batch_is_the_float_multiply_row_for_row(g):
-    # the same terms in the same order give the same floats, at scales from
-    # 2^-500 to 2^500: == takes -0.0 for 0.0, and a step-3 term that
-    # overflows, as the true one does at 2^500, is NaN on both sides.  Rows
-    # that hold +-inf in one coordinate of either factor agree as well.  A
-    # rational coordinate among floats is read as its float
+BATCH_PRODUCT_GROUPS = all_builtin_groups() + [
+    cb.product_group(cb.step3_rank3_group(), cb.heisenberg_group(1))]
+
+
+def batch_product_rows(g):
+    """Factors at scales from 2^-500 to 2^500, where a step-3 term overflows
+    as the true one does, then rows holding +-inf in one coordinate of
+    either factor."""
     rng = np.random.default_rng(14)
     scales = 2.0 ** np.repeat([-500, -20, 0, 20, 500], 40)[:, None]
     P = rng.standard_normal((200, g.dim)) * scales
@@ -514,6 +515,15 @@ def test_multiply_batch_is_the_float_multiply_row_for_row(g):
         infinite[r, r % g.dim] = math.inf if r % 2 else -math.inf
     P = np.concatenate([P, infinite[:2 * g.dim], rng.standard_normal((2 * g.dim, g.dim))])
     Q = np.concatenate([Q, rng.standard_normal((2 * g.dim, g.dim)), infinite[2 * g.dim:]])
+    return P, Q
+
+
+@pytest.mark.parametrize("g", BATCH_PRODUCT_GROUPS, ids=lambda g: g.name)
+def test_multiply_batch_is_the_float_multiply_row_for_row(g):
+    # the same terms in the same order give the same floats: == takes -0.0
+    # for 0.0, and a step-3 term that overflows is NaN on both sides.  A
+    # rational coordinate among floats is read as its float
+    P, Q = batch_product_rows(g)
     with np.errstate(over="ignore", invalid="ignore"):
         batch = multiply_batch(P, Q, g)
     for p, q, row in zip(P, Q, batch):
@@ -522,6 +532,46 @@ def test_multiply_batch_is_the_float_multiply_row_for_row(g):
         if math.isfinite(p[0]):
             mixed = cb.multiply((F(p[0]), *p[1:]), tuple(q), g)
             assert [x.hex() for x in mixed] == [x.hex() for x in got]
+
+
+def allocating_bracket_batch(A, B, alg):
+    """``bracket_batch`` as it was before it subtracted in place."""
+    out = np.zeros_like(A)
+    for (i, j), terms in alg.float_bracket:
+        coef = A[:, i] * B[:, j] - A[:, j] * B[:, i]
+        for k, c in terms:
+            out[:, k] += c * coef
+    return out
+
+
+def allocating_multiply_batch(P, Q, g):
+    """``multiply_batch`` as it was before it added in place, kept as the
+    oracle of the in-place product: every term a new array, and the step-3
+    term read from the unscaled [P, Q]."""
+    pq = allocating_bracket_batch(P, Q, g.algebra)
+    out = P + Q + 0.5 * pq
+    if g.step >= 3:
+        out = out + (1 / 12) * (allocating_bracket_batch(P, pq, g.algebra)
+                                + allocating_bracket_batch(Q, -pq, g.algebra))
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("g", BATCH_PRODUCT_GROUPS, ids=lambda g: g.name)
+def test_the_in_place_batch_product_is_the_allocating_one_bit_for_bit(g):
+    # signed zeros, infinities and NaNs included; the factors are untouched
+    P, Q = batch_product_rows(g)
+    P0, Q0 = P.copy(), Q.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = multiply_batch(P, Q, g)
+        assert same_bits(bracket_batch(P, Q, g.algebra),
+                         allocating_bracket_batch(P, Q, g.algebra))
+        want = allocating_multiply_batch(P0, Q0, g)
+    assert same_bits(P, P0) and same_bits(Q, Q0)
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("g", [

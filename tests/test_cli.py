@@ -20,9 +20,17 @@ def run_cli(args, **kw):
     return subprocess.run(RUN + args, capture_output=True, text=True, **kw)
 
 
+def payload(text):
+    """JSON text parsed strictly, as RFC 8259 defines it: the NaN, Infinity
+    and -Infinity that ``json.dumps`` writes by default are errors."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_classify_nonstandard(capsys):
     code = main(["classify", "--group", "heisenberg_nonstandard", "--alpha", "2"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0
     assert out["bcp_admissible"] is False
     assert out["commuting_different_layers"] is False
@@ -32,7 +40,7 @@ def test_classify_nonstandard(capsys):
 
 def test_classify_standard(capsys):
     code = main(["classify", "--group", "heisenberg", "--n", "2"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["bcp_admissible"] is True
 
 
@@ -41,14 +49,14 @@ def test_classify_from_file(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(cb.group_to_json(cb.heisenberg_nonstandard_group(2))))
     code = main(["classify", "--group", str(path)])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["bcp_admissible"] is False
 
 
 def test_dist_eval(capsys):
     code = main(["dist", "--group", "heisenberg", "--n", "1", "--kind", "hs",
                  "--R", "1", "--p", "0,0,0", "--q", "0,0,1"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0
     assert out["value"] == pytest.approx(1.0, rel=1e-12)
     assert out["backend"] == "exact-comparable"
@@ -56,21 +64,22 @@ def test_dist_eval(capsys):
 
 @pytest.mark.parametrize("flags, value", [
     (["--group", "heisenberg", "--kind", "power", "--t", "1/100",
-      "--p", "0,0,0", "--q", "2000,0,0"], math.inf),
+      "--p", "0,0,0", "--q", "2000,0,0"], "inf"),
     (["--group", "abelian", "--weights", "1", "--kind", "snowflake_product_lp",
       "--r-exp", "400", "--p", "0,0", "--q", "1000,0"], 1000.0),
 ], ids=["power_t_1_100", "lp_r_400"])
 def test_dist_whose_float_powers_overflow_exits_0(flags, value, capsys):
     # both died with an OverflowError traceback and exit 1: lam = 2000^100
-    # is beyond the float range, and 1000^400 too though the value is 1000
+    # is beyond the float range, and 1000^400 too though the value is 1000.
+    # The first then printed the bare token Infinity, which is not JSON
     assert main(["dist", *flags]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == value
+    assert payload(capsys.readouterr().out)["value"] == value
 
 
 def test_dist_eval_cc(capsys):
     code = main(["dist", "--group", "heisenberg", "--n", "1", "--kind", "cc_h1",
                  "--scale", "1", "--p", "0,0,0", "--q", "0,0,1"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0
     assert out["value"] == pytest.approx(2 * math.sqrt(math.pi), rel=1e-8)
     assert out["backend"] == "float"
@@ -194,7 +203,7 @@ def test_besicovitch_search(capsys):
     code = main(["besicovitch", "search", "--group", "abelian", "--weights", "1",
                  "--kind", "hs", "--R", "1", "--budget", "500", "--seed", "0",
                  "--strategy", "random"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["cardinality"] == 2
     assert out["family"]["mode"] == "exact"
 
@@ -209,7 +218,7 @@ def test_a_search_without_exact_comparisons_gives_a_margin_family(flags, capsys)
     # cc_h1 exited 64 asking for exact=False; the other two returned an
     # "exact" family of 0 balls
     code = main(["besicovitch", "search", *flags, "--budget", "2000", "--seed", "0"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["cardinality"] >= 1
     assert out["family"]["mode"] == "margin"
 
@@ -221,17 +230,17 @@ def test_a_power_of_exponent_3_2_on_heisenberg_gives_an_exact_family(tmp_path, c
     out = tmp_path / "search.json"
     assert main(["besicovitch", "search", *flags, "--budget", "2000", "--seed", "0",
                  "--out", str(out)]) == 0
-    res = json.loads(out.read_text())
+    res = payload(out.read_text())
     assert res["cardinality"] >= 1 and res["family"]["mode"] == "exact"
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps(res["family"]))
     capsys.readouterr()
     assert main(["besicovitch", "verify", *flags, "--family", str(fam)]) == 0
-    got = json.loads(capsys.readouterr().out)
+    got = payload(capsys.readouterr().out)
     assert got["valid"] and got["mode"] == "exact"
     assert got["cardinality"] == res["cardinality"]
     assert main(["dist", *flags, "--p", "0,0,0", "--q", "1,0,0"]) == 0
-    assert json.loads(capsys.readouterr().out)["kind"] == "hs"
+    assert payload(capsys.readouterr().out)["kind"] == "hs"
 
 
 def test_the_mode_is_no_flag_and_no_config_key(tmp_path, capsys):
@@ -249,7 +258,7 @@ def test_besicovitch_cover(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code = main(["besicovitch", "cover", "--group", "abelian", "--weights", "1,1",
                  "--kind", "hs", "--R", "1", "--points", str(path)])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["covered"] and out["quarter_disjoint"]
 
 
@@ -317,7 +326,7 @@ def test_family_with_integers_beyond_the_conversion_limit_round_trips(tmp_path):
     fam = res.family
     assert max(x.denominator for x in fam.centers[999]) > 10 ** 5000
     # the whole result serializes, and its text reads back
-    whole = json.loads(json.dumps(res.to_json()))
+    whole = payload(json.dumps(res.to_json()))
     assert [parse_scalar(x) for x in whole["family"]["centers"][999]] == list(fam.centers[999])
     sub = replace(fam, centers=tuple(fam.centers[i] for i in (0, 500, 999)),
                   radii=tuple(fam.radii[i] for i in (0, 500, 999)))
@@ -328,20 +337,20 @@ def test_family_with_integers_beyond_the_conversion_limit_round_trips(tmp_path):
                    "--alpha", "2", "--kind", "hs", "--R", "1", "--family", str(path)],
                   timeout=120)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"valid": True, "cardinality": 3, "mode": "exact",
+    assert payload(out.stdout) == {"valid": True, "cardinality": 3, "mode": "exact",
                                       "violations": [], "min_slack": None}
 
 
 def test_certify_lemmas(capsys):
     code = main(["certify-lemmas", "--lemma", "away", "--rank", "2", "--R", "1",
                  "--samples", "500", "--seed", "7"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["violations"] == []
 
 
 def test_countable_space(capsys):
     code = main(["countable-space", "--n", "50", "--grid", "8"])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0
     assert out["triangle_exact"] and out["ball_structure_exact"]
     assert out["two_ball_audit"]["ok"]
@@ -354,7 +363,7 @@ def test_report_runs_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main(["report", "--config", str(path)])
-    out = json.loads(capsys.readouterr().out)
+    out = payload(capsys.readouterr().out)
     assert code == 0 and out["bcp_admissible"] is False
 
 
@@ -363,15 +372,15 @@ def test_a_point_with_a_negative_first_coordinate_parses(tmp_path, capsys):
     # "expected one argument", and only "--p=-1,2,3" worked
     flags = ["dist", "--group", "heisenberg", "--kind", "hs"]
     assert main([*flags, "--p=-1,2,3", "--q=0,0,-1/2"]) == 0
-    want = json.loads(capsys.readouterr().out)
+    want = payload(capsys.readouterr().out)
     assert main([*flags, "--p", "-1,2,3", "--q", "0,0,-1/2"]) == 0
-    assert json.loads(capsys.readouterr().out) == want
+    assert payload(capsys.readouterr().out) == want
     cfg = {"subcommand": "dist", "group": "heisenberg", "kind": "hs",
            "p": "-1,2,3", "q": "0,0,-1/2"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["report", "--config", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == want
+    assert payload(capsys.readouterr().out) == want
     assert want["value"] > 0
 
 
@@ -445,7 +454,7 @@ def test_output_round_trips_through_parser(tmp_path, capsys):
                  "--kind", "hs", "--R", "1", "--budget", "300", "--seed", "0",
                  "--strategy", "random", "--out", str(out)])
     assert code == 0
-    fam_payload = json.loads(out.read_text())["family"]
+    fam_payload = payload(out.read_text())["family"]
     fam_path = tmp_path / "fam_only.json"
     fam_path.write_text(json.dumps(fam_payload))
     code = main(["besicovitch", "verify", "--group", "abelian", "--weights", "1",
@@ -456,7 +465,7 @@ def test_output_round_trips_through_parser(tmp_path, capsys):
 def test_console_entry_point():
     proc = run_cli(["classify", "--group", "abelian", "--weights", "1,2"])
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["bcp_admissible"] is True
+    assert payload(proc.stdout)["bcp_admissible"] is True
 
 
 def test_dist_with_a_huge_root_order_falls_back_to_float():
@@ -465,7 +474,7 @@ def test_dist_with_a_huge_root_order_falls_back_to_float():
     proc = run_cli(["dist", "--group", "abelian", "--weights", "1,1.0000000001",
                     "--kind", "hs", "--p", "0,0", "--q", "1,1/3"], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["backend"] == "float"
+    assert payload(proc.stdout)["backend"] == "float"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -497,7 +506,7 @@ def test_every_builtin_tag_classifies(capsys):
     assert set(BUILTIN_FLAGS) == set(_BUILTINS)
     for tag, flags in BUILTIN_FLAGS.items():
         assert main(["classify", "--group", tag] + flags) == 0
-        assert json.loads(capsys.readouterr().out)["group"]
+        assert payload(capsys.readouterr().out)["group"]
 
 
 @pytest.mark.parametrize("tag,param", [("abelian", "weights"),

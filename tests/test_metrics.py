@@ -773,10 +773,12 @@ def test_the_search_mode_is_the_distance_capability(kind):
 @pytest.mark.parametrize("make", [
     lambda: product_max_distance(euclidean_line(), snowflake_line(2)),
     lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1),
-    CCHeisenbergDistance], ids=["product_max", "lp_combo", "cc_h1"])
+    CCHeisenbergDistance, lambda: skewed_quotient("skewed")],
+    ids=["product_max", "lp_combo", "cc_h1", "quotient"])
 def test_a_combined_or_cc_point_of_the_wrong_length_is_rejected(make, offset, path):
     # the max product dropped the extra coordinate of a long point, the lp
-    # combination raised IndexError and cc_h1 an unpacking ValueError
+    # combination raised IndexError, cc_h1 an unpacking ValueError and the
+    # quotient numpy's matmul ValueError
     d = make()
     x = (0.5,) * (d.group.dim + offset)
     with pytest.raises(cb.AlgebraError, match="vector length does not match"):
@@ -1079,6 +1081,70 @@ def test_quotient_batch_and_scalar_values_agree(name):
     want = np.array([dq.value(tuple(p), tuple(q)) for p, q in zip(P, Q)])
     for batch in (dq.value_batch_refined, dq.value_batch):
         assert np.max(np.abs(batch(P, Q) - want) / want) <= 1e-12
+
+
+def lift_values(dq, X):
+    """Quotient values as they were computed before the Gram form, kept as
+    its oracle: dhat at the minimizing lift M x, batch and scalar."""
+    M = np.array(min_norm_right_inverse(dq.morphism.entries), dtype=float)
+    X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y, ys = X @ M.T, [(M @ x).tolist() for x in X]
+    return (dq.dhat.value_from_identity_batch(Y),
+            np.array([dq.dhat.value_from_identity(y) for y in ys]))
+
+
+GRAM_QUOTIENTS = {
+    # the coordinate projection of the quotient benchmark: G is the identity
+    "projection": lambda: quotient_distance(HSDistance(cb.free_step2_group(3), F(1, 2)),
+                                            f32_to_h1()),
+    **{name: (lambda name=name: skewed_quotient(name)) for name in SKEWED_MORPHISMS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_QUOTIENTS))
+def test_quotient_gram_form_is_the_lift_formula(name):
+    dq = GRAM_QUOTIENTS[name]()
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((3000, 3)) * np.exp(rng.uniform(-3, 3, (3000, 1)))
+    batch = dq.value_from_identity_batch(X)
+    scalar = np.array([dq.value_from_identity(tuple(x)) for x in X])
+    want_batch, want_scalar = lift_values(dq, X)
+    if name == "projection":
+        assert np.array_equal(batch, want_batch) and np.array_equal(scalar, want_scalar)
+    else:
+        np.testing.assert_array_max_ulp(batch, want_batch, maxulp=4)
+        np.testing.assert_array_max_ulp(scalar, want_scalar, maxulp=4)
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_QUOTIENTS))
+@pytest.mark.parametrize("row", [(0.0, 0.0, 0.0), (1e-200, -1e-200, 1e-200),
+                                 (1e200, 1e200, -1e200), (1e200, 0.5, 0.0),
+                                 (0.0, 1e-200, 1e-170)],
+                         ids=["zero", "tiny", "huge", "huge_x", "tiny_z"])
+def test_quotient_rows_beyond_the_direct_solve_take_the_lift(name, row):
+    # bit for bit what dhat gives at the lift, on both paths, also next to
+    # an ordinary row in a batch
+    dq = GRAM_QUOTIENTS[name]()
+    X = np.array([row, (0.3, -0.2, 0.5), row])
+    want_batch, want_scalar = lift_values(dq, X)
+    assert np.array_equal(dq.value_from_identity_batch(X)[::2], want_batch[::2])
+    assert dq.value_from_identity(row) == want_scalar[0]
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_QUOTIENTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quotient_nonfinite_rows_raise_as_the_lift_does(name, bad):
+    dq = GRAM_QUOTIENTS[name]()
+    for i in range(3):
+        row = [0.3, -0.2, 0.5]
+        row[i] = bad
+        X = np.array([(0.1, 0.1, 0.1), row])
+        for value in (lambda: dq.value_from_identity_batch(X),
+                      lambda: dq.value_from_identity(tuple(row)),
+                      lambda: lift_values(dq, X)):
+            with pytest.raises(SolverError, match="nonfinite coordinates"):
+                value()
 
 
 def test_quotient_compare_needs_rational_coordinates():
