@@ -2,7 +2,8 @@
 
 Subcommands: classify, dist, besicovitch (search | verify | cover),
 certify-lemmas, countable-space, report.  All outputs are UTF-8 JSON with
-rationals serialized as "p/q" strings; every numeric result is tagged with the
+rationals serialized as "p/q" strings, and a NaN or infinite float as "nan",
+"inf" or "-inf"; every numeric result is tagged with the
 backend that produced it.  Seeds are explicit (no wall-clock defaults), so
 identical configurations produce byte-identical reports up to timing fields.
 The distance decides exact or margin mode: a search is exact when the kind is
@@ -85,10 +86,21 @@ def _parse_point(text):
     return point
 
 
+def _json_text(x):
+    """x with every NaN and infinite float in it written as the text
+    ``fmt_scalar`` gives, "nan", "inf" or "-inf": JSON (RFC 8259) has no
+    such numbers."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return fmt_scalar(x)
+    if isinstance(x, dict):
+        return {k: _json_text(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_text(v) for v in x]
+    return x
+
+
 def _emit(payload, args):
-    # NaN and the infinities are not JSON (RFC 8259): a payload with one
-    # raises here rather than printing a token no strict parser reads
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_json_text(payload), indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -118,8 +130,7 @@ def cmd_dist(args):
     value = d.value(p, q)
     exact = d.exact_capable and all_exact(p) and all_exact(q)
     backend = "exact-comparable" if exact else "float"
-    # a value beyond the float range is the text "inf", as scalars are written
-    _emit({"value": value if math.isfinite(value) else fmt_scalar(value), "backend": backend,
+    _emit({"value": value, "backend": backend,
            "kind": d.kind, "group": group.name}, args)
     return EXIT_OK
 

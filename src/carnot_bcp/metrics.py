@@ -298,22 +298,6 @@ class _HSPlan:
         r = np.maximum.reduce([(s / R2) ** e for s, e in zip(S, self.root_powers)])
         return self.newton(1.0 / r, S, R2, np.ndarray.all)
 
-    def solve_in_range(self, S, R2, lam, method):
-        """Solve into lam the rows whose squared sum is in [t_lo R^2,
-        t_hi R^2]; return None when that is every row, and else the mask of
-        the rows left, which include every row with a NaN or infinite sum."""
-        with np.errstate(over="ignore"):
-            total = sum(S[1:], S[0])
-        lo, hi = self.t_lo * R2, self.t_hi * R2
-        # one test for the common case, which a NaN or infinite sum fails too
-        if total.min() >= lo and total.max() <= hi:
-            lam[:] = self.solve_rows(S, R2, method)
-            return None
-        inner = (total >= lo) & (total <= hi)
-        if inner.any():
-            lam[inner] = self.solve_rows([s[inner] for s in S], R2, method)
-        return ~inner
-
     def solve_point(self, S, R2):
         """``solve_rows`` for one point, in plain floats (S a list of floats)."""
         if self.closed:
@@ -359,14 +343,21 @@ def _hs_lambda_batch(X, weights, R, plan=None, method="auto"):
     with np.errstate(over="ignore"):
         S = [X[:, ix] ** 2 if isinstance(ix, int) else (X[:, ix] ** 2).sum(axis=1)
              for ix in plan.index]
-    outer = plan.solve_in_range(S, R * R, lam, method)
-    if outer is None:
+        total = sum(S[1:], S[0])
+    R2 = R * R
+    lo, hi = plan.t_lo * R2, plan.t_hi * R2
+    # one test for the common case, which a NaN or infinite sum fails too
+    if total.min() >= lo and total.max() <= hi:
+        lam[:] = plan.solve_rows(S, R2, method)
         return lam
     if not np.isfinite(X).all():
         raise SolverError("nonfinite coordinates")
+    inner = (total >= lo) & (total <= hi)
+    if inner.any():
+        lam[inner] = plan.solve_rows([s[inner] for s in S], R2, method)
     # zero is decided from the coordinates: the square of one below about
     # 1e-162 is 0, and such a row is rescaled, not taken for the identity
-    outer &= X.any(axis=1)
+    outer = ~inner & X.any(axis=1)
     if outer.any():
         # for a weight below 1, lam_lo can round to 0 or overflow, and lam,
         # at most K^(1/(2 w_min)) lam_lo, then rounds the same way
@@ -492,12 +483,7 @@ class HSDistance(QuasiDistance):
         dilation orbits evaluate it on integer points of a polynomial."""
         U = terms[-1][1] if terms else 1
         a2, b2 = self._R2
-        # a loop, not sum() over a generator, whose frame every exact
-        # comparison would pay
-        total = 0
-        for t, up in terms:
-            total += t * (U // up)
-        return total * b2 - a2 * den * den * U
+        return sum(t * (U // up) for t, up in terms) * b2 - a2 * den * den * U
 
     # the base method, bound here as well because perfbench/tracer.py wraps
     # HSDistance.__dict__["compare"]
@@ -758,24 +744,32 @@ class QuotientDistance(QuasiDistance):
     The gauge reads M x only through its squared block norms, and M maps
     the weight-w coordinates of the target into those of the source, so
     |(M x)_w|^2 = x_w^T G_w x_w for the Gram matrix G = M^T M = (A A^T)^-1,
-    block-diagonal by weight as A A^T is.  A value is therefore the HS root
-    of the sums s_w = x_w^T G_w x_w, solved by an HS plan of the target's
-    weights with dhat's R, and nothing is lifted: the float scalar path sums
-    in plain Python, the batch in numpy, and ``_sign`` in integers, from G
-    over one common denominator, before HS's own ``_sign`` takes the sums.
-    So quotient distances are exact-capable whenever ``dhat`` is.  A float
-    sum with cross terms is clamped at 0, which their rounding could cross.
-    Only a point outside the HS solve's direct range, a zero, tiny, huge or
-    non-finite one, is lifted to M x and handed to dhat, which decides it
-    as it decides any point of its own.  ``grid_value`` is the independent
-    brute-force oracle used in tests.
+    block-diagonal by weight as A A^T is.  So nothing is lifted to the
+    source group:
+
+    * float values, scalar and batch, are those of the HS distance with
+      dhat's R on the target group, at the point L x, where L is the
+      block-diagonal float factor with L_w^T L_w = G_w (the transposed
+      Cholesky factor of each block), so |L_w x_w|^2 = x_w^T G_w x_w and no
+      sum can go below 0.  That HS distance also decides every zero, tiny,
+      huge and non-finite point.  A coordinate projection has G = L = I:
+      its points go to that HS distance as they are, and its values are
+      those of dhat at M x, bit for bit;
+    * ``_sign`` hands that HS distance the sums x_w^T G_w x_w in integers,
+      from G over one common denominator.
+
+    Quotient distances are exact-capable whenever ``dhat`` is.  ``dhat``
+    must be an ``HSDistance`` itself: the quotient reads only its group and
+    R, so the overrides of a subclass would not be seen.  ``grid_value`` is
+    the independent brute-force oracle used in tests.
     """
 
     kind = "quotient"
 
     def __init__(self, dhat: QuasiDistance, morphism: MorphismMatrix):
-        if not isinstance(dhat, HSDistance):
-            raise ValueError("quotient distances are built over an HS distance")
+        if type(dhat) is not HSDistance:
+            raise ValueError("quotient distances are built over an HS distance, "
+                             "an HSDistance itself and not a subclass")
         if dhat.group.algebra != morphism.source:
             raise ValueError("the morphism's source is not the group of dhat")
         if not validate_morphism(morphism).ok:
@@ -786,90 +780,62 @@ class QuotientDistance(QuasiDistance):
         self.morphism = morphism
         self.exact_capable = dhat.exact_capable
         super().__init__(make_group(morphism.target, name="quotient_target"))
-        # the minimizing lift x -> M x (source x target), for the points
-        # that dhat decides
+        self._hs = HSDistance(self.group, dhat.R)
+        # G = M^T M for the minimizing lift M, and per weight of the target
+        # its block: the coordinates, the float factor, and the terms
+        # (i, j, c) of x^T G x for i <= j and G_ij nonzero, c = G_ii or 2 G_ij
         lift = min_norm_right_inverse(morphism.entries)
-        self._lift_float = np.array(lift, dtype=float)
-        # G = M^T M, and per weight of the target's plan the terms (i, j, c)
-        # of x^T G x for i <= j and G_ij nonzero: c = G_ii, or 2 G_ij
-        plan = self._plan = _HSPlan(self.group.weights)
         n = self.group.dim
         gram = [[sum(row[i] * row[j] for row in lift) for j in range(n)] for i in range(n)]
-        blocks = [[] for _ in plan.weights]
-        for i in range(n):
-            for j in range(i, n):
-                if gram[i][j] and plan.term_of[i] == plan.term_of[j]:
-                    c = gram[i][j] if i == j else 2 * gram[i][j]
-                    blocks[plan.term_of[i]].append((i, j, c))
-        # in float, with whether the block has cross terms
-        self._gram_float = [([(i, j, float(c)) for i, j, c in terms],
-                             any(i != j for i, j, _c in terms)) for terms in blocks]
-        # and as integers c g over the lcm g of the denominators, with the
-        # index of each block's weight among dhat's
+        factor = np.zeros((n, n))
+        blocks = []
+        for k in range(len(self._hs._plan.weights)):
+            ix = [i for i in range(n) if self._hs._plan.term_of[i] == k]
+            factor[np.ix_(ix, ix)] = np.linalg.cholesky(
+                [[float(gram[i][j]) for j in ix] for i in ix]).T
+            blocks.append([(i, j, gram[i][j] if i == j else 2 * gram[i][j])
+                           for i in ix for j in ix if i <= j and gram[i][j]])
+        # L in numpy, and its rows as (j, L_ij) for L_ij nonzero, or None when
+        # L is the identity, as for a coordinate projection: then L x is x
+        identity = (factor == np.eye(n)).all()
+        self._factor_T = None if identity else factor.T
+        self._factor_rows = None if identity else [
+            [(j, float(c)) for j, c in enumerate(row) if c] for row in factor]
+        # the terms as integers c g over the lcm g of the denominators
         g = self._gram_scale = math.lcm(*(c.denominator for t in blocks for _i, _j, c in t))
         self._gram_int = [[(i, j, int(c * g)) for i, j, c in terms] for terms in blocks]
-        self._dhat_term = [dhat._plan.weights.index(w) for w in plan.weights]
-        self._R2_float = dhat._R_float * dhat._R_float
         # the exact section and the kernel basis in float, for grid_value
         self.section = np.array(_right_inverse_columns(morphism), dtype=float)
         self.kernel = np.array(morphism.kernel_basis(), dtype=float).reshape(
             -1, morphism.source.dim)
 
-    def _gram_sums(self, x, maximum):
-        """s_w = x_w^T G_w x_w for each weight of the plan, from the
-        coordinates x[i], floats or (m,) arrays; maximum is max or
-        np.maximum, which clamp a sum with cross terms at 0 and keep a NaN."""
-        S = []
-        for terms, cross in self._gram_float:
-            s = 0.0
-            for i, j, c in terms:
-                # in place on a fresh array, a new float otherwise
-                t = x[i] * x[j]
-                if c != 1.0:
-                    t *= c
-                s += t
-            S.append(maximum(s, 0.0) if cross else s)
-        return S
-
     def value_from_identity(self, x):
-        """The Gram sums and the plan's solve in plain floats when the point
-        is in the HS solve's direct range, and dhat at M x otherwise."""
-        if len(x) != self.group.dim:
-            raise AlgebraError("vector length does not match algebra dimension")
-        S = self._gram_sums([float(v) for v in x], max)
-        plan, R2 = self._plan, self._R2_float
-        if plan.t_lo * R2 <= sum(S) <= plan.t_hi * R2:
-            return plan.solve_point(S, R2)
-        # an infinite coordinate can lift to NaN, which dhat rejects as well
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = self._lift_float @ np.asarray(x, dtype=float)
-        return self.dhat.value_from_identity(y.tolist())
+        """The target's HS value at L x, which is computed in plain floats."""
+        if self._factor_rows is not None:
+            if len(x) != self.group.dim:
+                raise AlgebraError("vector length does not match algebra dimension")
+            x = [float(v) for v in x]
+            x = [sum(c * x[j] for j, c in row) for row in self._factor_rows]
+        return self._hs.value_from_identity(x)
 
     def value_from_identity_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.group.dim:
-            raise AlgebraError("vector length does not match algebra dimension")
-        lam = np.zeros(len(X))
-        if not len(X):
-            return lam
-        # a square that overflows, or inf - inf, leaves its row out of range
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = self._gram_sums(X.T, np.maximum)
-        rest = self._plan.solve_in_range(S, self._R2_float, lam, "auto")
-        if rest is not None:
+        if self._factor_T is not None:
+            X = np.asarray(X, dtype=float)
+            if X.ndim != 2 or X.shape[1] != self.group.dim:
+                raise AlgebraError("vector length does not match algebra dimension")
+            # an infinite coordinate times a zero of L is NaN, a point that
+            # HS rejects as it rejects the infinite one
             with np.errstate(over="ignore", invalid="ignore"):
-                Y = X[rest] @ self._lift_float.T
-            lam[rest] = self.dhat.value_from_identity_batch(Y)
-        return lam
+                X = X @ self._factor_T
+        return self._hs.value_from_identity_batch(X)
 
     def _sign(self, nums, den, rho):
         # with G = Gi / g for an integer Gi, s_w = N^T Gi N / (g den^2),
         # which is g N^T Gi N over (g den)^2, the form HS's sums take
         g = self._gram_scale
-        S = [0] * len(self.dhat._exact_terms)
-        for k, terms in zip(self._dhat_term, self._gram_int):
-            S[k] = g * sum(c * nums[i] * nums[j] for i, j, c in terms)
-        return self.dhat._sums_sign(S, g * den, rho)
+        return self._hs._sums_sign(
+            [g * sum(c * nums[i] * nums[j] for i, j, c in terms) for terms in self._gram_int],
+            g * den, rho)
 
     # the base methods, bound here as well because perfbench/ calls
     # value_batch_refined and wraps QuotientDistance.__dict__["value"]

@@ -348,6 +348,23 @@ def test_certify_lemmas(capsys):
     assert code == 0 and out["violations"] == []
 
 
+def test_a_non_finite_float_in_a_report_is_written_as_text(tmp_path, capsys):
+    # each printed a bare NaN or -Infinity, which is not JSON; a strict
+    # emitter without this text exits 64 on both
+    code = main(["certify-lemmas", "--lemma", "small_angles", "--rank", "2", "--R", "1",
+                 "--samples", "20", "--seed", "7"])
+    out = payload(capsys.readouterr().out)
+    assert code == 0 and out["accepted"] == 20 and out["max_a_form"] == "nan"
+    # a margin witness at an infinite float distance has slack -inf
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"centers": [["0", "0", "0"]], "radii": ["1"],
+                               "witness": ["2000", "0", "0"], "mode": "margin"}))
+    assert main(["besicovitch", "verify", "--group", "heisenberg", "--kind", "power",
+                 "--t", "1/100", "--family", str(fam)]) == 2
+    out = payload(capsys.readouterr().out)
+    assert out["valid"] is False and out["min_slack"] == "-inf"
+
+
 def test_countable_space(capsys):
     code = main(["countable-space", "--n", "50", "--grid", "8"])
     out = payload(capsys.readouterr().out)
