@@ -23,8 +23,14 @@ number type has one table of structure constants, built once per algebra:
 the exact product is ``displacement``, p^-1 q in integers over one
 denominator from the integer table ``scaled_bracket``, and ``multiply`` of
 rational points is ``displacement(inverse(p), q)`` read as Fractions; the
-float products read ``float_bracket`` and ``float_weights``, and the scalar
-and batch ones sum the same terms in the same order, so they agree bit for bit.
+float products read ``float_bracket`` and ``float_weights``.  The float
+product of two points is ``multiply_floats``, on coordinates already read
+as floats, which ``multiply`` of non-rational points and the scalar distance
+values both call; ``multiply_batch`` sums the same terms in the same order,
+so the two agree bit for bit.  A batch row that overflows, or multiplies an
+infinite coordinate by zero, holds inf or NaN without a numpy warning, and
+a distance rejects it as it rejects the same scalar product (the HS and
+quotient distances with ``SolverError``).
 """
 
 from __future__ import annotations
@@ -327,21 +333,29 @@ def multiply(p, q, group: GradedGroup):
 
     Rational points (``int`` or ``Fraction`` coordinates) multiply exactly,
     through the integer BCH of ``displacement``, and come back as Fractions.
-    Otherwise every coordinate is read as a float, and the series is summed
-    term by term on ``float_bracket`` in the order and with the scalars of
-    ``multiply_batch``, so the two give the same floats.
+    Otherwise every coordinate is read as a float, once, and the product is
+    ``multiply_floats``.
     """
     if all_exact(p) and all_exact(q):
         nums, den = displacement(inverse(p, group), q, group)
         return tuple(Fraction(n, den) for n in nums)
+    return multiply_floats([float(x) for x in p], [float(x) for x in q], group)
+
+
+def multiply_floats(p, q, group: GradedGroup):
+    """The float BCH product of points whose coordinates are Python floats
+    already, the one float product of single points: ``multiply`` reads its
+    points into it, and so does ``QuasiDistance.value`` for p^-1 q, without
+    the exactness test.  The series is summed term by term on
+    ``float_bracket`` in the order and with the scalars of ``multiply_batch``,
+    so the two give the same floats.
+    """
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError(
             f"group step {group.step} exceeds supported truncation {MAX_SUPPORTED_STEP}")
     alg = group.algebra
     if len(p) != alg.dim or len(q) != alg.dim:
         raise AlgebraError("vector length does not match algebra dimension")
-    p = tuple(float(x) for x in p)
-    q = tuple(float(x) for x in q)
     items = alg.float_bracket
     out = [x + y for x, y in zip(p, q)]
     pq = _bracket_items(p, q, items, 0.0)
@@ -447,7 +461,7 @@ def bracket_batch(A, B, alg: StructureConstants):
 
 def multiply_batch(P, Q, group: GradedGroup):
     """Rowwise BCH product on float arrays of shape (m, n); row i is the
-    float ``multiply`` of P[i] and Q[i]."""
+    ``multiply_floats`` of P[i] and Q[i]."""
     if group.step > MAX_SUPPORTED_STEP:
         raise UnsupportedStepError("unsupported step")
     P = np.asarray(P, dtype=float)
@@ -456,19 +470,22 @@ def multiply_batch(P, Q, group: GradedGroup):
     if P.shape[-1:] != (group.dim,) or Q.shape[-1:] != (group.dim,):
         raise AlgebraError("vector length does not match algebra dimension")
     alg = group.algebra
-    # the terms of ``multiply`` in its order, each added into an array this
-    # call owns, so that no sum or scaled copy is allocated
-    out = P + Q
-    pq = bracket_batch(P, Q, alg)
-    if group.step >= 3:
-        # from the unscaled [P, Q], before pq is halved below
-        corr = bracket_batch(P, pq, alg)
-        corr += bracket_batch(Q, -pq, alg)
-        corr *= 1 / 12
-    pq *= 0.5
-    out += pq
-    if group.step >= 3:
-        out += corr
+    # the terms of ``multiply_floats`` in its order, each added into an array
+    # this call owns, so that no sum or scaled copy is allocated.  A row that
+    # overflows, or meets inf * 0, is inf or NaN as in the scalar product,
+    # where the distances reject it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = P + Q
+        pq = bracket_batch(P, Q, alg)
+        if group.step >= 3:
+            # from the unscaled [P, Q], before pq is halved below
+            corr = bracket_batch(P, pq, alg)
+            corr += bracket_batch(Q, -pq, alg)
+            corr *= 1 / 12
+        pq *= 0.5
+        out += pq
+        if group.step >= 3:
+            out += corr
     return out
 
 

@@ -60,8 +60,8 @@ from .algebra import (
     displacement,
     heisenberg_group,
     make_group,
-    multiply,
     multiply_batch,
+    multiply_floats,
     power_group,
     product_group,
 )
@@ -108,8 +108,10 @@ class QuasiDistance:
         return self.group.identity()
 
     def value(self, p, q) -> float:
-        df = multiply(tuple(-float(x) for x in p), tuple(float(x) for x in q), self.group)
-        return self.value_from_identity(df)
+        """d(p, q) as a float: one float BCH product p^-1 q, each coordinate
+        read as a float once, then ``value_from_identity``."""
+        return self.value_from_identity(
+            multiply_floats([-float(x) for x in p], [float(x) for x in q], self.group))
 
     def value_from_identity(self, x) -> float:
         raise NotImplementedError

@@ -20,6 +20,7 @@ from carnot_bcp.algebra import (
     group_from_json,
     group_to_json,
     multiply_batch,
+    multiply_floats,
 )
 from carnot_bcp.scalars import fmt_scalar, parse_scalar, rat_pow
 
@@ -269,6 +270,45 @@ def test_float_multiply_keeps_the_fraction_constant_bits(g):
             got = cb.multiply(p, q, g)
             assert all(type(x) is float for x in got)
             assert [x.hex() for x in got] == [x.hex() for x in fraction_constant_multiply(p, q, g)]
+
+
+def old_float_multiply(p, q, g):
+    """The float branch of ``multiply`` as it was before it moved into
+    ``multiply_floats``: checks, tuple conversions, then the series."""
+    if g.step > cb.algebra.MAX_SUPPORTED_STEP:
+        raise UnsupportedStepError("unsupported step")
+    if len(p) != g.dim or len(q) != g.dim:
+        raise AlgebraError("vector length does not match algebra dimension")
+    p = tuple(float(x) for x in p)
+    q = tuple(float(x) for x in q)
+    items = g.algebra.float_bracket
+    out = [x + y for x, y in zip(p, q)]
+    pq = cb.algebra._bracket_items(p, q, items, 0.0)
+    if any(pq):
+        out = [x + 0.5 * y for x, y in zip(out, pq)]
+    if g.step >= 3:
+        corr = [x + y for x, y in zip(cb.algebra._bracket_items(p, pq, items, 0.0),
+                                      cb.algebra._bracket_items(q, tuple(-y for y in pq),
+                                                                items, 0.0))]
+        if any(corr):
+            out = [x + (1 / 12) * y for x, y in zip(out, corr)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)
+def test_multiply_floats_is_the_float_branch_of_multiply(g):
+    # bit for bit, signed zeros, infinities and NaNs included; a point of
+    # floats, of numpy floats, or with a Fraction among floats goes through
+    # multiply to the same product
+    P, Q = batch_product_rows(g)
+    for p, q in zip(P, Q):
+        want = [x.hex() for x in old_float_multiply(p, q, g)]
+        got = multiply_floats(p.tolist(), q.tolist(), g)
+        assert all(type(x) is float for x in got) and [x.hex() for x in got] == want
+        assert [x.hex() for x in cb.multiply(tuple(p), tuple(q), g)] == want
+        if math.isfinite(p[0]):
+            mixed = cb.multiply((F(p[0]), *p[1:].tolist()), tuple(q.tolist()), g)
+            assert [x.hex() for x in mixed] == want
 
 
 @pytest.mark.parametrize("g", all_builtin_groups(), ids=lambda g: g.name)

@@ -693,7 +693,6 @@ def test_cover_random_plane():
             assert d.value(pts[i], pts[j]) > radii[j]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on nan input
 def test_cover_rejects_nonfinite_point():
     # a NaN point must not count as covered by every ball, for the HS and
     # the CC distance alike

@@ -146,7 +146,6 @@ NONFINITE_DISTANCES = {
     for kind in NONFINITE_DISTANCES
     for entry in ["value_from_identity", "value_from_identity_batch", "value_batch"]])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
 def test_hs_nonfinite_rows_rejected_on_every_path(kind, entry, bad):
     # a zero row is the identity (distance 0); a row with a NaN or infinite
     # coordinate is an error on the scalar and the batch paths alike, not a
@@ -486,7 +485,6 @@ def test_exceeds_batch_agrees_with_the_exact_compare(name, data):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan input
 def test_exceeds_batch_rejects_nonfinite_coordinates(bad):
     # as the value paths do; a finite row whose squares overflow exceeds
     d = HSDistance(cb.heisenberg_nonstandard_group(2), F(1))
@@ -1219,6 +1217,146 @@ def test_quotient_distances_need_only_numpy():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) > 0
+
+
+# ---------------------------------------------------------------------------
+# the scalar float path: value, and the batch products beside it
+# ---------------------------------------------------------------------------
+
+def old_value(d, p, q):
+    """``QuasiDistance.value`` as it was before it formed p^-1 q with
+    ``multiply_floats`` itself, kept as its oracle: both points converted
+    by tuple generators, then multiplied through ``multiply``."""
+    return d.value_from_identity(
+        cb.multiply(tuple(-float(x) for x in p), tuple(float(x) for x in q), d.group))
+
+
+def euclidean_ball_gauge():
+    g = cb.heisenberg_group(1)
+    return UnitBallDistance(g, lambda x: sum(v * v for v in x) <= 0.5625, bound_radius=0.75)
+
+
+VALUE_KINDS = {
+    "hs_h1": lambda: HSDistance(cb.heisenberg_group(1), F(1)),
+    "hs_nonstandard_3_2": lambda: HSDistance(cb.heisenberg_nonstandard_group(F(3, 2)),
+                                             F(2, 3)),
+    "hs_free_step2_3": lambda: HSDistance(cb.free_step2_group(3), F(1, 2)),
+    "hs_step3_rank3": lambda: HSDistance(cb.step3_rank3_group(), F(1)),
+    **{f"quotient_{name}": make for name, make in ORACLE_QUOTIENTS.items()},
+    "product_max": lambda: product_max_distance(HSDistance(cb.heisenberg_group(1)),
+                                                euclidean_line()),
+    "lp_combo": lambda: lp_combination_distance(
+        HSDistance(cb.heisenberg_nonstandard_group(2)), snowflake_line(2), F(3, 2)),
+    "power": lambda: power_distance(HSDistance(cb.step3_rank3_group()), F(3, 2)),
+    "cc_h1": CCHeisenbergDistance,
+    "unit_ball": euclidean_ball_gauge,
+}
+
+
+def typed_points(kind, n, rng, count=4):
+    """Points of n coordinates of one kind of number, or of all kinds mixed."""
+    floats = rng.standard_normal((count, n)) * np.exp(rng.uniform(-3, 3, (count, 1)))
+    fractions = [[F(int(a), int(b)) for a, b in zip(rng.integers(-40, 41, n),
+                                                    rng.integers(1, 30, n))]
+                 for _ in range(count)]
+    ints = rng.integers(-5, 6, (count, n)).tolist()
+    if kind == "float":
+        return [tuple(row.tolist()) for row in floats]
+    if kind == "numpy":
+        return [tuple(row) for row in floats]
+    if kind == "fraction":
+        return [tuple(row) for row in fractions]
+    if kind == "int":
+        return [tuple(row) for row in ints]
+    return [tuple((fr[i], it[i], float(fl[i]), fl[i])[i % 4] for i in range(n))
+            for fr, it, fl in zip(fractions, ints, floats)]
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+def test_value_is_the_old_multiply_formula_bit_for_bit(kind):
+    d = VALUE_KINDS[kind]()
+    rng = np.random.default_rng(23)
+    for number in ("float", "numpy", "fraction", "int", "mixed"):
+        points = typed_points(number, d.group.dim, rng)
+        for p in points:
+            for q in points:
+                got, want = d.value(p, q), old_value(d, p, q)
+                assert type(got) is type(want) and got.hex() == want.hex(), (number, p, q)
+
+
+def outcome(value, *args):
+    """The value's bits, or the type of the exception it raised."""
+    try:
+        return float(value(*args)).hex()
+    except Exception as exc:
+        return type(exc)
+
+
+BAD_POINTS = {
+    "short": (lambda n: (0.5,) * (n - 1), cb.AlgebraError),
+    "long": (lambda n: (0.5,) * (n + 1), cb.AlgebraError),
+    "text": (lambda n: ("x",) + (0.5,) * (n - 1), ValueError),
+    "none": (lambda n: (0.5,) * (n - 1) + (None,), TypeError),
+    "nan": (lambda n: (0.5, math.nan) + (0.5,) * (n - 2), SolverError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+def test_value_rejects_a_bad_point_as_the_old_formula_did(kind):
+    # the oracle's exception type, on either factor; a NaN displacement is
+    # a SolverError of the solves, and the gauge's bisection never brackets it
+    d = VALUE_KINDS[kind]()
+    ok = (0.25,) * d.group.dim
+    for bad, (make, error) in BAD_POINTS.items():
+        if (kind, bad) == ("unit_ball", "nan"):
+            error = OracleError
+        x = make(d.group.dim)
+        for p, q in ((x, ok), (ok, x)):
+            got = outcome(d.value, p, q)
+            assert got is outcome(old_value, d, p, q) is error, bad
+
+
+def test_value_on_a_step_4_group_is_unsupported_as_the_old_formula_was():
+    alg = cb.StructureConstants(
+        dim=5, weights=(1, 1, 2, 3, 4),
+        bracket={(0, 1): ((2, F(1)),), (0, 2): ((3, F(1)),), (0, 3): ((4, F(1)),)})
+    d = HSDistance(cb.GradedGroup(algebra=alg, step=alg.step(), name="step4"))
+    p, q = (0.5,) * 5, (F(1, 3),) * 5
+    assert outcome(d.value, p, q) is outcome(old_value, d, p, q) is cb.UnsupportedStepError
+
+
+# rows whose batch product overflows, or meets inf * 0 in a bracket (p = 0
+# against an infinite coordinate); the scalar product gives inf or NaN there
+# too, and every path raises SolverError on it
+OVERFLOW_ROWS = {
+    "inf_times_zero": (lambda n: (0.0,) * n, lambda n: (math.inf,) + (0.5,) * (n - 1)),
+    "overflow_1e200": (lambda n: (-1e200,) + (1e200,) * (n - 1), lambda n: (1e200,) * n),
+    "overflow_1e170": (lambda n: (1e170,) * n, lambda n: (-1e170,) * n),
+}
+OVERFLOW_DISTANCES = {
+    "h1": lambda: HSDistance(cb.heisenberg_group(1), F(1)),
+    "nonstandard_2": lambda: HSDistance(cb.heisenberg_nonstandard_group(2), F(1)),
+    "step3_rank3": lambda: HSDistance(cb.step3_rank3_group(), F(1)),
+    # the benchmark's quotient
+    "quotient": ORACLE_QUOTIENTS["projection"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(OVERFLOW_ROWS))
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DISTANCES))
+def test_an_overflowing_product_raises_solver_error_without_a_warning(name, row):
+    d = OVERFLOW_DISTANCES[name]()
+    n = d.group.dim
+    p, q = (make(n) for make in OVERFLOW_ROWS[row])
+    # next to an ordinary row, which alone has a value
+    P, Q = np.array([(0.1,) * n, p]), np.array([(0.2,) * n, q])
+    assert d.value_batch(P[:1], Q[:1])[0] > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (lambda: d.value(p, q), lambda: d.value_batch(P, Q),
+                         lambda: d.exceeds_batch(P, Q, np.ones(2))):
+            with pytest.raises(SolverError):
+                evaluate()
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,18 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         assert cb.algebra.multiply is not multiply
         d = cb.HSDistance(cb.heisenberg_nonstandard_group(2), Fraction(1))
         with tracer.root("check"):
-            # the exact comparison forms its displacement in integers, and
-            # the float value through multiply
+            # the exact comparison forms its displacement in integers; the
+            # float value forms its product with multiply_floats, which is
+            # not wrapped, and solves through value_from_identity
             assert d.compare((0, 0, 0), (1, 0, 0), Fraction(2)) == -1
             assert d.value((0, 0, 0), (1, 0, 0)) == 1.0
+            # the package's re-export is rebound to the wrapper too
+            assert cb.multiply((0.5, 0.0, 0.0), (0.0, 2.0, 0.0), d.group) == (0.5, 2.0, 0.5)
         assert tracer.span("metrics.hs_compare").calls == 1
+        assert tracer.span("metrics.hs_scalar").calls == 1
         assert tracer.span("algebra.multiply").calls == 1
     finally:
         tracer.uninstall()
     assert cb.HSDistance.__dict__["compare"] is compare
     assert cb.algebra.multiply is multiply
-    assert cb.metrics.multiply is multiply
+    assert cb.multiply is multiply
