@@ -6,8 +6,9 @@ ball membership around sphere points, (2) a parabolic three-region partition
 with parameters a = 0.9 and a' = 1.9, and (3) three containment lemmas for
 small-angle pairs inside each region.  The epsilon room in each lemma is
 certified on a dyadic grid with outward-rounded rational square-root
-enclosures; the sweeps then hammer the conclusions with hypothesis-constrained
-random samples.
+enclosures.  A point's key is its region plus the cube-face cells of its two
+layers at that epsilon, and two directions in one cell lie within chord
+epsilon; the sweeps then decide random pairs with equal keys exactly.
 """
 
 from fractions import Fraction as F
@@ -19,7 +20,7 @@ from carnot_bcp.certificates import (
     RegionParams,
     a_form,
     admissible_epsilon,
-    calibrate_delta,
+    cell_key,
     lemma_sweep,
     rational_sphere_points,
     region_classify,
@@ -48,14 +49,15 @@ for lemma in ("away", "near2a", "inbetween"):
     eps, eps_max = admissible_epsilon(lemma, params)
     print(f"lemma '{lemma}': certified epsilon up to {eps_max}, using {eps}")
 
-eps, _ = admissible_epsilon("away", params)
-delta = calibrate_delta(eps, 2, samples=50_000, seed=1)
-print(f"calibrated angle threshold delta for epsilon={eps}: {delta:.6f}")
+# the key of p: region, then the cells of v and w (w has one coordinate at
+# rank 2, so its cell is its sign)
+print("cell key of p:", cell_key(p, params))
 
-# the sweeps: zero violations expected at tolerance 1e-9
+# the sweeps: each same-key pair decided by an exact comparison
 print()
 for lemma in ("away", "near2a", "inbetween"):
     rep = lemma_sweep(lemma, params, sample_count=5000, seed=0)
-    print(f"sweep '{lemma}': {rep.accepted} hypothesis-satisfying samples, "
-          f"{len(rep.violations)} violations, max form value {rep.max_a_form:.3e}")
+    print(f"sweep '{lemma}': cell side {rep.delta[0]} for v, "
+          f"{rep.accepted} same-key pairs, {len(rep.violations)} violations, "
+          f"max form value {rep.max_a_form:.3e}")
 

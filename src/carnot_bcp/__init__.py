@@ -82,7 +82,7 @@ from .certificates import (
     SweepReport,
     a_form,
     admissible_epsilon,
-    calibrate_delta,
+    cell_key,
     lemma_sweep,
     region_classify,
 )

@@ -1,4 +1,4 @@
-"""Numerical certificates for the free step-2 covering argument.
+"""Exact certificates for the free step-2 covering argument.
 
 On the free-nilpotent group of step 2 and rank r with the Euclidean-ball
 quasi-distance of radius R, membership of q in the unit ball around a sphere
@@ -12,9 +12,11 @@ lemma's scalar inequality exists.  This module:
 * classifies points into the parabolic regions exactly (``region_classify``);
 * certifies admissible epsilon values on a dyadic grid with outward-rounded
   rational square-root enclosures (``admissible_epsilon``);
-* calibrates the angle threshold delta empirically (``calibrate_delta``);
-* runs hypothesis-constrained random sweeps asserting the lemma conclusions
-  (``lemma_sweep``).
+* keys points by region and small-angle cell in integers, so that two points
+  with one key meet the small-angle bounds of their region's lemma
+  (``cell_key``);
+* runs random sweeps over pairs with equal keys, each pair decided by an exact
+  HS comparison (``lemma_sweep``).
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
 
 from .algebra import free_step2_group, multiply_batch
-from .scalars import fmt_scalar, sqrt_bounds
+from .metrics import HSDistance
+from .scalars import ExactPoint, fmt_scalar, over_common_denominator, sqrt_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +59,13 @@ class RegionParams:
         return self.r + self.w_dim()
 
 
-def _split(p, r):
-    return tuple(p[:r]), tuple(p[r:])
+def _exact(p, params: RegionParams):
+    """p as integer numerators over one positive denominator (an
+    ``ExactPoint`` passes as it is), checked against the group's dimension."""
+    nums, den = over_common_denominator(p)
+    if len(nums) != params.dim():
+        raise ValueError(f"points must have dimension {params.dim()} for rank {params.r}")
+    return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +74,27 @@ def _split(p, r):
 
 def a_form(p, q, params: RegionParams):
     """Membership form: for ||p|| = R exactly, q lies in the closed unit ball
-    around p iff a_form(p, q) <= 0.  Exact on rational inputs.
+    around p iff a_form(p, q) <= 0.  Exact on rational inputs, which may be
+    ``ExactPoint``s.
 
         ||q||^2 - 2<p,q> + sum_{i<j} (p_ij - q_ij)(p_i q_j - q_i p_j)
                                    + (p_i q_j - q_i p_j)^2 / 4
+
+    With p = P / a and q = Q / b, and C_ij = P_i Q_j - Q_i P_j, that is the
+    integer 4 a^2 ||Q||^2 - 8 a b <P,Q> + sum 4 (b P_ij - a Q_ij) C_ij + C_ij^2
+    over 4 a^2 b^2.
     """
     r = params.r
-    if len(p) != params.dim() or len(q) != params.dim():
-        raise ValueError(f"points must have dimension {params.dim()} for rank {r}")
-    norm_q = sum(x * x for x in q)
-    inner = sum(a * b for a, b in zip(p, q))
-    total = norm_q - 2 * inner
+    P, a = _exact(p, params)
+    Q, b = _exact(q, params)
+    total = 4 * a * a * sum(y * y for y in Q) - 8 * a * b * sum(x * y for x, y in zip(P, Q))
     idx = r
     for i in range(r):
         for j in range(i + 1, r):
-            cross = p[i] * q[j] - q[i] * p[j]
-            total += (p[idx] - q[idx]) * cross + cross * cross / 4
+            cross = P[i] * Q[j] - Q[i] * P[j]
+            total += 4 * (b * P[idx] - a * Q[idx]) * cross + cross * cross
             idx += 1
-    return total
+    return Fraction(total, 4 * a * a * b * b)
 
 
 def a_form_batch(P, Q, r: int) -> np.ndarray:
@@ -100,7 +112,7 @@ def a_form_batch(P, Q, r: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parabolic regions and layer angles
+# parabolic regions and small-angle cells
 # ---------------------------------------------------------------------------
 
 STEEP = "steep"        # R ||w|| >  a' ||v||^2
@@ -108,32 +120,81 @@ BAND = "band"          # a ||v||^2 < R ||w|| <= a' ||v||^2
 SHALLOW = "shallow"    # R ||w|| <= a  ||v||^2
 
 _REGION_OF_LEMMA = {"away": SHALLOW, "near2a": STEEP, "inbetween": BAND}
+_LEMMA_OF_REGION = {region: lemma for lemma, region in _REGION_OF_LEMMA.items()}
+
+
+def _region(nums, den, params: RegionParams) -> str:
+    """The region of nums / den: R ||w|| against c ||v||^2 through squares,
+    in integers, (R den)^2 ||W||^2 against c^2 ||V||^4 on the numerators."""
+    Rn, Rd = params.R.as_integer_ratio()
+    lhs = (Rn * den) ** 2 * sum(x * x for x in nums[params.r:])
+    rhs = (Rd * sum(x * x for x in nums[:params.r])) ** 2
+    for region, c in ((STEEP, params.a_prime), (BAND, params.a)):
+        cn, cd = c.as_integer_ratio()
+        if lhs * cd * cd > cn * cn * rhs:
+            return region
+    return SHALLOW
 
 
 def region_classify(p, params: RegionParams) -> str:
     """Exact parabolic-region label of a point; dilation-invariant."""
-    v, w = _split(p, params.r)
-    nv2 = sum(x * x for x in v)
-    nw2 = sum(x * x for x in w)
-    # compare R ||w|| vs c ||v||^2 via squares (both sides nonnegative)
-    lhs = params.R ** 2 * nw2
-    if lhs > params.a_prime ** 2 * nv2 * nv2:
-        return STEEP
-    if lhs > params.a ** 2 * nv2 * nv2:
-        return BAND
-    return SHALLOW
+    return _region(*_exact(p, params), params)
 
 
-def region_classify_batch(P, params: RegionParams) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
+def _cell(x, side):
+    """The cube-face cell of the integer vector x at side ``side`` (see
+    ``cell_key``); () for the zero vector."""
+    size = [abs(y) for y in x]
+    top = max(size)
+    if not top:
+        return ()
+    i = size.index(top)
+    cell = (i, 1 if x[i] > 0 else -1)
+    if len(x) == 1:
+        return cell
+    n, d = side.as_integer_ratio()
+    return cell + tuple((y + top) * d // (top * n) for k, y in enumerate(x) if k != i)
+
+
+def _cell_sides(epsilon, params: RegionParams):
+    """Cell sides of the layers v and w at epsilon: epsilon floor(2^10 /
+    sqrt(m - 1)) / 2^10 <= epsilon / sqrt(m - 1) for a layer of dimension m,
+    and None for m = 1, whose cell is a sign."""
+    return tuple(epsilon * Fraction(math.isqrt((1 << 20) // (m - 1)), 1 << 10)
+                 if m > 1 else None for m in (params.r, params.w_dim()))
+
+
+def _key(p, params: RegionParams, sides):
+    """The key of ``cell_key`` at the given cell sides, for p = (nums, den)."""
+    nums, den = p
     r = params.r
-    nv2 = (P[:, :r] ** 2).sum(axis=1)
-    nw2 = (P[:, r:] ** 2).sum(axis=1)
-    lhs = float(params.R) ** 2 * nw2
-    out = np.full(len(P), BAND, dtype=object)
-    out[lhs > float(params.a_prime) ** 2 * nv2 * nv2] = STEEP
-    out[lhs <= float(params.a) ** 2 * nv2 * nv2] = SHALLOW
-    return out
+    return _region(nums, den, params), _cell(nums[:r], sides[0]), _cell(nums[r:], sides[1])
+
+
+def cell_key(p, params: RegionParams):
+    """The key of a point: its region, then the cells of its layers v and w
+    at the sides of the region's epsilon from ``admissible_epsilon``.  Exact,
+    in integers, and dilation-invariant.
+
+    The cell of x in R^m is the face (the index i of the largest |x_i|, and
+    its sign), plus floor((x_j / |x_i| + 1) / s) for each j != i, with a
+    rational side s <= epsilon / sqrt(m - 1); for m = 1 it is the sign, and
+    the zero vector has a cell of its own.  Two directions u, u' in one cell
+    lie within chord epsilon, so every small-angle bound the lemmas assume
+    holds for them:
+    1. y = x / |x_i| and y' = x' / |x'_i| lie on one face of the cube
+       [-1, 1]^m and differ by less than s in each of the m - 1 other
+       coordinates, so |y - y'| <= s sqrt(m - 1) <= epsilon;
+    2. radial projection onto the unit sphere is the nearest-point map of
+       the unit ball on the cube's faces, so it is 1-Lipschitz there;
+    3. chord |u - u'| <= epsilon gives sin theta <= epsilon and
+       cos theta >= 1 - epsilon^2 / 2, hence |p_i q_j - q_i p_j| <=
+       epsilon |v_p| |v_q| and <u, u'> >= 1 - epsilon.  A zero layer meets
+       these bounds against any partner.
+    """
+    nums, den = _exact(p, params)
+    epsilon, _ = admissible_epsilon(_LEMMA_OF_REGION[_region(nums, den, params)], params)
+    return _key((nums, den), params, _cell_sides(epsilon, params))
 
 
 # ---------------------------------------------------------------------------
@@ -192,71 +253,6 @@ def admissible_epsilon(lemma: str, params: RegionParams):
 
 
 # ---------------------------------------------------------------------------
-# delta calibration for the small-angle bounds
-# ---------------------------------------------------------------------------
-
-def _cone_directions(rng, dim, count, delta):
-    """Pairs of unit vectors at angle < delta: base direction plus a rotation
-    by a uniform angle inside the cone."""
-    u = rng.standard_normal((count, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    if dim == 1:
-        return u, u.copy()
-    n = rng.standard_normal((count, dim))
-    n -= (n * u).sum(axis=1, keepdims=True) * u
-    norms = np.linalg.norm(n, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    n /= norms
-    theta = rng.uniform(0.0, delta, size=(count, 1))
-    return u, np.cos(theta) * u + np.sin(theta) * n
-
-
-def _small_angle_bounds_hold(vp, vq, wp, wq, eps) -> np.ndarray:
-    """The three small-angle consequences, vectorized over rows."""
-    nvp = np.linalg.norm(vp, axis=1)
-    nvq = np.linalg.norm(vq, axis=1)
-    nwp = np.linalg.norm(wp, axis=1)
-    nwq = np.linalg.norm(wq, axis=1)
-    r = vp.shape[1]
-    ok = np.ones(len(vp), dtype=bool)
-    scale = eps * nvp * nvq
-    for i in range(r):
-        for j in range(i + 1, r):
-            cross = np.abs(vp[:, i] * vq[:, j] - vq[:, i] * vp[:, j])
-            ok &= cross <= scale + 1e-15
-    ok &= (vp * vq).sum(axis=1) >= (1 - eps) * nvp * nvq - 1e-15
-    ok &= (wp * wq).sum(axis=1) >= (1 - eps) * nwp * nwq - 1e-15
-    return ok
-
-
-def calibrate_delta(epsilon, r: int, samples: int = 100_000, seed: int = 0) -> float:
-    """Largest dyadic delta pi / 2^level, level <= 20, whose random
-    small-angle pairs all satisfy the epsilon bounds; purely empirical,
-    recorded in sweep reports.
-
-    The area bound ties delta to arcsin(epsilon) analytically, so the
-    calibration settles near that value; the empirical route keeps the sweep
-    self-contained.
-    """
-    eps = float(epsilon)
-    rng = np.random.default_rng(seed)
-    wdim = r * (r - 1) // 2
-    for level in range(1, 21):
-        delta = math.pi / 2 ** level
-        m = samples
-        vp_dir, vq_dir = _cone_directions(rng, r, m, delta)
-        wp_dir, wq_dir = _cone_directions(rng, wdim, m, delta)
-        sv = rng.uniform(0.1, 1.0, size=(m, 1))
-        sq = rng.uniform(0.1, 1.0, size=(m, 1))
-        sw = rng.uniform(0.1, 1.0, size=(m, 1))
-        sw2 = rng.uniform(0.1, 1.0, size=(m, 1))
-        if _small_angle_bounds_hold(vp_dir * sv, vq_dir * sq,
-                                    wp_dir * sw, wq_dir * sw2, eps).all():
-            return delta
-    return math.pi / 2 ** 20
-
-
-# ---------------------------------------------------------------------------
 # sphere-point parametrizations
 # ---------------------------------------------------------------------------
 
@@ -267,6 +263,8 @@ def rational_sphere_points(dim: int, R, count: int, rng) -> list:
     p = R * (2u, 1 - |u|^2) / (1 + |u|^2) has |p| = R exactly.  Coordinates
     are shuffled and sign-flipped for coverage.
     """
+    if dim < 1:
+        raise ValueError(f"a sphere needs dimension at least 1, not {dim}")
     R = Fraction(R)
     out = []
     for _ in range(count):
@@ -282,43 +280,6 @@ def rational_sphere_points(dim: int, R, count: int, rng) -> list:
     return out
 
 
-def _sphere_norm_split(rng, m, R, region, params):
-    """Norm pairs (||v||, ||w||) with ||v||^2 + ||w||^2 = R^2 in the region.
-
-    Parametrized by the polar angle phi with ||v|| = R cos phi,
-    ||w|| = R sin phi; the region constraint is an interval in sin phi with
-    endpoint sin phi* = (sqrt(1 + 4c^2) - 1) / (2c) for the parabola c.
-    """
-    def s_star(c):
-        c = float(c)
-        return (math.sqrt(1.0 + 4.0 * c * c) - 1.0) / (2.0 * c)
-
-    Rf = float(R)
-    sa = s_star(params.a)
-    sap = s_star(params.a_prime)
-    pad = 1e-9
-    if region == SHALLOW:
-        lo, hi = 0.0, sa - pad
-    elif region == STEEP:
-        lo, hi = sap + pad, 1.0
-    else:
-        lo, hi = sa + pad, sap - pad
-    s = rng.uniform(lo, hi, size=m)
-    nw = Rf * s
-    nv = Rf * np.sqrt(np.maximum(0.0, 1.0 - s * s))
-    return nv, nw
-
-
-def _ball_norm_split(rng, m, R, region, params):
-    """Norm pairs with ||v||^2 + ||w||^2 <= R^2 in the region: a sphere split
-    scaled inward.  Region membership is dilation-invariant, so scaling
-    preserves it."""
-    nv, nw = _sphere_norm_split(rng, m, R, region, params)
-    lam = np.sqrt(rng.uniform(0.02, 1.0, size=m))
-    # dilation scales v by lam and w by lam^2
-    return nv * lam, nw * lam * lam
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -332,7 +293,8 @@ class SweepReport:
     violations: list
     max_a_form: float
     epsilon: Fraction | None
-    delta: float | None
+    # the small-angle threshold: the cell sides of v and w at epsilon
+    delta: tuple | None
     seed: int
     tolerance: float
     notes: dict = field(default_factory=dict)
@@ -353,47 +315,143 @@ class SweepReport:
             "violations": self.violations,
             "max_a_form": self.max_a_form,
             "epsilon": fmt_scalar(self.epsilon) if self.epsilon is not None else None,
-            "delta": self.delta,
+            "delta": [fmt_scalar(s) if s is not None else None for s in self.delta]
+            if self.delta is not None else None,
             "seed": self.seed,
             "tolerance": self.tolerance,
             "notes": self.notes,
         }
 
 
-class SamplingError(RuntimeError):
-    """Hypothesis rejection rate too high to assemble the sweep sample."""
+# p splits its norm R by the rational circle point (T^2 - t^2, 2 t T) / (T^2 + t^2)
+_T = 1 << 10
 
 
-def _assemble_points(m, r, nv, nw, vdir, wdir):
-    P = np.zeros((m, r + r * (r - 1) // 2))
-    P[:, :r] = vdir * nv[:, None]
-    P[:, r:] = wdir * nw[:, None]
-    return P
+def _in_cell(cell, side, norm, u):
+    """A float vector of Euclidean norm ``norm`` whose direction is drawn
+    uniformly over ``cell`` on its cube face by the uniforms u; zero for the
+    zero cell."""
+    if not cell:
+        return [0.0] * len(u)
+    i, sign, *c = cell
+    s = float(side or 0)
+    y = [lo + v * (min(lo + s, 1.0) - lo) for lo, v in zip((k * s - 1 for k in c), u)]
+    y.insert(i, float(sign))
+    f = norm / math.hypot(*y)
+    return [f * x for x in y]
+
+
+def _same_key_pairs(rng, params: RegionParams, region, sides):
+    """Endless (p, q) ``ExactPoint`` pairs with equal keys at ``sides``: p
+    exactly on the sphere of radius R, in ``region`` (any for None), and q in
+    the closed ball.
+
+    p is R (cos phi u_v, sin phi u_w) for a circle point drawn among those
+    of the region and rational unit directions drawn from a pool of
+    ``rational_sphere_points``.  q's directions are drawn uniformly over p's
+    cells, not near p, and its layer norms independently of p's, as the
+    dilate by a uniform lam in [0, 1) of such a split.  q is built in float
+    and read exactly; its key and norm are then checked exactly, so a
+    rounding across a boundary drops the pair.
+    """
+    r, w = params.r, params.w_dim()
+    Rn, Rd = params.R.as_integer_ratio()
+    circle = [(_T * _T - t * t, 2 * t * _T, _T * _T + t * t) for t in range(_T + 1)]
+    circle = [(c, s, h) for c, s, h in circle if region in (
+        None, _region([Rn * c] + [0] * (r - 1) + [Rn * s] + [0] * (w - 1), Rd * h, params))]
+    # each unit direction N / D has |N| = D
+    v_dirs, w_dirs = ([over_common_denominator(u) for u in rational_sphere_points(m, 1, 1024, rng)]
+                      for m in (r, w))
+    n = 256
+    while True:
+        split_p, split_q = rng.integers(0, len(circle), (2, n)).tolist()
+        iv, iw = rng.integers(0, 1024, (2, n)).tolist()
+        lam = rng.random(n).tolist()
+        U = rng.random((n, r + w)).tolist()
+        for k in range(n):
+            (nv, dv), (nw, dw) = v_dirs[iv[k]], w_dirs[iw[k]]
+            c, s, h = circle[split_p[k]]
+            p = ExactPoint([Rn * c * dw * x for x in nv] + [Rn * s * dv * x for x in nw],
+                           Rd * h * dv * dw)
+            key = _key(p, params, sides)
+            c, s, h = circle[split_q[k]]
+            size = float(params.R) / h
+            q = over_common_denominator(
+                _in_cell(key[1], sides[0], lam[k] * c * size, U[k][:r])
+                + _in_cell(key[2], sides[1], lam[k] ** 2 * s * size, U[k][r:]))
+            if (_key(q, params, sides) == key
+                    and Rd * Rd * sum(x * x for x in q.nums) <= Rn * Rn * q.den * q.den):
+                yield p, q
+
+
+def _chord_within(x, y, epsilon) -> bool:
+    """|x / |x| - y / |y|| <= epsilon, exactly, for integer vectors and
+    0 < epsilon < sqrt(2): <x, y> >= (1 - epsilon^2 / 2) |x| |y|.  A zero
+    vector is within any chord."""
+    nx, ny = sum(a * a for a in x), sum(b * b for b in y)
+    ip = sum(a * b for a, b in zip(x, y))
+    c = 1 - epsilon * epsilon / 2
+    return not nx or not ny or (ip > 0 and ip * ip >= c * c * nx * ny)
+
+
+def _cell_sweep(lemma, params: RegionParams, sample_count, seed, epsilon, sides):
+    """The sweep of ``lemma_sweep`` over same-key pairs at the given cell
+    sides (the certified ones there)."""
+    r = params.r
+    region = _REGION_OF_LEMMA.get(lemma)
+    pairs = islice(_same_key_pairs(np.random.default_rng(seed), params, region, sides),
+                   sample_count)
+    violations, forms = [], []
+    if region is None:
+        for index, (p, q) in enumerate(pairs):
+            violations += [{"index": index, "layer": layer}
+                           for layer, part in (("v", slice(0, r)), ("w", slice(r, None)))
+                           if not _chord_within(p.nums[part], q.nums[part], epsilon)]
+        notes = {"kind": "chord-bound"}
+    else:
+        d = HSDistance(free_step2_group(r), params.R)
+        for p, q in pairs:
+            sign = d.compare(p, q, Fraction(1))
+            af = a_form(p, q, params)
+            forms.append(af)
+            if sign > 0 or (af > 0) - (af < 0) != sign:
+                violations.append({
+                    "compare": sign,
+                    "a_form": fmt_scalar(af),
+                    "p": [fmt_scalar(Fraction(x, p.den)) for x in p.nums],
+                    "q": [fmt_scalar(Fraction(x, q.den)) for x in q.nums],
+                })
+        notes = {"region": region, "cross_check": "exact a_form"}
+    return SweepReport(lemma=lemma, params=params, requested=sample_count,
+                       accepted=sample_count, violations=violations,
+                       max_a_form=float(max(forms)) if forms else float("nan"),
+                       epsilon=epsilon, delta=sides, seed=seed, tolerance=0.0,
+                       notes=notes)
 
 
 def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                 seed: int = 0) -> SweepReport:
-    """Random hypothesis-constrained sweep of one containment lemma.
+    """Random sweep of one containment lemma.
 
     lemma in {"aq", "small_angles", "away", "near2a", "inbetween"}.
 
-    For the three containment lemmas: p is sampled on the sphere and q in the
-    ball, both in the lemma's parabolic region, with both layer angles below
-    delta; the conclusion asserted is a_form(p, q) <= 1e-9.  For "aq" the
-    sign of the form is checked against direct ball membership; for
-    "small_angles" the three epsilon bounds are checked at the calibrated
-    delta.  The containment lemmas take epsilon from ``admissible_epsilon``,
-    "small_angles" takes 1/16, and delta is calibrated from 20,000 pairs.
-    A sweep needs at least one sample: an empty one would certify nothing.
+    For the three containment lemmas: p is drawn exactly on the sphere and q
+    in the ball, both in the lemma's parabolic region and with equal
+    ``cell_key``s; each pair is decided by the exact HS comparison
+    d(p, q) <= 1, and the sign of the exact ``a_form`` must agree.  For "aq"
+    the sign of the float form is checked against direct ball membership;
+    for "small_angles" the chord bound epsilon = 1/16 is checked exactly
+    between the layer directions of same-cell pairs.  The containment lemmas
+    take epsilon from ``admissible_epsilon``.  A sweep needs at least one
+    sample: an empty one would certify nothing.
     """
     if sample_count < 1:
         raise ValueError(f"a sweep needs at least one sample, not {sample_count}")
-    rng = np.random.default_rng(seed)
     r = params.r
-    wdim = r * (r - 1) // 2
-    Rf = float(params.R)
-
     if lemma == "aq":
+        rng = np.random.default_rng(seed)
+        wdim = params.w_dim()
+        Rf = float(params.R)
         m = sample_count
         P = rng.standard_normal((m, r + wdim))
         P /= np.linalg.norm(P, axis=1, keepdims=True)
@@ -413,79 +471,12 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                            max_a_form=float(np.max(A)), epsilon=None, delta=None,
                            seed=seed, tolerance=band,
                            notes={"kind": "sign-equivalence", "band": band})
-
     if lemma == "small_angles":
-        epsilon, eps_max = Fraction(1, 16), None
-    else:
-        epsilon, eps_max = admissible_epsilon(lemma, params)
-    delta = calibrate_delta(epsilon, r, samples=20_000, seed=seed + 1)
-
-    if lemma == "small_angles":
-        m = sample_count
-        vp_dir, vq_dir = _cone_directions(rng, r, m, delta)
-        wp_dir, wq_dir = _cone_directions(rng, wdim, m, delta)
-        sv, sw = rng.uniform(0.05, 1.0, (2, m, 1))
-        sq, sw2 = rng.uniform(0.05, 1.0, (2, m, 1))
-        ok = _small_angle_bounds_hold(vp_dir * sv, vq_dir * sq,
-                                      wp_dir * sw, wq_dir * sw2, float(epsilon))
-        violations = [{"index": int(i)} for i in np.flatnonzero(~ok)[:20]]
-        return SweepReport(lemma=lemma, params=params, requested=m,
-                           accepted=m, violations=violations,
-                           max_a_form=float("nan"), epsilon=epsilon, delta=delta,
-                           seed=seed, tolerance=0.0,
-                           notes={"kind": "epsilon-bounds"})
-
-    region = _REGION_OF_LEMMA[lemma]
-    # the conclusion a_form(p, q) <= 0, up to float rounding
-    tolerance = 1e-9
-    group = free_step2_group(r)
-    accepted = 0
-    max_af = -math.inf
-    violations = []
-    attempts = 0
-    batch = max(1024, sample_count // 4)
-    while accepted < sample_count:
-        attempts += batch
-        if attempts > 10_000 * sample_count:
-            raise SamplingError(
-                f"hypothesis rejection rate above 99.99% for lemma '{lemma}'")
-        vp_dir, vq_dir = _cone_directions(rng, r, batch, delta)
-        wp_dir, wq_dir = _cone_directions(rng, wdim, batch, delta)
-        nvp, nwp = _sphere_norm_split(rng, batch, params.R, region, params)
-        nvq, nwq = _ball_norm_split(rng, batch, params.R, region, params)
-        P = _assemble_points(batch, r, nvp, nwp, vp_dir, wp_dir)
-        Q = _assemble_points(batch, r, nvq, nwq, vq_dir, wq_dir)
-        # rejection: re-check every hypothesis on the assembled points
-        good = region_classify_batch(P, params) == region
-        good &= region_classify_batch(Q, params) == region
-        good &= np.abs((P * P).sum(axis=1) - Rf * Rf) <= 1e-12 * Rf * Rf
-        good &= (Q * Q).sum(axis=1) <= Rf * Rf * (1 + 1e-12)
-        P, Q = P[good], Q[good]
-        if len(P) == 0:
-            continue
-        take = min(len(P), sample_count - accepted)
-        P, Q = P[:take], Q[:take]
-        A = a_form_batch(P, Q, r)
-        max_af = max(max_af, float(np.max(A)))
-        bad = np.flatnonzero(A > tolerance)
-        # independent route to the same conclusion: the displacement gauge of
-        # p^-1 q must not exceed R^2 either (cross-checks the form algebra)
-        D = multiply_batch(-P, Q, group)
-        gap = (D * D).sum(axis=1) - Rf * Rf
-        bad_gap = np.flatnonzero(gap > tolerance)
-        for i in set(bad[:20]) | set(bad_gap[:20]):
-            violations.append({
-                "a_form": float(A[i]),
-                "membership_gap": float(gap[i]),
-                "p": [float(x) for x in P[i]],
-                "q": [float(x) for x in Q[i]],
-            })
-        accepted += take
-    return SweepReport(lemma=lemma, params=params, requested=sample_count,
-                       accepted=accepted, violations=violations,
-                       max_a_form=max_af, epsilon=epsilon, delta=delta,
-                       seed=seed, tolerance=tolerance,
-                       notes={"region": region,
-                              "cross_check": "displacement gauge",
-                              "epsilon_max_certified":
-                              fmt_scalar(eps_max) if eps_max else None})
+        epsilon = Fraction(1, 16)
+        return _cell_sweep(lemma, params, sample_count, seed, epsilon,
+                           _cell_sides(epsilon, params))
+    epsilon, eps_max = admissible_epsilon(lemma, params)
+    rep = _cell_sweep(lemma, params, sample_count, seed, epsilon,
+                      _cell_sides(epsilon, params))
+    rep.notes["epsilon_max_certified"] = fmt_scalar(eps_max)
+    return rep

@@ -1,7 +1,8 @@
-"""The free step-2 lemma machinery: membership form, regions, sweeps."""
+"""The free step-2 lemma machinery: membership form, regions, cells, sweeps."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,16 +13,20 @@ from carnot_bcp.certificates import (
     RegionParams,
     SHALLOW,
     STEEP,
+    _cell_sides,
+    _cell_sweep,
+    _key,
+    _same_key_pairs,
     a_form,
     a_form_batch,
     admissible_epsilon,
-    calibrate_delta,
+    cell_key,
     lemma_sweep,
     rational_sphere_points,
     region_classify,
-    region_classify_batch,
 )
 from carnot_bcp.metrics import HSDistance
+from carnot_bcp.scalars import over_common_denominator
 
 F = Fraction
 
@@ -65,6 +70,7 @@ def test_a_form_membership_equivalence_exact():
             sgn = d.compare(p, q, F(1))
             if (af > 0) != (sgn > 0) or (af == 0) != (sgn == 0):
                 disagreements += 1
+            assert a_form(over_common_denominator(p), q, pr) == af
     assert disagreements == 0
 
 
@@ -112,15 +118,15 @@ def test_region_partition_unique_and_dilation_invariant():
         assert region_classify(cb.dilate(p, F(1, 2), g), pr) == lab
 
 
-def test_region_batch_agrees():
-    pr = params(3)
-    rng = np.random.default_rng(4)
-    P = rng.standard_normal((100, pr.dim()))
-    labs = region_classify_batch(P, pr)
-    for i in range(0, 100, 9):
-        exact = region_classify(tuple(F(x).limit_denominator(1 << 40)
-                                      for x in P[i]), pr)
-        assert labs[i] == exact
+@pytest.mark.parametrize("point", [(1, 0, 0, 5), (1,)])
+def test_a_point_of_the_wrong_length_has_no_region_and_no_key(point):
+    # region_classify read (1, 0, 0, 5) as steep and (1,) as shallow
+    point = tuple(F(x) for x in point)
+    for f in (region_classify, cell_key):
+        with pytest.raises(ValueError, match="dimension 3 for rank 2"):
+            f(point, params(2))
+    with pytest.raises(ValueError, match="dimension 3 for rank 2"):
+        a_form(point, (F(0),) * 3, params(2))
 
 
 def test_boundary_band_lower_bound():
@@ -132,7 +138,7 @@ def test_boundary_band_lower_bound():
     m = 10_000
     P = rng.standard_normal((m, 3))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
-    labs = region_classify_batch(P, pr)
+    labs = np.array([region_classify(p, pr) for p in P])
     w_norm = np.abs(P[:, 2])
     inside = labs != SHALLOW
     assert np.all(w_norm[inside] >= bound - 1e-12)
@@ -200,12 +206,45 @@ def test_admissible_epsilon_certified(lemma, r, R):
     assert all(b < 0 for b in _lemma_upper_bounds(lemma, eps_max, params(r, R)))
 
 
-def test_calibrate_delta_reasonable():
-    eps = F(1, 16)
-    delta = calibrate_delta(eps, 2, samples=20_000, seed=0)
-    # the area bound ties delta to roughly arcsin(eps)
-    assert 0 < delta <= math.pi / 4
-    assert delta >= math.asin(float(eps)) / 8
+# ---------------------------------------------------------------------------
+# small-angle cells
+# ---------------------------------------------------------------------------
+
+def test_cell_key_of_examples():
+    # away's epsilon at rank 2 and R = 1 is 81/10240, the side of the v cells;
+    # w has one coordinate, so its cell is its sign
+    assert cell_key((F(1), F(0), F(0)), params()) == (SHALLOW, (0, 1, 10240 // 81), ())
+    assert cell_key((F(0), F(0), F(-1)), params()) == (STEEP, (), (0, -1))
+    # ties go to the first largest coordinate; x_j / |x_i| = -1 is cell 0
+    assert cell_key((F(-1), F(1), F(5)), params()) == (STEEP, (0, -1, 2 * 1024 // 9), (0, 1))
+    assert cell_key((F(1), F(-1), F(3)), params()) == (BAND, (0, 1, 0), (0, 1))
+
+
+def test_cell_key_dilation_invariant():
+    g = cb.free_step2_group(3)
+    pr = params(3, F(1, 2))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        p = tuple(F(int(rng.integers(-8, 9)), 4) for _ in range(pr.dim()))
+        assert cell_key(cb.dilate(p, F(3), g), pr) == cell_key(p, pr)
+
+
+@pytest.mark.parametrize("lemma", ["away", "near2a", "inbetween"])
+def test_same_key_pairs_meet_the_hypotheses(lemma):
+    # p exactly on the sphere and q in the ball, both in the lemma's region,
+    # with equal keys at the certified sides: at R = 1/2 a region test of the
+    # unit sphere's circle point put p outside the lemma's region
+    pr = params(3, F(1, 2))
+    region = {"away": SHALLOW, "near2a": STEEP, "inbetween": BAND}[lemma]
+    sides = _cell_sides(admissible_epsilon(lemma, pr)[0], pr)
+    pairs = list(islice(_same_key_pairs(np.random.default_rng(9), pr, region, sides), 200))
+    for p, q in pairs:
+        assert sum(F(x, p.den) ** 2 for x in p.nums) == pr.R ** 2
+        assert sum(F(x, q.den) ** 2 for x in q.nums) <= pr.R ** 2
+        assert region_classify(p, pr) == region_classify(q, pr) == region
+        assert _key(p, pr, sides) == _key(q, pr, sides)
+    p, q = pairs[0]
+    assert cell_key(p, pr) == cell_key(q, pr) == _key(p, pr, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +259,10 @@ def test_aq_sweep_no_sign_disagreements():
 def test_small_angles_sweep():
     rep = lemma_sweep("small_angles", params(2, F(1)), sample_count=10_000, seed=0)
     assert rep.ok
-    assert rep.delta is not None and rep.epsilon is not None
+    assert rep.delta == (F(1, 16), None) and rep.epsilon == F(1, 16)
+    # at rank 3 both layers have three coordinates: side 1/16 floor(1024 / sqrt 2) / 1024
+    rep = lemma_sweep("small_angles", params(3, F(1)), sample_count=2000, seed=0)
+    assert rep.ok and rep.delta == (F(1, 16) * F(724, 1024),) * 2
 
 
 @pytest.mark.parametrize("lemma", ["away", "near2a", "inbetween"])
@@ -228,7 +270,7 @@ def test_containment_sweeps_rank2(lemma):
     rep = lemma_sweep(lemma, params(2, F(1)), sample_count=2000, seed=0)
     assert rep.ok, rep.violations[:2]
     assert rep.accepted == 2000
-    assert rep.max_a_form <= 1e-9
+    assert rep.max_a_form <= 0
 
 
 def test_sweep_rank3_smaller_R():
@@ -242,7 +284,25 @@ def test_sweep_report_serializes():
     assert data["lemma"] == "near2a" and data["rank"] == 2
     assert data["violations"] == []
     # the region constants are reported, though no sweep sets them
-    assert (data["a"], data["a_prime"], data["tolerance"]) == ("9/10", "19/10", 1e-9)
+    assert (data["a"], data["a_prime"], data["tolerance"]) == ("9/10", "19/10", 0.0)
+
+
+def test_coarse_cells_make_the_sweeps_fail():
+    # with sides 250 times the certified ones a v cell is nearly a whole cube
+    # face, so p and q are drawn almost independently: the exact decision
+    # must then find pairs outside the ball, and chords longer than epsilon
+    pr = params(2, F(1))
+    eps, _ = admissible_epsilon("away", pr)
+    coarse = (250 * _cell_sides(eps, pr)[0], None)
+    rep = _cell_sweep("away", pr, 3000, 0, eps, coarse)
+    assert rep.accepted == 3000 and len(rep.violations) > 30
+    assert all(v["compare"] == 1 and F(v["a_form"]) > 0 for v in rep.violations)
+    certified = _cell_sweep("away", pr, 3000, 0, eps, _cell_sides(eps, pr))
+    assert certified.ok and certified.max_a_form <= 0
+    for r in (2, 3):
+        coarse = tuple(250 * s if s else None for s in _cell_sides(F(1, 16), params(r)))
+        rep = _cell_sweep("small_angles", params(r), 500, 0, F(1, 16), coarse)
+        assert len(rep.violations) > 50
 
 
 @pytest.mark.parametrize("lemma", ["aq", "small_angles", "away", "near2a", "inbetween"])
@@ -257,6 +317,12 @@ def test_a_sweep_without_samples_certifies_nothing(lemma, count):
 # ---------------------------------------------------------------------------
 # rational sphere points
 # ---------------------------------------------------------------------------
+
+def test_a_sphere_of_dimension_zero_has_no_points():
+    # it returned [()], which is not on the sphere of radius 1
+    with pytest.raises(ValueError, match="dimension at least 1"):
+        rational_sphere_points(0, 1, 1, np.random.default_rng(0))
+
 
 def test_rational_sphere_points_exact():
     rng = np.random.default_rng(7)
