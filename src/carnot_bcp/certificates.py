@@ -10,13 +10,15 @@ lemma's scalar inequality exists.  This module:
 
 * evaluates the membership form exactly (``a_form``);
 * classifies points into the parabolic regions exactly (``region_classify``);
-* certifies admissible epsilon values on a dyadic grid with outward-rounded
-  rational square-root enclosures (``admissible_epsilon``);
+* certifies the largest admissible epsilon on a dyadic grid, found by
+  bisection, with outward-rounded rational square-root enclosures
+  (``admissible_epsilon``);
 * keys points by region and small-angle cell in integers, so that two points
   with one key meet the small-angle bounds of their region's lemma
   (``cell_key``);
 * runs random sweeps over pairs with equal keys, each pair decided by an exact
-  HS comparison (``lemma_sweep``).
+  HS comparison (``lemma_sweep``); the "aq" sweep checks the form's sign
+  against the same exact comparison, with tolerance 0.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from typing import ClassVar
 
 import numpy as np
 
-from .algebra import free_step2_group, multiply_batch
+from .algebra import free_step2_group
 from .metrics import HSDistance
 from .scalars import ExactPoint, fmt_scalar, over_common_denominator, sqrt_bounds
 
@@ -88,27 +90,10 @@ def a_form(p, q, params: RegionParams):
     P, a = _exact(p, params)
     Q, b = _exact(q, params)
     total = 4 * a * a * sum(y * y for y in Q) - 8 * a * b * sum(x * y for x, y in zip(P, Q))
-    idx = r
-    for i in range(r):
-        for j in range(i + 1, r):
-            cross = P[i] * Q[j] - Q[i] * P[j]
-            total += 4 * (b * P[idx] - a * Q[idx]) * cross + cross * cross
-            idx += 1
+    for idx, (i, j) in enumerate(combinations(range(r), 2), r):
+        cross = P[i] * Q[j] - Q[i] * P[j]
+        total += 4 * (b * P[idx] - a * Q[idx]) * cross + cross * cross
     return Fraction(total, 4 * a * a * b * b)
-
-
-def a_form_batch(P, Q, r: int) -> np.ndarray:
-    """Vectorized float membership form; P, Q arrays of shape (m, dim)."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    total = (Q * Q).sum(axis=1) - 2.0 * (P * Q).sum(axis=1)
-    idx = r
-    for i in range(r):
-        for j in range(i + 1, r):
-            cross = P[:, i] * Q[:, j] - Q[:, i] * P[:, j]
-            total += (P[:, idx] - Q[:, idx]) * cross + 0.25 * cross * cross
-            idx += 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +151,7 @@ def _cell_sides(epsilon, params: RegionParams):
 
 def _key(p, params: RegionParams, sides):
     """The key of ``cell_key`` at the given cell sides, for p = (nums, den)."""
-    nums, den = p
-    r = params.r
+    (nums, den), r = p, params.r
     return _region(nums, den, params), _cell(nums[:r], sides[0]), _cell(nums[r:], sides[1])
 
 
@@ -218,38 +202,43 @@ def _lemma_upper_bounds(lemma: str, eps: Fraction, params: RegionParams):
     one_m = 1 - eps
     if lemma == "away":
         s_lo, s_hi = sqrt_bounds(1 + 4 * a * a)
-        inner_lo = (s_lo - 1) / (2 * a * a)
-        t_lo, _ = sqrt_bounds(inner_lo)
-        bound = 1 + (s_hi - 1) / 2 - 2 * one_m * t_lo + tail
-        return [bound]
+        t_lo, _ = sqrt_bounds((s_lo - 1) / (2 * a * a))
+        return [1 + (s_hi - 1) / 2 - 2 * one_m * t_lo + tail]
     if lemma == "near2a":
         sp_lo, _ = sqrt_bounds(1 + 4 * ap * ap)
-        b1 = 1 / ap + 1 - one_m * (sp_lo - 1) / ap
-        b2 = -2 * one_m + tail
-        return [b1, b2]
+        return [1 / ap + 1 - one_m * (sp_lo - 1) / ap, -2 * one_m + tail]
     if lemma == "inbetween":
         sp_lo, sp_hi = sqrt_bounds(1 + 4 * ap * ap)
         t_lo, _ = sqrt_bounds((sp_lo - 1) / 2)
-        b1 = Fraction(1, 2) + (sp_hi - 1) / 4 - 2 * one_m * t_lo / ap + tail
         s_lo, _ = sqrt_bounds(1 + 4 * a * a)
-        b2 = 1 / (2 * a) + Fraction(1, 2) - one_m * (s_lo - 1) / a
-        return [b1, b2]
+        return [Fraction(1, 2) + (sp_hi - 1) / 4 - 2 * one_m * t_lo / ap + tail,
+                1 / (2 * a) + Fraction(1, 2) - one_m * (s_lo - 1) / a]
     raise ValueError(f"unknown lemma '{lemma}'")
 
 
 def admissible_epsilon(lemma: str, params: RegionParams):
-    """Largest dyadic epsilon m / 1024 certified to satisfy the lemma
+    """Largest dyadic epsilon m / 1024 < 1 certified to satisfy the lemma
     inequalities, scaled by a safety factor 10% below the certified maximum.
+
+    Every upper bound of ``_lemma_upper_bounds`` increases with epsilon: its
+    ``tail`` has positive coefficients, and each (1 - epsilon) term is
+    multiplied by a negative constant.  So the certified grid points are an
+    initial segment 1 .. M of the grid, and bisection finds M in ten
+    evaluations.
 
     Returns (epsilon_used, epsilon_max_certified).  Raises
     ``AdmissibilityError`` if no grid point certifies (the lemma inequality
     has no room at these parameters).
     """
-    for m in range(1023, 0, -1):
-        eps = Fraction(m, 1024)
-        if all(b < 0 for b in _lemma_upper_bounds(lemma, eps, params)):
-            return eps * Fraction(9, 10), eps
-    raise AdmissibilityError(f"no admissible epsilon for lemma '{lemma}' at {params}")
+    lo, hi = 0, 1024   # m <= lo certifies (lo = 0 vacuously), m >= hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok = all(b < 0 for b in _lemma_upper_bounds(lemma, Fraction(mid, 1024), params))
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    if not lo:
+        raise AdmissibilityError(f"no admissible epsilon for lemma '{lemma}' at {params}")
+    eps = Fraction(lo, 1024)
+    return eps * Fraction(9, 10), eps
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +260,9 @@ def rational_sphere_points(dim: int, R, count: int, rng) -> list:
         u = [Fraction(int(rng.integers(-64, 65)), int(rng.integers(1, 65)))
              for _ in range(dim - 1)]
         s = sum(x * x for x in u)
-        denom = 1 + s
-        p = [2 * x * R / denom for x in u] + [R * (1 - s) / denom]
-        perm = rng.permutation(dim)
-        p = [p[int(k)] for k in perm]
-        p = [x if rng.integers(0, 2) == 0 else -x for x in p]
-        out.append(tuple(p))
+        p = [2 * x * R / (1 + s) for x in u] + [R * (1 - s) / (1 + s)]
+        out.append(tuple(p[k] if rng.integers(0, 2) == 0 else -p[k]
+                         for k in rng.permutation(dim).tolist()))
     return out
 
 
@@ -296,7 +282,6 @@ class SweepReport:
     # the small-angle threshold: the cell sides of v and w at epsilon
     delta: tuple | None
     seed: int
-    tolerance: float
     notes: dict = field(default_factory=dict)
 
     @property
@@ -318,13 +303,33 @@ class SweepReport:
             "delta": [fmt_scalar(s) if s is not None else None for s in self.delta]
             if self.delta is not None else None,
             "seed": self.seed,
-            "tolerance": self.tolerance,
+            "tolerance": 0.0,
             "notes": self.notes,
         }
 
 
 # p splits its norm R by the rational circle point (T^2 - t^2, 2 t T) / (T^2 + t^2)
 _T = 1 << 10
+
+
+def _sphere_points(rng, params: RegionParams, region):
+    """The circle points (c, s, h) = h (cos phi, sin phi) that put p in
+    ``region`` (all for None), and ``on_sphere(k, iv, iw)``: p = R (cos phi
+    u_v, sin phi u_w) exactly on the sphere, for circle point k and the unit
+    directions iv, iw (N / D, |N| = D) of 1024 ``rational_sphere_points``."""
+    r, w = params.r, params.w_dim()
+    Rn, Rd = params.R.as_integer_ratio()
+    circle = [(_T * _T - t * t, 2 * t * _T, _T * _T + t * t) for t in range(_T + 1)]
+    circle = [(c, s, h) for c, s, h in circle if region is None or region == _region(
+        [Rn * c] + [0] * (r - 1) + [Rn * s] + [0] * (w - 1), Rd * h, params)]
+    v_dirs, w_dirs = ([over_common_denominator(u) for u in rational_sphere_points(m, 1, 1024, rng)]
+                      for m in (r, w))
+
+    def on_sphere(k, iv, iw):
+        (c, s, h), (nv, dv), (nw, dw) = circle[k], v_dirs[iv], w_dirs[iw]
+        return ExactPoint([Rn * c * dw * x for x in nv] + [Rn * s * dv * x for x in nw],
+                          Rd * h * dv * dw)
+    return circle, on_sphere
 
 
 def _in_cell(cell, side, norm, u):
@@ -346,22 +351,15 @@ def _same_key_pairs(rng, params: RegionParams, region, sides):
     exactly on the sphere of radius R, in ``region`` (any for None), and q in
     the closed ball.
 
-    p is R (cos phi u_v, sin phi u_w) for a circle point drawn among those
-    of the region and rational unit directions drawn from a pool of
-    ``rational_sphere_points``.  q's directions are drawn uniformly over p's
-    cells, not near p, and its layer norms independently of p's, as the
-    dilate by a uniform lam in [0, 1) of such a split.  q is built in float
-    and read exactly; its key and norm are then checked exactly, so a
+    p is drawn by ``_sphere_points``.  q's directions are drawn uniformly
+    over p's cells, not near p, and its layer norms independently of p's, as
+    the dilate by a uniform lam in [0, 1) of such a split.  q is built in
+    float and read exactly; its key and norm are then checked exactly, so a
     rounding across a boundary drops the pair.
     """
     r, w = params.r, params.w_dim()
     Rn, Rd = params.R.as_integer_ratio()
-    circle = [(_T * _T - t * t, 2 * t * _T, _T * _T + t * t) for t in range(_T + 1)]
-    circle = [(c, s, h) for c, s, h in circle if region in (
-        None, _region([Rn * c] + [0] * (r - 1) + [Rn * s] + [0] * (w - 1), Rd * h, params))]
-    # each unit direction N / D has |N| = D
-    v_dirs, w_dirs = ([over_common_denominator(u) for u in rational_sphere_points(m, 1, 1024, rng)]
-                      for m in (r, w))
+    circle, on_sphere = _sphere_points(rng, params, region)
     n = 256
     while True:
         split_p, split_q = rng.integers(0, len(circle), (2, n)).tolist()
@@ -369,10 +367,7 @@ def _same_key_pairs(rng, params: RegionParams, region, sides):
         lam = rng.random(n).tolist()
         U = rng.random((n, r + w)).tolist()
         for k in range(n):
-            (nv, dv), (nw, dw) = v_dirs[iv[k]], w_dirs[iw[k]]
-            c, s, h = circle[split_p[k]]
-            p = ExactPoint([Rn * c * dw * x for x in nv] + [Rn * s * dv * x for x in nw],
-                           Rd * h * dv * dw)
+            p = on_sphere(split_p[k], iv[k], iw[k])
             key = _key(p, params, sides)
             c, s, h = circle[split_q[k]]
             size = float(params.R) / h
@@ -384,54 +379,80 @@ def _same_key_pairs(rng, params: RegionParams, region, sides):
                 yield p, q
 
 
+def _offset_pairs(rng, params: RegionParams):
+    """Endless (p, q) ``ExactPoint`` pairs: p exactly on the sphere of
+    radius R, drawn by ``_sphere_points`` from any region, and q = p + R o /
+    2^10 for an integer vector o uniform in [-m, m]^dim.  With m = 2^10
+    sqrt(3 / dim), |q - p| is about R, and about half the q fall inside the
+    unit ball around p at every rank and radius."""
+    Rn, Rd = params.R.as_integer_ratio()
+    circle, on_sphere = _sphere_points(rng, params, None)
+    m = int(_T * math.sqrt(3 / params.dim()))
+    n = 256
+    while True:
+        split = rng.integers(0, len(circle), n).tolist()
+        iv, iw = rng.integers(0, 1024, (2, n)).tolist()
+        O = rng.integers(-m, m + 1, (n, params.dim())).tolist()
+        for k in range(n):
+            p = on_sphere(split[k], iv[k], iw[k])
+            yield p, ExactPoint([x * _T * Rd + Rn * o * p.den for x, o in zip(p.nums, O[k])],
+                                p.den * _T * Rd)
+
+
 def _chord_within(x, y, epsilon) -> bool:
     """|x / |x| - y / |y|| <= epsilon, exactly, for integer vectors and
     0 < epsilon < sqrt(2): <x, y> >= (1 - epsilon^2 / 2) |x| |y|.  A zero
     vector is within any chord."""
     nx, ny = sum(a * a for a in x), sum(b * b for b in y)
     ip = sum(a * b for a, b in zip(x, y))
-    c = 1 - epsilon * epsilon / 2
-    return not nx or not ny or (ip > 0 and ip * ip >= c * c * nx * ny)
+    return not nx or not ny or (ip > 0 and ip * ip >= (1 - epsilon * epsilon / 2) ** 2 * nx * ny)
+
+
+def _decide_pairs(pairs, params: RegionParams, contained: bool):
+    """Decide each pair exactly: the sign of the HS comparison of d(p, q)
+    with 1 must agree with that of ``a_form(p, q)``, as it does for p on the
+    sphere, and with ``contained`` q must lie in the closed ball.  Returns
+    the violations, the largest form as a float, and the count of q inside."""
+    d = HSDistance(free_step2_group(params.r), params.R)
+    violations, forms, inside = [], [], 0
+    for p, q in pairs:
+        sign = d.compare(p, q, Fraction(1))
+        af = a_form(p, q, params)
+        forms.append(af)
+        inside += sign <= 0
+        if (af > 0) - (af < 0) != sign or (contained and sign > 0):
+            violations.append({"compare": sign, "a_form": fmt_scalar(af),
+                               "p": [fmt_scalar(Fraction(x, p.den)) for x in p.nums],
+                               "q": [fmt_scalar(Fraction(x, q.den)) for x in q.nums]})
+    return violations, float(max(forms)), inside
 
 
 def _cell_sweep(lemma, params: RegionParams, sample_count, seed, epsilon, sides):
     """The sweep of ``lemma_sweep`` over same-key pairs at the given cell
-    sides (the certified ones there)."""
-    r = params.r
+    sides (the certified ones there), or over offset pairs for "aq"."""
     region = _REGION_OF_LEMMA.get(lemma)
-    pairs = islice(_same_key_pairs(np.random.default_rng(seed), params, region, sides),
-                   sample_count)
-    violations, forms = [], []
-    if region is None:
-        for index, (p, q) in enumerate(pairs):
-            violations += [{"index": index, "layer": layer}
-                           for layer, part in (("v", slice(0, r)), ("w", slice(r, None)))
-                           if not _chord_within(p.nums[part], q.nums[part], epsilon)]
-        notes = {"kind": "chord-bound"}
+    rng = np.random.default_rng(seed)
+    pairs = islice(_offset_pairs(rng, params) if lemma == "aq"
+                   else _same_key_pairs(rng, params, region, sides), sample_count)
+    if lemma == "small_angles":
+        violations = [{"index": index, "layer": layer}
+                      for index, (p, q) in enumerate(pairs)
+                      for layer, part in (("v", slice(0, params.r)), ("w", slice(params.r, None)))
+                      if not _chord_within(p.nums[part], q.nums[part], epsilon)]
+        max_form, notes = float("nan"), {"kind": "chord-bound"}
     else:
-        d = HSDistance(free_step2_group(r), params.R)
-        for p, q in pairs:
-            sign = d.compare(p, q, Fraction(1))
-            af = a_form(p, q, params)
-            forms.append(af)
-            if sign > 0 or (af > 0) - (af < 0) != sign:
-                violations.append({
-                    "compare": sign,
-                    "a_form": fmt_scalar(af),
-                    "p": [fmt_scalar(Fraction(x, p.den)) for x in p.nums],
-                    "q": [fmt_scalar(Fraction(x, q.den)) for x in q.nums],
-                })
-        notes = {"region": region, "cross_check": "exact a_form"}
+        violations, max_form, inside = _decide_pairs(pairs, params, contained=lemma != "aq")
+        notes = {"region": region, "cross_check": "exact a_form"} if region else {
+            "kind": "sign-equivalence", "cross_check": "exact a_form",
+            "inside": inside, "outside": sample_count - inside}
     return SweepReport(lemma=lemma, params=params, requested=sample_count,
-                       accepted=sample_count, violations=violations,
-                       max_a_form=float(max(forms)) if forms else float("nan"),
-                       epsilon=epsilon, delta=sides, seed=seed, tolerance=0.0,
-                       notes=notes)
+                       accepted=sample_count, violations=violations, max_a_form=max_form,
+                       epsilon=epsilon, delta=sides, seed=seed, notes=notes)
 
 
 def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
                 seed: int = 0) -> SweepReport:
-    """Random sweep of one containment lemma.
+    """Random sweep of one containment lemma, every pair decided exactly.
 
     lemma in {"aq", "small_angles", "away", "near2a", "inbetween"}.
 
@@ -439,44 +460,22 @@ def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,
     in the ball, both in the lemma's parabolic region and with equal
     ``cell_key``s; each pair is decided by the exact HS comparison
     d(p, q) <= 1, and the sign of the exact ``a_form`` must agree.  For "aq"
-    the sign of the float form is checked against direct ball membership;
-    for "small_angles" the chord bound epsilon = 1/16 is checked exactly
+    q is p plus a small offset, inside the ball or not, and the signs must
+    agree likewise, with tolerance 0; the notes count q inside and outside.
+    For "small_angles" the chord bound epsilon = 1/16 is checked exactly
     between the layer directions of same-cell pairs.  The containment lemmas
     take epsilon from ``admissible_epsilon``.  A sweep needs at least one
     sample: an empty one would certify nothing.
     """
     if sample_count < 1:
         raise ValueError(f"a sweep needs at least one sample, not {sample_count}")
-    r = params.r
-    if lemma == "aq":
-        rng = np.random.default_rng(seed)
-        wdim = params.w_dim()
-        Rf = float(params.R)
-        m = sample_count
-        P = rng.standard_normal((m, r + wdim))
-        P /= np.linalg.norm(P, axis=1, keepdims=True)
-        P *= Rf
-        Q = rng.standard_normal((m, r + wdim)) * rng.uniform(
-            0.1, 1.2, size=(m, 1)) * Rf / math.sqrt(r + wdim)
-        A = a_form_batch(P, Q, r)
-        # direct membership of q in B(p, 1): squared gauge of p^-1 q vs R^2
-        D = multiply_batch(-P, Q, free_step2_group(r))
-        gap = (D * D).sum(axis=1) - Rf * Rf
-        band = 1e-8
-        keep = np.abs(A) > band
-        mism = np.flatnonzero(np.sign(A[keep]) != np.sign(gap[keep]))
-        violations = [{"index": int(i)} for i in mism[:20]]
-        return SweepReport(lemma=lemma, params=params, requested=m,
-                           accepted=int(keep.sum()), violations=violations,
-                           max_a_form=float(np.max(A)), epsilon=None, delta=None,
-                           seed=seed, tolerance=band,
-                           notes={"kind": "sign-equivalence", "band": band})
+    epsilon = eps_max = None
     if lemma == "small_angles":
         epsilon = Fraction(1, 16)
-        return _cell_sweep(lemma, params, sample_count, seed, epsilon,
-                           _cell_sides(epsilon, params))
-    epsilon, eps_max = admissible_epsilon(lemma, params)
+    elif lemma != "aq":
+        epsilon, eps_max = admissible_epsilon(lemma, params)
     rep = _cell_sweep(lemma, params, sample_count, seed, epsilon,
-                      _cell_sides(epsilon, params))
-    rep.notes["epsilon_max_certified"] = fmt_scalar(eps_max)
+                      _cell_sides(epsilon, params) if epsilon else None)
+    if eps_max:
+        rep.notes["epsilon_max_certified"] = fmt_scalar(eps_max)
     return rep

@@ -24,7 +24,6 @@ from carnot_bcp.besicovitch import (
 from carnot_bcp.certificates import (
     RegionParams,
     a_form,
-    a_form_batch,
     lemma_sweep,
     rational_sphere_points,
 )
@@ -47,6 +46,8 @@ from carnot_bcp.structure import (
     is_stratification,
     validate_morphism,
 )
+
+from aform_oracle import a_form_batch
 
 F = Fraction
 

@@ -1,5 +1,6 @@
 """The free step-2 lemma machinery: membership form, regions, cells, sweeps."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import islice
@@ -10,23 +11,29 @@ import pytest
 import carnot_bcp as cb
 from carnot_bcp.certificates import (
     BAND,
+    AdmissibilityError,
     RegionParams,
     SHALLOW,
     STEEP,
     _cell_sides,
     _cell_sweep,
+    _decide_pairs,
     _key,
+    _lemma_upper_bounds,
+    _offset_pairs,
     _same_key_pairs,
     a_form,
-    a_form_batch,
     admissible_epsilon,
     cell_key,
     lemma_sweep,
     rational_sphere_points,
     region_classify,
 )
+from carnot_bcp.cli import main
 from carnot_bcp.metrics import HSDistance
-from carnot_bcp.scalars import over_common_denominator
+from carnot_bcp.scalars import ExactPoint, over_common_denominator
+
+from aform_oracle import a_form_batch
 
 F = Fraction
 
@@ -202,8 +209,51 @@ def test_admissible_epsilon_certified(lemma, r, R):
     eps, eps_max = admissible_epsilon(lemma, params(r, R))
     assert 0 < eps < eps_max < 1
     # the certificate is rigorous: re-check the upper bounds at eps_max
-    from carnot_bcp.certificates import _lemma_upper_bounds
     assert all(b < 0 for b in _lemma_upper_bounds(lemma, eps_max, params(r, R)))
+
+
+def _certifies(lemma, m, pr):
+    return all(b < 0 for b in _lemma_upper_bounds(lemma, F(m, 1024), pr))
+
+
+@pytest.mark.parametrize("lemma", ["away", "near2a", "inbetween"])
+def test_admissible_epsilon_is_the_largest_grid_point(lemma, monkeypatch):
+    # the bisection relies on the certified grid points being an initial
+    # segment: the next grid point above eps_max must fail, and where no
+    # epsilon exists the first grid point fails already
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lemma_upper_bounds(*args)
+
+    monkeypatch.setattr("carnot_bcp.certificates._lemma_upper_bounds", counted)
+    raising = 0
+    for r in range(2, 7):
+        for R in (F(1, 4), F(1, 2), F(1), F(2)):
+            pr = params(r, R)
+            calls.clear()
+            try:
+                eps, eps_max = admissible_epsilon(lemma, pr)
+            except AdmissibilityError:
+                raising += 1
+                assert not _certifies(lemma, 1, pr)
+                continue
+            assert eps == eps_max * F(9, 10) and eps_max.denominator <= 1024
+            m = eps_max * 1024
+            assert _certifies(lemma, m, pr)
+            assert m == 1023 or not _certifies(lemma, m + 1, pr)
+            assert len(calls) == 10
+    # away fails at r = 5, 6 with R = 2; inbetween at r >= 4 with R = 2 and
+    # at r >= 5 with R = 1
+    assert raising == {"away": 2, "near2a": 0, "inbetween": 5}[lemma]
+
+
+def test_an_unknown_lemma_is_a_configuration_error():
+    # ValueError (exit 64), not AdmissibilityError (exit 70)
+    with pytest.raises(ValueError, match="unknown lemma"):
+        admissible_epsilon("nearby", params())
+    assert not issubclass(AdmissibilityError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +302,28 @@ def test_same_key_pairs_meet_the_hypotheses(lemma):
 # ---------------------------------------------------------------------------
 
 def test_aq_sweep_no_sign_disagreements():
-    rep = lemma_sweep("aq", params(2, F(1)), sample_count=20_000, seed=0)
-    assert rep.ok and rep.accepted > 10_000
+    # every pair is decided exactly, and the offsets put q inside and outside
+    # the unit ball around p, so the signs are compared on both sides
+    for r in (2, 3):
+        rep = lemma_sweep("aq", params(r, F(1)), sample_count=20_000, seed=0)
+        assert rep.ok and rep.accepted > 10_000
+        assert rep.notes["inside"] > 5000 and rep.notes["outside"] > 5000
+        assert rep.notes["inside"] + rep.notes["outside"] == 20_000
+        assert rep.to_json()["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_aq_check_finds_points_off_the_sphere(r):
+    # a_form decides membership only for p exactly on the sphere: moved out
+    # to 11/10 p, the form and the exact comparison must disagree often
+    pr = params(r, F(1))
+    pairs = list(islice(_offset_pairs(np.random.default_rng(0), pr), 2000))
+    assert _decide_pairs(pairs, pr, contained=False)[0] == []
+    off = [(ExactPoint([11 * x for x in p.nums], 10 * p.den), q) for p, q in pairs]
+    violations, _, _ = _decide_pairs(off, pr, contained=False)
+    assert len(violations) > 200
+    assert all((F(v["a_form"]) > 0) - (F(v["a_form"]) < 0) != v["compare"]
+               for v in violations)
 
 
 def test_small_angles_sweep():
@@ -303,6 +373,37 @@ def test_coarse_cells_make_the_sweeps_fail():
         coarse = tuple(250 * s if s else None for s in _cell_sides(F(1, 16), params(r)))
         rep = _cell_sweep("small_angles", params(r), 500, 0, F(1, 16), coarse)
         assert len(rep.violations) > 50
+
+
+# sha256 of the ``certify-lemmas --samples 300 --seed 0`` JSON
+CERTIFY_LEMMAS_SHA256 = {
+    ("small_angles", 2, "1/2"): "db018998d8b1ca633f8d5692fdb4813df82d24d4cbf9bdfb71ac6f80bb11dcfe",
+    ("small_angles", 2, "1"): "8d1d521c1621f3e94cfaf54c54c835502bf498d96db2ff8b14f50155d9a05932",
+    ("small_angles", 3, "1/2"): "23f9071e7851a186506265a0bc364ad643f123554bb7b9e6d47e2310b96b0841",
+    ("small_angles", 3, "1"): "0e57952d65b7519c5f54fde92e35a63a3b9b793d216f531aa98230f8e24ac56a",
+    ("away", 2, "1/2"): "d8af76c7b778171130bb0910bad0c00833b97b69c1e73de0eaea28a1bce341a7",
+    ("away", 2, "1"): "183a8071bdc4deb07cb3bc31e24aa1f1bf5f19c8fb7b45446e18c3a4a4eb49d3",
+    ("away", 3, "1/2"): "124b99b82f76b9bd8308b45e4e3cac011d7567d08ea9c327e7d6c8dfd4611e55",
+    ("away", 3, "1"): "69a458ec52042187616766148533a889de5b988cd99200838c003817ce58440a",
+    ("near2a", 2, "1/2"): "0f5a9b6581e28755828c1ae580edd65a5f19b750d570fea5dd937bdc1c0a694f",
+    ("near2a", 2, "1"): "1c3b1b4d44ee5597952dadf9321749ea2843998d3b33f4d88aa8a58237f74550",
+    ("near2a", 3, "1/2"): "1b91e0bb05b3237e5008ec67f834b68abb84ed4839629ea779fed0af93a3a732",
+    ("near2a", 3, "1"): "90cd79413616f44400141b0d24beef849861394ec4bb28d9f8ab26fcd4735daa",
+    ("inbetween", 2, "1/2"): "2339b9f29be3a7f9e9e0c553663e6e7faa0c1e90e27c14c40c339aa4d23662dd",
+    ("inbetween", 2, "1"): "c46d735647e7cba2d851aad11db689601b0aecbd4ec06d875e8320a2ff625542",
+    ("inbetween", 3, "1/2"): "3634884904bbea08eb0c502226e18c2108024fcf0aa9875bfca8bfefaf7ac3ce",
+    ("inbetween", 3, "1"): "76338fdf275490e8b296a49d5f168c80d7c49a4e03628b34f13b0bda325fd3be",
+}
+
+
+@pytest.mark.parametrize("lemma,r,R", sorted(CERTIFY_LEMMAS_SHA256))
+def test_certify_lemmas_json_is_pinned(lemma, r, R, tmp_path):
+    # the same-key sweeps draw their pairs in a fixed rng order and decide
+    # them exactly, so their JSON is byte-stable across refactors
+    out = tmp_path / "sweep.json"
+    assert main(["certify-lemmas", "--lemma", lemma, "--rank", str(r), "--R", R,
+                 "--samples", "300", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CERTIFY_LEMMAS_SHA256[lemma, r, R]
 
 
 @pytest.mark.parametrize("lemma", ["aq", "small_angles", "away", "near2a", "inbetween"])
