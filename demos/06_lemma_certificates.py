@@ -58,6 +58,6 @@ print()
 for lemma in ("away", "near2a", "inbetween"):
     rep = lemma_sweep(lemma, params, sample_count=5000, seed=0)
     print(f"sweep '{lemma}': cell side {rep.delta[0]} for v, "
-          f"{rep.accepted} same-key pairs, {len(rep.violations)} violations, "
+          f"{rep.requested} same-key pairs, {len(rep.violations)} violations, "
           f"max form value {rep.max_a_form:.3e}")
 

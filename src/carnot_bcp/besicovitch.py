@@ -255,23 +255,24 @@ _LOG_SHELL = (math.log(0.02), math.log(1.0))
 _RESTART_INTERVAL = 4096
 
 
-def _proposal_batches(d: QuasiDistance, strategy, rng):
-    """Endless stream of (points, radii): a (_BATCH, n) array of proposed
-    centers and the (_BATCH,) distance of each from the identity, which is
+def _proposals(d: QuasiDistance, strategy, rng, count):
+    """``count`` proposals (points, radii): a (count, n) array of proposed
+    centers and the (count,) distance of each from the identity, which is
     the dilation factor that made it from a unit-sphere point: a shell
-    factor, or ratio^l on a chain.  A batch draws every row and factor
-    first (shells; then, annealed, chain seeds and orthant rows), and one
-    ``project`` call solves and dilates them all, so each batch costs one
-    batch solve and two dilations whatever its chains; a row whose
-    projection failed has radius 0, so the search never keeps it.  A pure
-    function of the rng state."""
+    factor, or ratio^l on a chain.  Rows are drawn _BATCH at a time (shells;
+    then, annealed, chain seeds and orthant rows) and cut to ``count``, so
+    k calls of _BATCH draw what one call of k _BATCH draws.  One ``project``
+    call solves and dilates them all: one batch solve and two dilations.  A
+    row whose projection failed has radius 0, so the search never keeps it."""
     n = d.group.dim
     quarter = _BATCH // 4 if strategy == "annealed" else 0
-    while True:
+    rows, factors = [], []
+    for _ in range(-(-count // _BATCH)):
         V = rng.standard_normal((_BATCH - 2 * quarter, n))
         norms = np.linalg.norm(V, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        rows, factors = [V / norms], [np.exp(rng.uniform(*_LOG_SHELL, size=len(V)))]
+        rows.append(V / norms)
+        factors.append(np.exp(rng.uniform(*_LOG_SHELL, size=len(V))))
         if quarter:
             # annealed: + dilation-orbit chains + orthant-restricted shells
             chain, ratios = _chains(rng, n, quarter)
@@ -282,7 +283,7 @@ def _proposal_batches(d: QuasiDistance, strategy, rng):
                 orth[:, 2] = -np.abs(orth[:, 2])
             rows += [chain, orth]
             factors += [ratios, np.exp(rng.uniform(*_LOG_SHELL, size=quarter))]
-        yield project(d, np.concatenate(rows), np.concatenate(factors))
+    return project(d, np.concatenate(rows)[:count], np.concatenate(factors)[:count])
 
 
 def _chains(rng, dim, rows):
@@ -312,8 +313,9 @@ def _greedy_extend(d, centers, radii, cand, cand_r):
     tested in one call of k * m rows; then the first live candidate is kept
     and drops the live ones it conflicts with, one call per kept ball.  So
     a candidate is kept exactly when it passes the family and every
-    candidate kept before it.  The float test only proposes: ``_repair``
-    decides both conditions of each kept ball exactly."""
+    candidate kept before it, and one call keeps what calls on its parts
+    keep.  The float test only proposes: ``_repair`` decides both
+    conditions of each kept ball exactly."""
     # a relative guard above MARGIN_EPSILON, so that few float balls fail the
     # exact or margin check of repair
     guard = 1e-6
@@ -375,39 +377,38 @@ def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
     """Randomized search for large verified families, witness at the identity.
 
     The family is exact when ``d.exact_capable`` holds, and a margin family
-    otherwise.  Deterministic for a fixed seed.  The proposal stream and the
-    restart schedule do not depend on the budget, and the best family is
-    tracked as a running maximum over verified snapshots, so the returned
-    cardinality is non-decreasing in the budget for a fixed seed.
+    otherwise.  Deterministic for a fixed seed.  Each block of
+    _RESTART_INTERVAL proposals is one ``_proposals`` call and one greedy
+    pass; an annealed search restarts from an empty family after each
+    block, so only random blocks after the first test a family.  The
+    proposal stream and the restart schedule do not depend on the budget,
+    and the best family is tracked as a running maximum over verified
+    snapshots, so the returned cardinality is non-decreasing in the budget
+    for a fixed seed.
     """
     if strategy not in ("random", "annealed"):
         raise ValueError("strategy must be 'random' or 'annealed'")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, not {budget}")
     rng = np.random.default_rng(seed)
-    stream = _proposal_batches(d, strategy, rng)
     centers, radii = [], []
     best = _repair(d, [], [])
     trace = []
     used = 0
-    since_restart = 0
+    annealed = strategy == "annealed"
     while used < budget:
-        cand, cand_r = next(stream)
-        take = min(len(cand), budget - used)
+        take = min(_RESTART_INTERVAL, budget - used)
         used += take
-        since_restart += take
-        _greedy_extend(d, centers, radii, cand[:take], cand_r[:take])
-        restart = strategy == "annealed" and since_restart >= _RESTART_INTERVAL
+        _greedy_extend(d, centers, radii, *_proposals(d, strategy, rng, take))
         # repair only shrinks a family, so a float cardinality that cannot
         # beat the best needs no exact pass
-        if (restart or used >= budget) and len(centers) > len(best):
+        if (annealed or used >= budget) and len(centers) > len(best):
             snap = _repair(d, centers, radii)
             if len(snap) > len(best):
                 best = snap
                 trace.append((used, len(best)))
-        if restart:
+        if annealed:
             centers, radii = [], []
-            since_restart = 0
     if not verify_family(best).valid:
         raise SearchError(f"the {len(best)}-ball family found fails verification")
     return SearchResult(family=best, cardinality=len(best), proposals_used=used,

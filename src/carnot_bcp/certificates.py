@@ -275,7 +275,6 @@ class SweepReport:
     lemma: str
     params: RegionParams
     requested: int
-    accepted: int
     violations: list
     max_a_form: float
     epsilon: Fraction | None
@@ -296,7 +295,7 @@ class SweepReport:
             "a": fmt_scalar(self.params.a),
             "a_prime": fmt_scalar(self.params.a_prime),
             "requested": self.requested,
-            "accepted": self.accepted,
+            "accepted": self.requested,     # every pair is decided
             "violations": self.violations,
             "max_a_form": self.max_a_form,
             "epsilon": fmt_scalar(self.epsilon) if self.epsilon is not None else None,
@@ -446,8 +445,8 @@ def _cell_sweep(lemma, params: RegionParams, sample_count, seed, epsilon, sides)
             "kind": "sign-equivalence", "cross_check": "exact a_form",
             "inside": inside, "outside": sample_count - inside}
     return SweepReport(lemma=lemma, params=params, requested=sample_count,
-                       accepted=sample_count, violations=violations, max_a_form=max_form,
-                       epsilon=epsilon, delta=sides, seed=seed, notes=notes)
+                       violations=violations, max_a_form=max_form, epsilon=epsilon,
+                       delta=sides, seed=seed, notes=notes)
 
 
 def lemma_sweep(lemma: str, params: RegionParams, sample_count: int = 10_000,

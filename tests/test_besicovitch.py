@@ -198,12 +198,12 @@ def _pairwise_greedy(d, centers, radii, cand, cand_r, guard=1e-6):
 @pytest.mark.parametrize("strategy", ["random", "annealed"])
 def test_greedy_extend_keeps_what_the_pairwise_rule_keeps(strategy):
     d = nonstd_h1_distance()
-    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
     centers, radii = [], []
     added = []
     # the first batch extends the empty family, the later ones a non-empty one
     for _ in range(6):
-        cand, cand_r = next(stream)
+        cand, cand_r = besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
         expected = _pairwise_greedy(d, centers, radii, cand, cand_r)
         n = len(centers)
         besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
@@ -222,9 +222,9 @@ def test_greedy_extend_keeps_what_the_pairwise_rule_keeps(strategy):
 @pytest.mark.parametrize("strategy", ["random", "annealed"])
 def test_stream_radii_are_the_distances_of_the_proposals(make_d, strategy):
     d = make_d()
-    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
     for _ in range(3):
-        cand, cand_r = next(stream)
+        cand, cand_r = besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
         assert cand.shape == (besicovitch._BATCH, d.group.dim) and cand_r.shape == (len(cand),)
         np.testing.assert_allclose(cand_r, d.value_from_identity_batch(cand), rtol=1e-12)
 
@@ -248,14 +248,14 @@ class FailingProjection(HSDistance):
 @pytest.mark.parametrize("strategy", ["random", "annealed"])
 def test_a_failed_projection_has_radius_zero_and_is_never_kept(strategy):
     d = FailingProjection()
-    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
     centers, radii = [], []
     # the shells, and for the annealed strategy the chains and orthant rows
     quarter = besicovitch._BATCH // 4
     parts = ([slice(0, 2 * quarter), slice(2 * quarter, 3 * quarter),
               slice(3 * quarter, None)] if strategy == "annealed" else [slice(None)])
     for _ in range(4):
-        cand, cand_r = next(stream)
+        cand, cand_r = besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
         # a failed row keeps its direction, dilated by positive factors
         failed = cand[:, 0] > 0
         assert all(failed[part].any() for part in parts)
@@ -289,11 +289,11 @@ def test_the_float_phase_makes_a_fixed_number_of_batch_calls(monkeypatch, strate
         for name in ("dilate", "dilate_batch"):
             if hasattr(module, name):
                 _counting(monkeypatch, module, name, counts)
-    stream = besicovitch._proposal_batches(d, strategy, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
     centers, radii = [], []
     for _ in range(8):
         counts.clear()
-        cand, cand_r = next(stream)
+        cand, cand_r = besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
         # one projection of the whole batch: one solve, two dilations
         assert counts == {"value_from_identity_batch": 1, "dilate_batch": 2}
         counts.clear()
@@ -301,6 +301,73 @@ def test_the_float_phase_makes_a_fixed_number_of_batch_calls(monkeypatch, strate
         besicovitch._greedy_extend(d, centers, radii, cand, cand_r)
         assert counts.get("exceeds_batch", 0) <= 1 + len(centers) - n
     assert len(centers) > 1
+
+
+def _assert_same_rows(got, expected, ulps):
+    """The same shape, and each value bit for bit, or within ``ulps``."""
+    assert got.shape == expected.shape
+    if ulps:
+        np.testing.assert_array_max_ulp(got, expected, maxulp=ulps)
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("make_d,ulps", [
+    # the HS Newton solve stops once every row of its batch has converged, so
+    # a row in a larger batch can take one more step and move its point by a
+    # few ulps; the radii, the dilation factors, are exact
+    (nonstd_h1_distance, 16),
+    (lambda: CCHeisenbergDistance(1.0), 0),
+    (lambda: lp_combination_distance(euclidean_line(), snowflake_line(2), 1), 0),
+    (lambda: product_max_distance(euclidean_line(), snowflake_line(2)), 0),
+], ids=["hs", "cc_h1", "lp_r1", "product_max"])
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_a_block_of_proposals_is_the_batches_in_turn(make_d, ulps, strategy):
+    d = make_d()
+    block = besicovitch._proposals(d, strategy, np.random.default_rng(0),
+                                   besicovitch._RESTART_INTERVAL)
+    rng = np.random.default_rng(0)
+    batches = [besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
+               for _ in range(besicovitch._RESTART_INTERVAL // besicovitch._BATCH)]
+    # the rows drawn in one call are those of successive batch calls
+    (points, radii), (batch_points, batch_radii) = block, map(np.concatenate, zip(*batches))
+    _assert_same_rows(points, batch_points, ulps)
+    _assert_same_rows(radii, batch_radii, 0)
+    # a ragged count is the first rows of the block
+    points, radii = besicovitch._proposals(d, strategy, np.random.default_rng(0), 1000)
+    _assert_same_rows(points, block[0][:1000], ulps)
+    _assert_same_rows(radii, block[1][:1000], 0)
+
+
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_one_greedy_pass_over_a_block_keeps_what_batch_passes_keep(strategy):
+    d = nonstd_h1_distance()
+    rng = np.random.default_rng(6)
+    # a family from a first block, so the second one also meets the k * m test
+    first = besicovitch._proposals(d, strategy, rng, besicovitch._BATCH)
+    block = besicovitch._proposals(d, strategy, rng, besicovitch._RESTART_INTERVAL)
+    for family in ((), first):
+        whole, parts = ([], []), ([], [])
+        if family:
+            besicovitch._greedy_extend(d, *whole, *family)
+            besicovitch._greedy_extend(d, *parts, *family)
+        start = len(whole[0])
+        besicovitch._greedy_extend(d, *whole, *block)
+        for i in range(0, len(block[0]), besicovitch._BATCH):
+            besicovitch._greedy_extend(d, *parts, *(a[i:i + besicovitch._BATCH] for a in block))
+        assert whole == parts and len(whole[0]) > start
+
+
+@pytest.mark.parametrize("strategy", ["random", "annealed"])
+def test_a_search_projects_each_restart_interval_once(monkeypatch, strategy):
+    d = nonstd_h1_distance()
+    counts = {}
+    _counting(monkeypatch, d, "value_from_identity_batch", counts)
+    _counting(monkeypatch, cb.metrics, "dilate_batch", counts)
+    res = search_family(d, 25_000, strategy=strategy, seed=1)
+    # ceil(25000 / 4096) = 7 blocks, each one solve and two dilations
+    assert counts == {"value_from_identity_batch": 7, "dilate_batch": 14}
+    assert res.proposals_used == 25_000 and res.cardinality >= 5
 
 
 def test_radius_for_center_exact_membership():

@@ -306,7 +306,7 @@ def test_aq_sweep_no_sign_disagreements():
     # the unit ball around p, so the signs are compared on both sides
     for r in (2, 3):
         rep = lemma_sweep("aq", params(r, F(1)), sample_count=20_000, seed=0)
-        assert rep.ok and rep.accepted > 10_000
+        assert rep.ok and rep.requested > 10_000
         assert rep.notes["inside"] > 5000 and rep.notes["outside"] > 5000
         assert rep.notes["inside"] + rep.notes["outside"] == 20_000
         assert rep.to_json()["tolerance"] == 0.0
@@ -339,7 +339,7 @@ def test_small_angles_sweep():
 def test_containment_sweeps_rank2(lemma):
     rep = lemma_sweep(lemma, params(2, F(1)), sample_count=2000, seed=0)
     assert rep.ok, rep.violations[:2]
-    assert rep.accepted == 2000
+    assert rep.requested == 2000
     assert rep.max_a_form <= 0
 
 
@@ -365,7 +365,7 @@ def test_coarse_cells_make_the_sweeps_fail():
     eps, _ = admissible_epsilon("away", pr)
     coarse = (250 * _cell_sides(eps, pr)[0], None)
     rep = _cell_sweep("away", pr, 3000, 0, eps, coarse)
-    assert rep.accepted == 3000 and len(rep.violations) > 30
+    assert rep.requested == 3000 and len(rep.violations) > 30
     assert all(v["compare"] == 1 and F(v["a_form"]) > 0 for v in rep.violations)
     certified = _cell_sweep("away", pr, 3000, 0, eps, _cell_sides(eps, pr))
     assert certified.ok and certified.max_a_form <= 0
