@@ -297,13 +297,17 @@ def _jacobi_violations(alg):
 
 @dataclass(frozen=True)
 class GradedGroup:
-    """A simply connected graded group identified with its algebra coordinates."""
+    """A simply connected graded group identified with its algebra
+    coordinates, given by its algebra and its name.  ``step``, the algebra's
+    nilpotency step, is derived once on construction and kept as a plain
+    attribute, since the float products read it on every call."""
 
     algebra: StructureConstants
-    step: int
+    step: int = field(init=False)
     name: str = ""
-    # index tuples of the direct factors, for product groups ((),) otherwise
-    factor_slices: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "step", self.algebra.step())
 
     @property
     def dim(self):
@@ -316,16 +320,12 @@ class GradedGroup:
     def identity(self):
         return tuple(Fraction(0) for _ in range(self.dim))
 
-    def __hash__(self):
-        return hash((self.algebra, self.step, self.name))
 
-
-def make_group(alg: StructureConstants, name="", factor_slices=()) -> GradedGroup:
+def make_group(alg: StructureConstants, name="") -> GradedGroup:
     report = validate_algebra(alg)
     if not report.ok:
         raise AlgebraError(f"invalid algebra for group '{name}': {report.issues}")
-    return GradedGroup(algebra=alg, step=alg.step(), name=name,
-                       factor_slices=factor_slices)
+    return GradedGroup(algebra=alg, name=name)
 
 
 def multiply(p, q, group: GradedGroup):
@@ -579,13 +579,21 @@ def direct_sum(parts):
     return alg, pos
 
 
-def product_group(g: GradedGroup, h: GradedGroup) -> GradedGroup:
-    """Direct product, layers merged weight-by-weight (see ``direct_sum``);
-    factor_slices records where each factor's coordinates ended up."""
+def _product(g: GradedGroup, h: GradedGroup):
+    """The direct product of g and h, and for each factor the positions of
+    its coordinates in the product, in the factor's own coordinate order.
+    ``direct_sum`` alone decides the basis order, so a factor that is itself
+    a product is read as its own coordinates, whatever its factors were."""
     alg, pos = direct_sum([(g.weights, g.algebra.bracket), (h.weights, h.algebra.bracket)])
-    slices = tuple(tuple(pos[fi, li] for li in sl) for fi, grp in enumerate((g, h))
-                   for sl in grp.factor_slices or (tuple(range(grp.dim)),))
-    return make_group(alg, name=f"product({g.name},{h.name})", factor_slices=slices)
+    slices = tuple(tuple(pos[fi, li] for li in range(grp.dim)) for fi, grp in enumerate((g, h)))
+    return make_group(alg, name=f"product({g.name},{h.name})"), slices
+
+
+def product_group(g: GradedGroup, h: GradedGroup) -> GradedGroup:
+    """Direct product, layers merged weight-by-weight (see ``direct_sum``).
+    The group keeps no record of its factors: a product distance takes
+    their positions from ``_product``."""
+    return _product(g, h)[0]
 
 
 def power_group(g: GradedGroup, t) -> GradedGroup:
@@ -595,7 +603,7 @@ def power_group(g: GradedGroup, t) -> GradedGroup:
         raise AlgebraError("power exponent must be positive")
     alg = StructureConstants(dim=g.dim, weights=tuple(w * t for w in g.weights),
                              bracket=g.algebra.bracket)
-    return make_group(alg, name=f"power({g.name},{t})", factor_slices=g.factor_slices)
+    return make_group(alg, name=f"power({g.name},{t})")
 
 
 def step3_rank3_group() -> GradedGroup:

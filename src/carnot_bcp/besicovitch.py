@@ -820,7 +820,6 @@ def greedy_cover(points, radii, d: QuasiDistance) -> CoverReport:
 
 @dataclass
 class FiniteMetricSpace:
-    labels: list
     table: tuple              # tuple of tuples of Fractions
 
     def validate(self) -> list:
@@ -868,7 +867,7 @@ def countable_space(n: int) -> FiniteMetricSpace:
     num, den = _countable_distance(idx[:, None], idx[None, :])
     table = tuple(tuple(Fraction(int(a), int(b)) for a, b in zip(rn, rd))
                   for rn, rd in zip(num, den))
-    return FiniteMetricSpace(labels=[f"x{i}" for i in range(1, n + 1)], table=table)
+    return FiniteMetricSpace(table=table)
 
 
 def countable_space_triangle_audit(n: int) -> bool:

@@ -54,6 +54,7 @@ from .algebra import (
     AlgebraError,
     ExactnessError,
     GradedGroup,
+    _product,
     abelian_group,
     dilate,
     dilate_batch,
@@ -63,7 +64,6 @@ from .algebra import (
     multiply_batch,
     multiply_floats,
     power_group,
-    product_group,
 )
 from .exact_linalg import min_norm_right_inverse, rref
 from .scalars import all_exact, int_power, over_common_denominator
@@ -605,16 +605,16 @@ def snowflake_line(s=Fraction(2)) -> HSDistance:
 class _CombinedDistance(QuasiDistance):
     """Shared plumbing for componentwise combinations on a product group: a
     kind defines ``combine(v1, v2)``, the value from the values of the two
-    components (floats, or arrays rowwise), and its exact ``_sign``."""
+    components (floats, or arrays rowwise), and its exact ``_sign``.
+
+    ``slice1`` and ``slice2`` are the positions of each component's
+    coordinates in the product, in the component's own coordinate order, so
+    ``split`` hands a component its point as that component reads it, also
+    when the component is itself a product."""
 
     def __init__(self, d1: QuasiDistance, d2: QuasiDistance):
         self.components = (d1, d2)
-        group = product_group(d1.group, d2.group)
-        k1 = len(d1.group.factor_slices) if d1.group.factor_slices else 1
-        slices = group.factor_slices
-        # regroup the flattened factor slices back into the two components
-        self.slice1 = tuple(i for sl in slices[:k1] for i in sl)
-        self.slice2 = tuple(i for sl in slices[k1:] for i in sl)
+        group, (self.slice1, self.slice2) = _product(d1.group, d2.group)
         super().__init__(group)
         self.exact_capable = d1.exact_capable and d2.exact_capable
 

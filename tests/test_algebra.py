@@ -351,12 +351,23 @@ def test_unsupported_step_rejected():
         bracket={(0, 1): ((2, F(1)),), (0, 2): ((3, F(1)),),
                  (0, 3): ((4, F(1)),)})
     assert cb.validate_algebra(alg).ok
-    g = cb.GradedGroup(algebra=alg, step=alg.step(), name="step4")
+    g = cb.GradedGroup(algebra=alg, name="step4")
     assert g.step == 4
     with pytest.raises(UnsupportedStepError):
         cb.multiply(g.identity(), g.identity(), g)
     with pytest.raises(UnsupportedStepError):
         cb.displacement(g.identity(), g.identity(), g)
+
+
+def test_a_group_derives_its_step_from_its_algebra():
+    # a step given apart from the algebra could disagree with it: step 2 on
+    # the step-3 fixture dropped the step-3 BCH terms of every product
+    g = cb.step3_rank3_group()
+    assert cb.GradedGroup(algebra=g.algebra, name="again").step == 3
+    with pytest.raises(TypeError):
+        cb.GradedGroup(algebra=g.algebra, step=2)
+    assert cb.GradedGroup(algebra=g.algebra, name=g.name) == g
+    assert hash(cb.GradedGroup(algebra=g.algebra, name=g.name)) == hash(g)
 
 
 def test_dilate_nonstandard_example():
@@ -459,12 +470,14 @@ def test_product_of_lines_is_plane():
 
 
 def test_product_weight_sorting_and_slices():
+    from carnot_bcp.metrics import HSDistance, ProductMaxDistance, euclidean_line
     g = cb.product_group(cb.heisenberg_group(1), cb.abelian_group([1]))
     assert g.weights == (F(1), F(1), F(1), F(2))
-    s1, s2 = g.factor_slices
-    assert sorted(s1 + s2) == [0, 1, 2, 3]
-    # weight-2 coordinate belongs to the Heisenberg factor
-    assert 3 in s1
+    d = ProductMaxDistance(HSDistance(cb.heisenberg_group(1)), euclidean_line())
+    assert d.group == g
+    # the Heisenberg factor reads X, Y and the weight-2 Z, the line the rest
+    assert d.split((0, 1, 2, 3)) == ((0, 1, 3), (2,))
+    assert [x.tolist() for x in d.split_batch([(0, 1, 2, 3)])] == [[[0, 1, 3]], [[2]]]
 
 
 def test_builtin_group_dispatch():

@@ -831,7 +831,7 @@ def test_countable_space_audits_read_the_table(monkeypatch):
 
 def test_finite_space_validation_catches_violations():
     from carnot_bcp.besicovitch import FiniteMetricSpace
-    bad = FiniteMetricSpace(labels=["a", "b", "c"], table=(
+    bad = FiniteMetricSpace(table=(
         (F(0), F(1), F(5)),
         (F(1), F(0), F(1)),
         (F(5), F(1), F(0))))

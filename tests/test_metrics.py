@@ -955,6 +955,95 @@ def test_max_of_same_distance_on_diagonal():
     assert d.value((0, 0), (3, 3)) == pytest.approx(3.0)
 
 
+def unsorted_product():
+    """The product of a weight-2 line and a weight-1 line: its first factor
+    sits at its second coordinate."""
+    return cb.product_group(cb.abelian_group([2]), cb.abelian_group([1]))
+
+
+# products whose first component is itself a product with factors out of
+# weight order: (distance, point in the product's coordinates, value)
+NESTED_PRODUCTS = {
+    # snowflake sqrt(1/4) = 1/2 and line 3 inside, line 1/10 outside
+    "max_of_max": (lambda: product_max_distance(
+        product_max_distance(snowflake_line(2), euclidean_line()), euclidean_line()),
+        (F(3), F(1, 10), F(1, 4)), F(3)),
+    "lp_of_max": (lambda: lp_combination_distance(
+        product_max_distance(snowflake_line(2), euclidean_line()), euclidean_line(), 1),
+        (F(3), F(1, 10), F(1, 4)), F(31, 10)),
+    # HS at (0, 4) on weights (1, 2): 16 lam^-4 = 1
+    "max_of_hs_on_product": (lambda: product_max_distance(
+        HSDistance(unsorted_product()), euclidean_line()),
+        (F(0), F(1, 2), F(4)), F(2)),
+    # HS at (0, 16) on weights (2, 4): 256 lam^-8 = 1
+    "max_of_hs_on_power_of_product": (lambda: product_max_distance(
+        HSDistance(cb.power_group(unsorted_product(), 2)), euclidean_line()),
+        (F(1, 2), F(0), F(16)), F(2)),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_PRODUCTS)
+def test_a_nested_product_reads_each_component_in_its_own_order(case):
+    make, x, v = NESTED_PRODUCTS[case]
+    d = make()
+    e = d.identity()
+    assert d.value_from_identity(x) == pytest.approx(float(v), rel=1e-12)
+    assert d.value(e, x) == pytest.approx(float(v), rel=1e-12)
+    assert d.value_from_identity_batch([x, x]).tolist() == pytest.approx([float(v)] * 2,
+                                                                         rel=1e-12)
+    eps = F(1, 2 ** 30)
+    for rho, sign in ((v, 0), (v * (1 + eps), -1), (v * (1 - eps), 1)):
+        assert d.compare_from_identity(x, rho) == sign
+        assert d.compare(e, x, rho) == sign
+
+
+LEAVES = {
+    "line": euclidean_line,
+    "snowflake": lambda: snowflake_line(2),
+    "hs_on_product": lambda: HSDistance(unsorted_product()),
+}
+
+
+def product_trees(depth):
+    """Trees of product distances of depth at most ``depth``: a leaf name,
+    or (kind, first, second)."""
+    leaf = st.sampled_from(sorted(LEAVES))
+    if depth == 0:
+        return leaf
+    return st.one_of(leaf, st.tuples(st.sampled_from(["max", "lp"]),
+                                     product_trees(depth - 1), product_trees(depth - 1)))
+
+
+def product_tree(tree, count):
+    """(distance, labels) for a tree.  The labels number the coordinates of
+    the leaves, ``count`` of them so far, and list a distance's coordinates in
+    its own order: a product's basis is sorted by (weight, component,
+    coordinate), so its labels are read off that sort, without its slices.
+    At each product, ``split`` must hand each component its own labels."""
+    if isinstance(tree, str):
+        d = LEAVES[tree]()
+        start = len(count)
+        count.extend(range(start, start + d.group.dim))
+        return d, tuple(count[start:])
+    kind, first, second = tree
+    (d1, x1), (d2, x2) = product_tree(first, count), product_tree(second, count)
+    d = product_max_distance(d1, d2) if kind == "max" else lp_combination_distance(d1, d2, 2)
+    basis = sorted((w, part, i) for part, comp in enumerate((d1, d2))
+                   for i, w in enumerate(comp.weights))
+    assert d.weights == tuple(w for w, _part, _i in basis)
+    x = tuple((x1, x2)[part][i] for _w, part, i in basis)
+    assert d.split(x) == (x1, x2)
+    assert [X.tolist() for X in d.split_batch([x])] == [[list(x1)], [list(x2)]]
+    return d, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=product_trees(3))
+def test_split_hands_each_component_its_coordinates_in_its_own_order(tree):
+    d, x = product_tree(tree, [])
+    assert sorted(x) == list(range(d.group.dim))
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------
@@ -1320,7 +1409,7 @@ def test_value_on_a_step_4_group_is_unsupported_as_the_old_formula_was():
     alg = cb.StructureConstants(
         dim=5, weights=(1, 1, 2, 3, 4),
         bracket={(0, 1): ((2, F(1)),), (0, 2): ((3, F(1)),), (0, 3): ((4, F(1)),)})
-    d = HSDistance(cb.GradedGroup(algebra=alg, step=alg.step(), name="step4"))
+    d = HSDistance(cb.GradedGroup(algebra=alg, name="step4"))
     p, q = (0.5,) * 5, (F(1, 3),) * 5
     assert outcome(d.value, p, q) is outcome(old_value, d, p, q) is cb.UnsupportedStepError
 

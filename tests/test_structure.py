@@ -178,7 +178,7 @@ def test_decompose_power_of_heisenberg():
     factors, iso = decompose_commuting(g.algebra)
     assert len(factors) == 1
     t, f = factors[0]
-    assert t == F(3) and f.algebra if hasattr(f, "algebra") else True
+    assert t == F(3)
     assert f.weights == (F(1), F(1), F(2))
     assert is_stratification(f)[0]
     assert is_graded_isomorphism(iso)
@@ -193,6 +193,17 @@ def test_decompose_product_mixture():
         ok, _ = is_stratification(f)
         assert ok and len(f.layers()) <= 2
     assert is_graded_isomorphism(iso)
+
+
+def test_decompose_rejects_a_wrong_complement(monkeypatch):
+    # the bracket image in place of its complement: the reassembly counts the
+    # centre of H1 twice and misses the abelian weight-2 coordinate
+    from carnot_bcp import structure
+    g = cb.product_group(cb.heisenberg_group(1), cb.abelian_group([2]))
+    monkeypatch.setattr(structure, "orthogonal_complement_within",
+                        lambda ambient, sub: list(sub))
+    with pytest.raises(cb.AlgebraError, match="reassemble"):
+        decompose_commuting(g.algebra)
 
 
 def test_decompose_requires_commuting():
