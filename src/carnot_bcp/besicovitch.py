@@ -7,10 +7,11 @@ rigorous certificate) or in float with an explicit margin; it decides both
 which balls a search keeps and whether ``verify_family`` accepts a family.
 Searches propose centers with the witness pinned at the identity and radii
 set to the distance of the center from the identity, rationalized minimally
-upward in exact mode so witness containment is exact.  The distance decides
-the mode: a search is exact when ``d.exact_capable`` holds and margin
-otherwise, and a dilation orbit is exact when in addition the point, the
-ratio and the dilates are rational; the family's ``mode`` records which.
+upward in exact mode so witness containment is exact.  The distance alone
+decides the mode, in ``BesicovitchFamily``: exact when ``d.exact_capable``
+holds and margin otherwise, with the slack ``MARGIN_EPSILON``.  A dilation
+orbit is exact only: its point and ratio are read as rationals, and an orbit
+whose distance or dilates are not exact raises ``ExactnessError``.
 
 Also here: the constructive block-greedy cover with its per-block radius
 bounds and quarter-radius disjointness, and the countable metric space with
@@ -21,12 +22,12 @@ ball while no bounded-multiplicity subcover exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import dilate, displacement
+from .algebra import displacement
 from .metrics import ExactnessError, HSDistance, QuasiDistance, project
 from .polynomials import first_nonpositive_power, interpolate, positive_on, root_count
 from .scalars import (ExactPoint, all_exact, fmt_scalar, is_exact, over_common_denominator,
@@ -34,7 +35,7 @@ from .scalars import (ExactPoint, all_exact, fmt_scalar, is_exact, over_common_d
 
 EXACT = "exact"
 # the least slack of every margin-mode condition, far above the 1e-10 ..
-# 1e-13 tolerances of the float solvers; a family file may carry its own
+# 1e-13 tolerances of the float solvers
 MARGIN_EPSILON = 1e-7
 
 
@@ -48,19 +49,17 @@ class SearchError(RuntimeError):
 
 @dataclass
 class BesicovitchFamily:
-    """Centers, radii, and a claimed common witness point."""
+    """Centers, radii, and a claimed common witness point.  The distance
+    decides the mode: "exact" when it is exact-capable, "margin" otherwise."""
 
     centers: tuple
     radii: tuple
     witness: tuple
     distance: QuasiDistance
-    mode: str = EXACT          # "exact" or "margin"
-    epsilon: float = MARGIN_EPSILON    # slack for margin mode
+    mode: str = field(init=False)
 
     def __post_init__(self):
-        # any other mode string would be certified as margin mode
-        if self.mode not in (EXACT, "margin"):
-            raise ValueError(f"mode must be 'exact' or 'margin', not {self.mode!r}")
+        self.mode = EXACT if self.distance.exact_capable else "margin"
         self.centers = tuple(tuple(c) for c in self.centers)
         self.witness = tuple(self.witness)
         self.radii = tuple(self.radii)
@@ -74,8 +73,6 @@ class BesicovitchFamily:
         # float range is still positive
         if not all(_finite(r) and r > 0 for r in self.radii):
             raise ValueError("radii must be positive and finite")
-        if self.mode != EXACT and not (_finite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("margin-mode epsilon must be positive and finite")
 
     def __len__(self):
         return len(self.centers)
@@ -88,7 +85,7 @@ class BesicovitchFamily:
             "radii": [fmt_scalar(r) for r in self.radii],
             "witness": fmt_point(self.witness),
             "mode": self.mode,
-            "epsilon": self.epsilon,
+            "epsilon": MARGIN_EPSILON,
         }
 
 
@@ -120,13 +117,13 @@ def _slack(family, center, point, radius, inside):
     r - d(center, point)), inside=False for point strictly outside it (slack
     d(center, point) - r).  Exact mode takes the sign from ``d.compare``, so
     closed and strict become the least slacks 0 and 1; margin mode takes the
-    float value and needs epsilon either way."""
+    float value and needs MARGIN_EPSILON either way."""
     if family.mode == EXACT:
         sign = family.distance.compare(center, point, radius)
         return (-sign, 0) if inside else (sign, 1)
     dist = family.distance.value(center, point)
     slack = float(radius) - dist if inside else dist - float(radius)
-    return slack, family.epsilon
+    return slack, MARGIN_EPSILON
 
 
 def _margin_radius(r):
@@ -151,7 +148,7 @@ def verify_family(family: BesicovitchFamily) -> Certificate:
 
     Exact mode decides every comparison with the distance's exact rational
     trichotomy; any point where that is unavailable is itself a violation.
-    Margin mode requires each comparison to hold with slack >= epsilon.
+    Margin mode requires each comparison to hold with slack >= MARGIN_EPSILON.
     """
     n = len(family)
     exact = family.mode == EXACT
@@ -340,12 +337,12 @@ def _greedy_extend(d, centers, radii, cand, cand_r):
 def _repair(d, centers, radii):
     """The family of a float snapshot, valid by construction: each proposed
     ball, in insertion order, is kept only if its conditions against the kept
-    balls pass ``_slack``.  Exact mode, on an exact-capable distance,
-    rationalizes the center exactly and takes ``radius_for_center``; margin
-    mode takes ``_margin_radius`` of the float radius."""
+    balls pass ``_slack``.  Exact mode rationalizes the center exactly and
+    takes ``radius_for_center``; margin mode takes ``_margin_radius`` of the
+    float radius."""
     exact = d.exact_capable
     witness = (Fraction(0) if exact else 0.0,) * d.group.dim
-    fam = BesicovitchFamily((), (), witness, d, mode=EXACT if exact else "margin")
+    fam = BesicovitchFamily((), (), witness, d)
     # exact mode converts each point once, for all of its comparisons
     convert = over_common_denominator if exact else tuple
     w = convert(witness)
@@ -369,7 +366,7 @@ def _repair(d, centers, radii):
                 holds(x2, x, r2, False) and holds(x, x2, r, False) for _, x2, r2 in kept):
             kept.append((c, x, r))
     return BesicovitchFamily(tuple(c for c, _, _ in kept), tuple(r for _, _, r in kept),
-                             witness, d, mode=fam.mode)
+                             witness, d)
 
 
 def search_family(d: QuasiDistance, budget: int, strategy: str = "random",
@@ -439,16 +436,16 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     for l = 0..count-1, with the identity e as witness.
 
     Works for any distance one-homogeneous under the dilations (so for every
-    homogeneous distance and every ratio rho in (0,1)).  The orbit test asks
-    d(p, q_j) > 1 for j = 1..count-1, exactly in exact mode and in float in
-    margin mode, and stops at the first j that fails; an exact orbit makes
-    no float evaluation.  A family is emitted only when the test passes.
-    The inputs decide the mode, which the family records: exact for an
-    exact-capable distance, rational p and rho, and rational dilates, that
-    is when every dilation factor rho^(l k) has an exact power for every
-    weight, which holds exactly when rho^k has; margin otherwise.
+    homogeneous distance and every ratio rho in (0,1)).  The orbit is exact
+    only: p and rho are read as rationals (a float is a binary rational),
+    and an orbit raises ``ExactnessError`` unless d is exact-capable and its
+    dilates are rational, that is unless every dilation factor rho^(l k) has
+    an exact power for every weight, which holds exactly when rho^k has.
+    The orbit test asks d(p, q_j) > 1 for j = 1..count-1, decided exactly,
+    and stops at the first j that fails; an orbit makes no float
+    evaluation.  A family is emitted only when the test passes.
 
-    An exact family is certified from 2 count - 1 conditions instead of the
+    The family is certified from 2 count - 1 conditions instead of the
     count^2 of ``verify_family``.  Proof: d is left-invariant (``compare``
     decides d(a, b) from a^-1 b) and one-homogeneous, and dilations are
     automorphisms, so d(delta_r a, delta_r b) = r d(a, b).  With
@@ -466,9 +463,6 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     stands for, in ``verify_family``'s order and wording, and the
     certificate equals ``verify_family``'s.  No symmetry of d is assumed:
     the i < j conditions are checked, not derived from the i > j ones.
-    A margin family takes ``_margin_radius`` of each r_l, as a search does,
-    and is verified in full: its slack ``MARGIN_EPSILON`` is absolute and
-    does not scale with the radii.
 
     On an HS distance whose ``_sign`` is HS's own, two polynomials decide
     the orbit test and the backward condition for every j at once, and
@@ -504,68 +498,52 @@ def dilation_orbit_family(d: QuasiDistance, p, rho, k: int, count: int) -> Orbit
     ``orbit_every_count`` reports the polynomials and the first j at which
     each fails.
     """
-    if not (0 < float(rho) < 1):
+    # compared in its own type: a rational ratio below the float range is
+    # in (0, 1), and a NaN is not
+    if not 0 < rho < 1:
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or count < 2:
         raise ValueError("need k >= 1 and count >= 2")
-    factors = _exact_factors(d, p, rho, k)
-    exact = factors is not None
-    if not exact and float(rho) ** ((count - 1) * k) == 0.0:
-        raise ValueError(f"count={count}: the smallest radius rho^((count-1) k) "
-                         "underflows to 0.0 in float; rational p and rho give exact mode")
-    if exact:
-        ratio, p0 = Fraction(rho), to_fractions(p)
-    else:
-        ratio, p0 = float(rho), tuple(map(float, p))
+    ratio, p0 = Fraction(rho), to_fractions(p)
+    factors = _exact_factors(d, ratio, k)
     radii = [ratio ** (l * k) for l in range(count)]
     centers = [p0]
-    for j in range(1, count):
-        # an exact dilate is the last one times (rho^k)^(w_i), coordinatewise
-        centers.append(tuple(x * f for x, f in zip(centers[-1], factors)) if exact
-                       else dilate(p0, radii[j], d.group))
-    first_fail = None
-    if exact:
-        # p0 converted once; the certificate of every count needs nothing else
-        points = [over_common_denominator(p0)]
-        every = _every_count(d, points[0], ratio ** k)
-        if not every:
-            # the strict orbit inequality decided exactly, up to its first
-            # failure: its margin shrinks like the dilation factor and quickly
-            # drops below float resolution, while the rational comparison
-            # stays rigorous
-            for j, qj in enumerate(_exact_dilates(points[0], factors, count), 1):
-                points.append(qj)
-                if d.compare(points[0], qj, Fraction(1)) <= 0:
-                    first_fail = j
-                    break
-    else:
-        first_fail = next((j for j, qj in enumerate(centers[1:], 1)
-                           if not d.value(p0, qj) > 1), None)
-    if first_fail is not None:
-        return OrbitResult(ok=False, family=None, first_failing_j=first_fail)
-    if not exact:
-        radii = [_margin_radius(r) for r in radii]
-    witness = (ratio * 0,) * d.group.dim      # the identity, in the ratio's type
-    fam = BesicovitchFamily(tuple(centers), tuple(radii), witness, d,
-                            mode=EXACT if exact else "margin")
-    if exact:
-        # the m = j - i whose backward condition d(q_m, p) > r_m fails
-        failing = [] if every else [m for m in range(1, count)
-                                    if d.compare(points[m], points[0], radii[m]) <= 0]
-        cert = _orbit_certificate(fam, points[0], failing)
-    else:
-        cert = verify_family(fam)
+    for _ in range(1, count):
+        # each dilate is the last one times (rho^k)^(w_i), coordinatewise
+        centers.append(tuple(x * f for x, f in zip(centers[-1], factors)))
+    # p0 converted once; the certificate of every count needs nothing else
+    points = [over_common_denominator(p0)]
+    every = _every_count(d, points[0], ratio ** k)
+    if not every:
+        # the strict orbit inequality decided exactly, up to its first
+        # failure: its margin shrinks like the dilation factor and quickly
+        # drops below float resolution, while the rational comparison stays
+        # rigorous
+        for j, qj in enumerate(_exact_dilates(points[0], factors, count), 1):
+            points.append(qj)
+            if d.compare(points[0], qj, Fraction(1)) <= 0:
+                return OrbitResult(ok=False, family=None, first_failing_j=j)
+    fam = BesicovitchFamily(tuple(centers), tuple(radii), (Fraction(0),) * d.group.dim, d)
+    # the m = j - i whose backward condition d(q_m, p) > r_m fails
+    failing = [] if every else [m for m in range(1, count)
+                                if d.compare(points[m], points[0], radii[m]) <= 0]
+    cert = _orbit_certificate(fam, points[0], failing)
     return OrbitResult(ok=cert.valid, family=fam, first_failing_j=None, certificate=cert)
 
 
-def _exact_factors(d, p, rho, k):
+def _exact_factors(d, rho, k):
     """The exact dilation factors (rho^k)^(w_i) of an orbit, one per
-    coordinate, when it is exact: d exact-capable, p and rho rational, and
-    every factor rational.  None otherwise."""
-    if not (d.exact_capable and all_exact(p) and is_exact(rho)):
-        return None
-    factors = [rat_pow(Fraction(rho) ** k, w) for w in d.group.weights]
-    return None if None in factors else factors
+    coordinate, or ``ExactnessError`` when d is not exact-capable or a
+    factor is irrational."""
+    if not d.exact_capable:
+        raise ExactnessError(f"an exact orbit needs an exact-capable distance, not {d.kind}")
+    c = Fraction(rho) ** k
+    factors = [rat_pow(c, w) for w in d.group.weights]
+    if None in factors:
+        w = d.group.weights[factors.index(None)]
+        raise ExactnessError(f"an exact orbit needs every (rho^k)^w rational, and "
+                             f"({fmt_scalar(c)})^({fmt_scalar(w)}) is not")
+    return factors
 
 
 def _exact_dilates(p, factors, count):
@@ -643,9 +621,10 @@ def orbit_every_count(d: QuasiDistance, p, rho, k: int) -> dict:
     p.  A family of count n passes its certificate exactly when the witness
     is inside and no failing index is below n, so ``every_count`` says
     whether every count passes."""
-    if not (0 < float(rho) < 1) or k < 1:
+    if not 0 < rho < 1 or k < 1:
         raise ValueError("need a ratio in (0, 1) and k >= 1")
-    if _exact_factors(d, p, rho, k) is None or not _sturm_applies(d):
+    _exact_factors(d, rho, k)
+    if not _sturm_applies(d):
         raise ValueError("every-count verdicts need an exact orbit on an HS distance")
     p0 = over_common_denominator(to_fractions(p))
     q, s1 = _orbit_scale(d, Fraction(rho) ** k)

@@ -6,10 +6,11 @@ rationals serialized as "p/q" strings, and a NaN or infinite float as "nan",
 "inf" or "-inf"; every numeric result is tagged with the
 backend that produced it.  Seeds are explicit (no wall-clock defaults), so
 identical configurations produce byte-identical reports up to timing fields.
-The distance decides exact or margin mode: a search is exact when the kind is
-exact-capable (``QuasiDistance.exact_capable``) and margin otherwise, and
-``dist`` labels its value "exact-comparable" when, in addition, both points
-are rational.  No flag selects the mode.
+The distance alone decides exact or margin mode: a family is exact when the
+kind is exact-capable (``QuasiDistance.exact_capable``) and margin
+otherwise, and ``dist`` labels its value "exact-comparable" when, in
+addition, both points are rational.  No flag selects the mode, and a family
+file's "mode" and "epsilon" must be the ones its distance gives.
 
 Exit codes: 0 success / valid certificate, 2 certificate rejected, 64 bad
 configuration or arguments, 70 internal solver failure.
@@ -53,16 +54,16 @@ def _build_group(args):
                                  rank=args.rank)
 
 
-def _build_distance(args, group):
+def _build_distance(args):
+    """The distance of the flags; only the HS kinds read ``--group``, as the
+    others build their own group."""
     from . import metrics
     kind = args.kind
-    if kind == "hs":
-        return metrics.HSDistance(group, parse_scalar(args.R))
+    if kind in ("hs", "power"):
+        d = metrics.HSDistance(_build_group(args), parse_scalar(args.R))
+        return d if kind == "hs" else metrics.power_distance(d, parse_scalar(args.t))
     if kind == "cc_h1":
         return metrics.CCHeisenbergDistance(a=float(args.scale))
-    if kind == "power":
-        return metrics.power_distance(metrics.HSDistance(group, parse_scalar(args.R)),
-                                      parse_scalar(args.t))
     if kind == "snowflake_product_max":
         return metrics.product_max_distance(
             metrics.euclidean_line(), metrics.snowflake_line(parse_scalar(args.t)))
@@ -123,15 +124,14 @@ def cmd_classify(args):
 
 
 def cmd_dist(args):
-    group = _build_group(args)
-    d = _build_distance(args, group)
+    d = _build_distance(args)
     p = _parse_point(args.p)
     q = _parse_point(args.q)
     value = d.value(p, q)
     exact = d.exact_capable and all_exact(p) and all_exact(q)
     backend = "exact-comparable" if exact else "float"
     _emit({"value": value, "backend": backend,
-           "kind": d.kind, "group": group.name}, args)
+           "kind": d.kind, "group": d.group.name}, args)
     return EXIT_OK
 
 
@@ -159,38 +159,41 @@ def _scalar(value, what):
 
 
 def _load_family(path, dist):
+    """The family of a family file on ``dist``, every entry read exactly.
+    Its "mode" and "epsilon", when present, must be the family's own."""
     from .besicovitch import MARGIN_EPSILON, BesicovitchFamily
     with open(path, "r", encoding="utf-8") as fh:
         data = _object(json.load(fh), "a family file")
-    mode = data.get("mode", "exact")
-    exact = mode == "exact"
 
     def scalars(values, what):
         out = []
         for x in _array(values, what):
             x = _scalar(x, f"an entry of {what}")
-            # Fraction(x) of an infinite float is an OverflowError
-            if exact and isinstance(x, float) and not math.isfinite(x):
-                raise ConfigError(f"an entry of {what} must be finite, not {json.dumps(x)}")
             # text goes through parse_scalar, which reads integers of any
             # size; a JSON number keeps Fraction(x), since a float converts
             # exactly and 0.1 is not "0.1"
-            out.append((parse_scalar(x) if isinstance(x, str) else Fraction(x))
-                       if exact else float(x))
+            try:
+                out.append(parse_scalar(x) if isinstance(x, str) else Fraction(x))
+            except (ValueError, OverflowError):     # NaN and infinities included
+                raise ConfigError(f"an entry of {what} must be finite and rational, "
+                                  f"not {json.dumps(x)}") from None
         return tuple(out)
 
     centers = tuple(scalars(c, "a center") for c in _array(data["centers"], "centers"))
-    radii = scalars(data["radii"], "radii")
-    witness = scalars(data["witness"], "the witness")
-    epsilon = _scalar(data.get("epsilon", MARGIN_EPSILON), "epsilon")
-    return BesicovitchFamily(centers, radii, witness, dist, mode=mode,
-                             epsilon=float(epsilon))
+    fam = BesicovitchFamily(centers, scalars(data["radii"], "radii"),
+                            scalars(data["witness"], "the witness"), dist)
+    if data.get("mode", fam.mode) != fam.mode:
+        raise ConfigError(f"mode {json.dumps(data['mode'])} is not the distance's "
+                          f"mode {json.dumps(fam.mode)}")
+    epsilon = data.get("epsilon", MARGIN_EPSILON)
+    if float(_scalar(epsilon, "epsilon")) != MARGIN_EPSILON:
+        raise ConfigError(f"epsilon must be {MARGIN_EPSILON}, not {json.dumps(epsilon)}")
+    return fam
 
 
 def cmd_besicovitch(args):
     from . import besicovitch as bz
-    group = _build_group(args)
-    d = _build_distance(args, group)
+    d = _build_distance(args)
     if args.action == "verify":
         fam = _load_family(args.family, d)
         cert = bz.verify_family(fam)

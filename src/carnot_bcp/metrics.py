@@ -88,10 +88,11 @@ class QuasiDistance:
     """Common interface: float evaluation plus optional exact comparisons.
 
     ``exact_capable`` is True exactly when ``_sign`` decides every rational
-    point at every positive rational radius.  It is the one place that
-    chooses between exact and margin certificates: searches and dilation
-    orbits on an exact-capable distance build exact families, and margin
-    families otherwise, so no caller selects a mode.
+    point at every positive rational radius.  It alone decides a family's
+    mode: ``BesicovitchFamily`` reads it, so every family on an
+    exact-capable distance is exact and every other one margin, and no
+    caller selects a mode.  A dilation orbit is exact only and raises
+    ``ExactnessError`` on a distance that is not exact-capable.
     """
 
     kind = "abstract"

@@ -29,6 +29,7 @@ from carnot_bcp.besicovitch import (
 )
 from carnot_bcp.metrics import (
     CCHeisenbergDistance,
+    ExactnessError,
     HSDistance,
     SolverError,
     euclidean_line,
@@ -36,6 +37,7 @@ from carnot_bcp.metrics import (
     product_max_distance,
     snowflake_line,
 )
+from carnot_bcp.scalars import to_fractions
 
 F = Fraction
 
@@ -84,19 +86,28 @@ def test_margin_mode_certificate():
     e = (0.0, 0.0, 0.0)
     p1 = (1.0, 0.0, 0.0)
     p2 = (-1.0, 0.0, 0.0)
-    fam = BesicovitchFamily((p1, p2), (1.0 + 1e-3, 1.0 + 1e-3), e, d,
-                            mode="margin", epsilon=1e-7)
+    fam = BesicovitchFamily((p1, p2), (1.0 + 1e-3, 1.0 + 1e-3), e, d)
     cert = verify_family(fam)
-    assert cert.valid and cert.min_slack >= 1e-7
+    assert fam.mode == "margin"
+    assert cert.valid and cert.min_slack >= besicovitch.MARGIN_EPSILON
+
+
+class ClaimsExact(HSDistance):
+    """HS on weights 1, 5/4, 9/4 claiming exact comparisons it does not
+    have: a radius of 2 has no rational power for weight 5/4, so ``compare``
+    raises ``ExactnessError`` where a certificate needs it."""
+
+    def __init__(self):
+        super().__init__(cb.heisenberg_nonstandard_group(F(5, 4)), F(1))
+        self.exact_capable = True
 
 
 def test_exactness_violation_reported():
-    d = CCHeisenbergDistance(1.0)
-    fam = BesicovitchFamily(((F(1), F(0), F(0)),), (F(1),),
-                            (F(0), F(0), F(0)), d, mode="exact")
+    fam = BesicovitchFamily(((F(1, 2), F(1, 3), F(1, 5)),), (F(2),), (F(0),) * 3,
+                            ClaimsExact())
     cert = verify_family(fam)
-    assert not cert.valid
-    assert any(v["kind"] == "exactness" for v in cert.violations)
+    assert fam.mode == "exact" and not cert.valid
+    assert [v["kind"] for v in cert.violations] == ["exactness"]
 
 
 VALID_FAMILIES = {
@@ -493,8 +504,16 @@ def test_orbit_family_radii_are_exact_powers():
 
 def test_orbit_rejects_bad_ratio():
     d = nonstd_h1_distance()
-    with pytest.raises(ValueError):
-        dilation_orbit_family(d, (F(1), F(0), F(0)), F(3, 2), 1, 3)
+    for rho in (F(3, 2), F(0), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            dilation_orbit_family(d, (F(1), F(0), F(0)), rho, 1, 3)
+
+
+def test_an_orbit_reads_a_ratio_below_the_float_range():
+    # 2^-2000 is 0.0 as a float, so the range check refused it
+    res = dilation_orbit_family(nonstd_h1_distance(), sphere_point(), F(1, 2 ** 2000),
+                                k=1, count=3)
+    assert res.ok and res.family.radii == (1, F(1, 2 ** 2000), F(1, 2 ** 4000))
 
 
 class LopsidedHS(HSDistance):
@@ -586,38 +605,40 @@ def test_large_exact_orbit():
     assert len(keep) == 30 and keep[-1] == 999 and cert.valid
 
 
-def test_margin_orbit_rejects_an_underflowing_count():
+def test_a_float_point_and_ratio_give_the_orbit_of_their_exact_values():
+    # a float is a binary rational: the orbit is exact.  The rounded point
+    # lies about 1e-17 inside the unit ball, so its orbit fails at j = 9,
+    # while the orbit of the rational point passes at every count
+    d = nonstd_h1_distance()
     p = tuple(float(x) for x in sphere_point())
-    with pytest.raises(ValueError, match="count=200"):
-        dilation_orbit_family(nonstd_h1_distance(), p, 0.5, k=6, count=200)
+    assert d.compare_from_identity(to_fractions(p), F(1)) == -1
+    res = dilation_orbit_family(d, p, 0.5, k=6, count=200)
+    assert res.to_json() == dilation_orbit_family(d, to_fractions(p), F(1, 2), k=6,
+                                                  count=200).to_json()
+    assert res.first_failing_j == 9
+    assert dilation_orbit_family(d, sphere_point(), F(1, 2), k=6, count=200).ok
 
 
-def test_orbit_mode_follows_exact_dilations():
+def test_an_orbit_with_an_irrational_dilation_factor_raises():
     # weights 1, 3/2, 5/2: (1/2)^(3/2) is irrational, so the dilates are not
     # rational although the distance is exact-capable; (1/4)^(3/2) = 1/8 is
     d = HSDistance(cb.heisenberg_nonstandard_group(F(3, 2)), F(1))
     p = (F(3, 5), F(4, 5), F(0))
     floats = float_calls(d)
-    res = dilation_orbit_family(d, p, F(1, 2), k=1, count=4)
-    assert res.family is None or res.family.mode == "margin"
-    # the float test decides a margin orbit: it fails at once, after one distance
-    assert res.first_failing_j == 1 and len(floats) == 1
+    with pytest.raises(ExactnessError, match=r"\(1/2\)\^\(3/2\) is not"):
+        dilation_orbit_family(d, p, F(1, 2), k=1, count=4)
     for rho, k in ((F(1, 4), 1), (F(1, 2), 2)):
-        floats.clear()
         res = dilation_orbit_family(d, p, rho, k=k, count=4)
         assert res.family is None or res.family.mode == "exact"
-        assert floats == []
+    assert floats == []
 
 
-def test_orbit_mode_follows_exact_capability():
+def test_an_orbit_on_a_distance_without_exact_comparisons_raises():
     cc = CCHeisenbergDistance(1.0)
-    p = (F(3, 100), F(-1, 2), F(4, 5))
-    # rational inputs on a float-only distance give a margin family
-    res = dilation_orbit_family(cc, p, F(1, 2), k=2, count=4)
-    assert res.first_failing_j is None
-    assert res.family.mode == "margin" and res.certificate.mode == "margin"
-    assert not any(v["kind"] == "exactness" for v in res.certificate.violations)
-    assert res.certificate.to_json() == verify_family(res.family).to_json()
+    floats = float_calls(cc)
+    with pytest.raises(ExactnessError, match="exact-capable distance, not cc_h1"):
+        dilation_orbit_family(cc, (F(3, 100), F(-1, 2), F(4, 5)), F(1, 2), k=2, count=4)
+    assert floats == []
 
 
 FLOAT_PATHS = ("value", "value_from_identity", "value_from_identity_batch")
@@ -658,31 +679,27 @@ def test_an_exact_orbit_makes_no_float_evaluation(monkeypatch, kind, p, rho, k, 
     assert res.family is None or res.family.mode == "exact"
 
 
-def test_a_margin_orbit_rejected_at_j_makes_j_float_distances():
-    # a float point just inside the unit ball: the float test first fails at j = 4
+def test_a_float_point_just_inside_the_ball_gives_an_exact_orbit_rejected_at_4():
+    # the exact orbit of the float point's binary value first fails at j = 4,
+    # decided without a float distance
     d = nonstd_h1_distance()
     floats = float_calls(d)
     p = tuple((1 - 1e-8) * float(x) for x in sphere_point())
     res = dilation_orbit_family(d, p, 0.5, k=6, count=10)
     assert not res.ok and res.family is None and res.first_failing_j == 4
-    assert len(floats) == 4
-    assert [q for _, q in floats] == [cb.dilate(p, 0.5 ** (6 * j), d.group)
-                                      for j in range(1, 5)]
+    assert floats == []
 
 
-def test_a_margin_orbit_inflates_its_radii_as_a_search_does():
-    # the radii were inflated relatively, r (1 + 2 epsilon), which leaves the
-    # witness a slack of 2 epsilon r, below epsilon once r < 1/2: here 5.0e-8
-    # at ball 1, and the orbit was rejected
+def test_a_margin_search_inflates_its_radii_by_two_epsilon():
+    # a ball's radius is its float radius plus 2 epsilon, so the witness has
+    # slack 2 epsilon at every scale, far above the solver tolerances
     cc = CCHeisenbergDistance(1.0)
-    v = (0.1, -1.0, 0.5)
-    p = cb.dilate(v, 1 / cc.value_from_identity(v), cc.group)
-    res = dilation_orbit_family(cc, p, F(1, 2), k=2, count=4)
-    assert res.ok and res.family.mode == "margin"
-    assert res.family.radii == tuple(r + 2 * besicovitch.MARGIN_EPSILON
-                                     for r in (1.0, 0.25, 0.0625, 0.015625))
-    assert res.certificate.min_slack == pytest.approx(2e-7, rel=1e-3)
-    assert res.certificate.to_json() == verify_family(res.family).to_json()
+    fam = search_family(cc, 4000, strategy="random", seed=2).family
+    assert fam.mode == "margin" and len(fam) >= 3
+    e = cc.identity()
+    for c, r in zip(fam.centers, fam.radii):
+        assert r - cc.value(c, e) == pytest.approx(2 * besicovitch.MARGIN_EPSILON, abs=1e-9)
+    assert verify_family(fam).valid
 
 
 # ---------------------------------------------------------------------------

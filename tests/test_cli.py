@@ -85,6 +85,21 @@ def test_dist_eval_cc(capsys):
     assert out["backend"] == "float"
 
 
+@pytest.mark.parametrize("flags, group", [
+    (["--kind", "cc_h1"], "heisenberg(1)"),
+    (["--group", "heisenberg", "--n", "2", "--kind", "cc_h1"], "heisenberg(1)"),
+    (["--kind", "snowflake_product_max", "--p", "1/3,1/5", "--q", "-1/7,2/9"],
+     "product(abelian('1',),power(abelian('1',),2))"),
+    (["--group", "heisenberg", "--kind", "power", "--t", "3/2"], "power(heisenberg(1),3/2)"),
+], ids=["cc_h1", "cc_h1_ignores_group", "product", "power"])
+def test_dist_reports_the_group_of_the_distance(flags, group, capsys):
+    # the kinds that build their own group exited 64 without --group, and
+    # printed the group of --group when given one
+    points = [] if "--p" in flags else ["--p", "0,0,0", "--q", "1,0,0"]
+    assert main(["dist", *flags, *points]) == 0
+    assert payload(capsys.readouterr().out)["group"] == group
+
+
 def test_besicovitch_verify_exit_codes(tmp_path, capsys):
     fam = {"centers": [["-1"], ["1"]], "radii": ["1", "1"], "witness": ["0"],
            "mode": "exact"}
@@ -116,6 +131,11 @@ WRONG_LENGTH = {
 }
 
 
+# the kind of each mode: HS is exact-capable, and its 1/3 power, with every
+# weight w becoming w / 3, is not
+MODE_KINDS = {"exact": ["--kind", "hs"], "margin": ["--kind", "power", "--t", "1/3"]}
+
+
 @pytest.mark.parametrize("mode", ["exact", "margin"])
 @pytest.mark.parametrize("name", sorted(WRONG_LENGTH))
 def test_verify_refuses_a_point_of_the_wrong_length(name, mode, tmp_path, capsys):
@@ -123,7 +143,7 @@ def test_verify_refuses_a_point_of_the_wrong_length(name, mode, tmp_path, capsys
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({**fam, "radii": ["1", "1"], "mode": mode}))
     code = main(["besicovitch", "verify", "--group", "abelian", "--weights", weights,
-                 "--kind", "hs", "--R", "1", "--family", str(path)])
+                 *MODE_KINDS[mode], "--R", "1", "--family", str(path)])
     assert code == 64
     assert "dimension" in capsys.readouterr().err
 
@@ -134,29 +154,86 @@ CERTIFY_NOTHING = {
     # NaN slacks fail no comparison: "min_slack": NaN
     "nan_radii": {"centers": [["1"], ["1"], ["1"]], "radii": ["nan"] * 3,
                   "witness": ["0"]},
-    "negative_epsilon": {"centers": [["1"], ["1"]], "radii": ["1", "1"],
-                         "witness": ["0"], "epsilon": -10},
-    # center 1 lies on the boundary of ball 0: slack 0 < NaN is false
-    "nan_epsilon": {"centers": [["0"], ["1"]], "radii": ["1", "1"],
-                    "witness": ["0.5"], "epsilon": "nan"},
     # "min_slack": Infinity is not even JSON
     "infinite_radius": {"centers": [["0"]], "radii": ["inf"], "witness": ["0"]},
     # a malformed input, not a solver failure (it exited 70)
     "nan_center": {"centers": [["nan"]], "radii": ["1"], "witness": ["0"]},
 }
 LINE_FLAGS = ["--group", "abelian", "--weights", "1", "--kind", "hs", "--R", "1"]
+MARGIN_LINE_FLAGS = ["--group", "abelian", "--weights", "1", *MODE_KINDS["margin"]]
+
+
+def margin_line():
+    from carnot_bcp.metrics import power_distance
+    return power_distance(euclidean_line(), Fraction(1, 3))
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_NOTHING))
 def test_verify_refuses_a_family_that_certifies_nothing(name, tmp_path, capsys):
     from carnot_bcp.cli import _load_family
-    from carnot_bcp.metrics import euclidean_line
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({**CERTIFY_NOTHING[name], "mode": "margin"}))
-    assert main(["besicovitch", "verify", *LINE_FLAGS, "--family", str(path)]) == 64
+    assert main(["besicovitch", "verify", *MARGIN_LINE_FLAGS, "--family", str(path)]) == 64
     assert "configuration error" in capsys.readouterr().err
     with pytest.raises(ValueError, match="finite"):
-        _load_family(path, euclidean_line())
+        _load_family(path, margin_line())
+
+
+# an epsilon of its own let a file certify nothing: with -10 every
+# comparison passed, and with NaN (center 1 on the boundary of ball 0) the
+# slack 0 < NaN was false
+OTHER_EPSILON = {
+    "negative_epsilon": {"centers": [["1"], ["1"]], "radii": ["1", "1"],
+                         "witness": ["0"], "epsilon": -10},
+    "nan_epsilon": {"centers": [["0"], ["1"]], "radii": ["1", "1"],
+                    "witness": ["0.5"], "epsilon": "nan"},
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "margin"])
+@pytest.mark.parametrize("name", sorted(OTHER_EPSILON))
+def test_verify_refuses_an_epsilon_other_than_the_margin(name, mode, tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({**OTHER_EPSILON[name], "mode": mode}))
+    assert main(["besicovitch", "verify", "--group", "abelian", "--weights", "1",
+                 *MODE_KINDS[mode], "--family", str(path)]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and "epsilon must be 1e-07, not " in out.err
+
+
+# a one-ball family whose witness lies exactly outside the ball: its float
+# distance is 0.9999999999999999, so a margin file with epsilon 1e-300 was
+# reported valid on a distance whose exact check rejects it
+FLOAT_INSIDE = {"centers": [[-0.8244576610902665, -0.24873953310099536, 0.5083288401637921]],
+                "radii": [1], "witness": [0, 0, 0]}
+NONSTANDARD_FLAGS = ["--group", "heisenberg_nonstandard", "--alpha", "2", "--kind", "hs"]
+
+
+def test_a_family_file_cannot_choose_its_mode(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({**FLOAT_INSIDE, "mode": "margin", "epsilon": 1e-300}))
+    assert main(["besicovitch", "verify", *NONSTANDARD_FLAGS, "--family", str(path)]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and 'mode "margin" is not the distance\'s mode "exact"' in out.err
+    path.write_text(json.dumps({**FLOAT_INSIDE, "mode": "exact"}))
+    assert main(["besicovitch", "verify", "--kind", "cc_h1", "--family", str(path)]) == 64
+    assert 'mode "exact" is not the distance\'s mode "margin"' in capsys.readouterr().err
+    path.write_text(json.dumps(FLOAT_INSIDE))
+    assert main(["besicovitch", "verify", *NONSTANDARD_FLAGS, "--family", str(path)]) == 2
+    got = payload(capsys.readouterr().out)
+    assert got["mode"] == "exact" and [v["kind"] for v in got["violations"]] == ["witness"]
+
+
+def test_a_margin_family_file_reads_rational_text(tmp_path, capsys):
+    # the margin path read every entry with float(), so "p/q" text exited 64
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"centers": [["1", "0", "0"], ["-1", "0", "0"]],
+                                "radii": ["1001/1000", "1001/1000"],
+                                "witness": ["0", "0", "0"], "mode": "margin"}))
+    assert main(["besicovitch", "verify", "--kind", "cc_h1", "--family", str(path)]) == 0
+    got = payload(capsys.readouterr().out)
+    assert got["valid"] and got["mode"] == "margin"
+    assert got["min_slack"] == pytest.approx(1e-3)
 
 
 # family files that are not what they say: the parent read the first three

@@ -757,6 +757,23 @@ def test_a_kind_that_is_not_exact_capable_fails_at_some_rational_radius(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(CAPABILITY_KINDS))
+def test_the_family_mode_is_the_distance_capability_and_orbits_are_exact_only(kind):
+    from carnot_bcp.besicovitch import BesicovitchFamily, dilation_orbit_family
+    make, capable = CAPABILITY_KINDS[kind]
+    d = make()
+    e = d.group.identity()
+    assert BesicovitchFamily((), (), e, d).mode == ("exact" if capable else "margin")
+    p = tuple(F(1, k + 2) for k in range(d.group.dim))
+    if capable:
+        # the orbit may pass or fail; it is decided exactly either way
+        res = dilation_orbit_family(d, p, F(1, 4), 2, 3)
+        assert res.family is None or res.family.mode == "exact"
+    else:
+        with pytest.raises(ExactnessError, match="exact-capable"):
+            dilation_orbit_family(d, p, F(1, 4), 2, 3)
+
+
+@pytest.mark.parametrize("kind", sorted(CAPABILITY_KINDS))
 def test_the_search_mode_is_the_distance_capability(kind):
     from carnot_bcp.besicovitch import search_family, verify_family
     make, capable = CAPABILITY_KINDS[kind]
